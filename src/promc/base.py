@@ -92,6 +92,8 @@ class BaseObject:
         return sum(self._dims.values())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, BaseObject) or self.instance != other.instance:
             return False
         if self.instance == SET_BIJ:
@@ -182,6 +184,8 @@ class BaseMap:
         return self.mapping[x]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, BaseMap) or self.instance != other.instance:
             return False
         if self.source != other.source or self.target != other.target:
@@ -253,15 +257,6 @@ def _homology_quotient(obj, n):
         C = gf2.zeros(Z.shape[1], 0)
     Q, _ = gf2.quotient_map(C, Z.shape[1])
     return Z, Q
-
-
-def homology_dims(obj):
-    """dict degree -> dim H_n over GF(2)."""
-    out = {}
-    for n in obj.degrees:
-        Z, Q = _homology_quotient(obj, n)
-        out[n] = Q.shape[0]
-    return out
 
 
 def homology_matrix(f, n):

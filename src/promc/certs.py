@@ -10,6 +10,8 @@ verdicts), so a certificate file stands alone.
 
 from __future__ import annotations
 
+import json
+
 from .docio import (CERT_SCHEMA, hfamily_to_doc, map_to_doc, obj_to_doc,
                     poset_to_doc, promap_to_doc, proobj_to_doc)
 
@@ -136,12 +138,15 @@ def hom_cert(X, Y, hs):
     doc["X_poset"] = poset_to_doc(X.index)
     doc["Y_poset"] = poset_to_doc(Y.index)
     if X.index.regime == "finite" and Y.index.regime == "finite":
-        doc["realized"] = sorted(
-            map_to_doc(rep.realize(Y.index.max_element())) if X.instance != "set-bij"
-            else sorted(rep.realize(Y.index.max_element()).mapping.items())
-            for rep in hs.maps)
-        doc["realized"] = [list(map(list, r)) if X.instance == "set-bij" else r
-                           for r in doc["realized"]]
+        top = Y.index.max_element()
+        if X.instance == "set-bij":
+            doc["realized"] = [list(map(list, r)) for r in sorted(
+                sorted(rep.realize(top).mapping.items()) for rep in hs.maps)]
+        else:
+            # map documents are dicts, so order them by their canonical JSON
+            doc["realized"] = sorted(
+                (map_to_doc(rep.realize(top)) for rep in hs.maps),
+                key=lambda d: json.dumps(d, sort_keys=True))
     if hs.depth is not None:
         doc["depth"] = hs.depth
         doc["stabilized_at"] = hs.stabilized_at

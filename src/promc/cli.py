@@ -11,6 +11,7 @@ failed verification (with a named witness), 2 parse/validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
 from .indexing import DEFAULT_DEPTH
 
 
+@functools.cache
 def _parser():
     ap = argparse.ArgumentParser(
         prog="promc",

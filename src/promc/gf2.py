@@ -2,9 +2,29 @@
 Dense GF(2) linear algebra.
 
 Row echelon form, rank, solving, null spaces and inverses over the
-two-element field, using XOR row operations on numpy uint8 arrays.
-All routines are deterministic: pivots are chosen lowest index first,
+two-element field.  Matrices are numpy uint8 arrays of 0s and 1s; all
+routines are deterministic: pivots are chosen lowest column first,
 free variables are set to zero.
+
+Every elimination goes through ``row_echelon``, which stores the rows
+one of two ways, picked by shape:
+
+* At most ``INT_ROWS_MAX`` rows and columns: each row is one Python int,
+  bit c holding column c (the word-packed rows of M4RI, Albrecht, Bard &
+  Hart, ACM TOMS 2010), and a row operation is one int XOR.  Packing is
+  one numpy product with the powers of two; unpacking is
+  ``np.unpackbits`` of the rows as uint64 words.
+* Larger: numpy uint8 arrays, with XORs on whole blocks of rows.
+
+The strict factorizations eliminate tens of thousands of matrices of
+at most 16x16, where numpy's per-call cost dominates and int rows are
+several times faster.  Once both sides exceed 64 the Python loop over
+rows costs more than numpy's vectorized XORs; on the large sparse lift
+systems numpy is many times faster.  64 columns is also one uint64 word.
+
+Both paths pivot alike (lowest column first, swap with the first row
+holding it, clear below, and above when reducing), so they return
+bit-for-bit the same ``R`` and pivot columns.
 """
 
 from __future__ import annotations
@@ -41,6 +61,10 @@ def mat_eq(A, B):
     return A.shape == B.shape and bool(np.array_equal(A, B))
 
 
+INT_ROWS_MAX = 64  # both sides at most this: eliminate on Python-int rows
+_POW2 = np.left_shift(np.uint64(1), np.arange(INT_ROWS_MAX, dtype=np.uint64))
+
+
 def row_echelon(M, reduce=True):
     """Row-reduce *M* over GF(2).
 
@@ -49,6 +73,38 @@ def row_echelon(M, reduce=True):
         pivot_cols the list of pivot column indices; len(pivot_cols)
         is the GF(2) rank.
     """
+    m, n = M.shape
+    if m <= INT_ROWS_MAX and n <= INT_ROWS_MAX:
+        return _row_echelon_int(M, reduce)
+    return _row_echelon_numpy(M, reduce)
+
+
+def _row_echelon_int(M, reduce):
+    m, n = M.shape
+    rows = (M @ _POW2[:n]).tolist()
+    pivot_cols: list[int] = []
+    pr = 0
+    for col in range(n):
+        if pr >= m:
+            break
+        bit = 1 << col
+        for row in range(pr, m):
+            if rows[row] & bit:
+                break
+        else:
+            continue
+        p = rows[row]
+        rows[row] = rows[pr]
+        lo = 0 if reduce else pr + 1
+        rows[lo:] = [r ^ p if r & bit else r for r in rows[lo:]]
+        rows[pr] = p
+        pivot_cols.append(col)
+        pr += 1
+    packed = np.array(rows, dtype="<u8").view(np.uint8).reshape(m, 8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little"), pivot_cols
+
+
+def _row_echelon_numpy(M, reduce):
     R = M.copy()
     m, n = R.shape
     pivot_cols: list[int] = []
@@ -126,11 +182,6 @@ def inverse(M):
     if X is None or not mat_eq(matmul(M, X), eye(n)):
         return None
     return X
-
-
-def column_space_contains(M, v):
-    """Whether vector (or each column of) v lies in the column space of M."""
-    return solve(M, v) is not None
 
 
 def image_basis(M):

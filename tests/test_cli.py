@@ -36,6 +36,17 @@ def test_hom_omega(capsys):
     assert "2 classes" in out and "stabilized at depth 1" in out
 
 
+def test_hom_chainf2_two_classes_and_verify(tmp_path, capsys):
+    # the ChainF2 realized maps are dicts, which have no natural order
+    out_file = tmp_path / "hom.json"
+    code, out = run(capsys, "hom", fx("chainf2.json"), "cD", "cS",
+                    "--out", str(out_file))
+    assert code == 0
+    assert "2 classes" in out
+    code, out = run(capsys, "verify", str(out_file))
+    assert code == 0
+
+
 def test_levelize_and_verify(tmp_path, capsys):
     out_file = tmp_path / "lv.json"
     code, out = run(capsys, "levelize", fx("collapse.json"), "f",

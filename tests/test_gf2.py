@@ -77,3 +77,79 @@ def test_quotient_map_random(seed):
     assert k == dim - gf2.rank(U)
     assert not gf2.matmul(Q, U).any()
     assert gf2.rank(Q) == k
+
+
+# ------------------------------------------- against a pure-Python reference
+
+
+def ref_row_echelon(M, reduce):
+    """Row reduction on lists of 0/1 ints: lowest pivot column first, swap
+    with the first row holding it, clear below (and above if reducing)."""
+    R = [[int(x) for x in row] for row in M.tolist()]
+    m, n = M.shape
+    pivots, pr = [], 0
+    for col in range(n):
+        if pr >= m:
+            break
+        hit = next((r for r in range(pr, m) if R[r][col]), None)
+        if hit is None:
+            continue
+        R[pr], R[hit] = R[hit], R[pr]
+        targets = range(m) if reduce else range(pr + 1, m)
+        for r in targets:
+            if r != pr and R[r][col]:
+                R[r] = [a ^ b for a, b in zip(R[r], R[pr])]
+        pivots.append(col)
+        pr += 1
+    return R, pivots
+
+
+# (rows, cols, rank): rank None is a uniform random matrix; otherwise a
+# product of random (rows x rank) and (rank x cols) factors, so at most rank
+REF_SHAPES = [
+    (0, 5, None), (5, 0, None), (0, 0, None), (1, 1, None),
+    (16, 16, None), (63, 64, None), (64, 64, None), (64, 65, None),
+    (65, 64, None), (200, 10, None), (10, 200, None),
+    (16, 16, 5), (64, 64, 7), (64, 65, 30), (65, 64, 1), (40, 30, 0),
+]
+
+
+def ref_matrix(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        return rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+    L = rng.integers(0, 2, size=(rows, rank)).astype(np.uint8)
+    Rt = rng.integers(0, 2, size=(rank, cols)).astype(np.uint8)
+    return gf2.matmul(L, Rt)
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols,rank", REF_SHAPES)
+def test_row_echelon_matches_reference(rows, cols, rank, seed, reduce):
+    A = ref_matrix(rows, cols, rank, seed)
+    R, piv = gf2.row_echelon(A, reduce=reduce)
+    ref, ref_piv = ref_row_echelon(A, reduce)
+    assert R.dtype == np.uint8 and R.shape == A.shape
+    assert R.tolist() == ref
+    assert piv == ref_piv
+    if rank is not None:
+        assert len(piv) <= rank
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows,cols,rank", REF_SHAPES)
+def test_solve_and_null_space_on_reference_shapes(rows, cols, rank, seed):
+    A = ref_matrix(rows, cols, rank, seed)
+    r = len(ref_row_echelon(A, False)[1])
+    rng = np.random.default_rng(100 + seed)
+    X0 = rng.integers(0, 2, size=(cols, 3)).astype(np.uint8)
+    B = gf2.matmul(A, X0)
+    X = gf2.solve(A, B)
+    assert X is not None and X.shape == (cols, 3)
+    assert gf2.mat_eq(gf2.matmul(A, X), B)
+    if cols:
+        N = gf2.null_space(A)
+        assert N.shape == (cols, cols - r)
+        assert not gf2.matmul(A, N).any()
+        assert gf2.rank(N) == cols - r
