@@ -426,70 +426,64 @@ def solve_lift(i, p, top, bottom):
                            mapping={b: top.mapping[iinv[b]]
                                     for b in i.target.elements})
         return None
-    return _solve_lift_chain(i, p, top, bottom)
-
-
-def _solve_lift_chain(i, p, top, bottom):
     B, X = i.target, p.source
-    degs = sorted(set(B.degrees) | set(X.degrees)
-                  | set(i.source.degrees) | set(p.target.degrees))
-    # unknown h_n: X.dim(n) x B.dim(n), flattened row-major, degrees in order
+    blocks = []
+    for n in sorted(set(B.degrees) | set(X.degrees)
+                    | set(i.source.degrees) | set(p.target.degrees)):
+        blocks.append((n, gf2.eye(X.dim(n)), i.mat(n), top.mat(n)))
+        blocks.append((n, p.mat(n), gf2.eye(B.dim(n)), bottom.mat(n)))
+    A, b, offs = chain_map_system(B, X, blocks)
+    sol = gf2.solve(A, b)
+    return None if sol is None else map_from_vector(B, X, sol, offs)
+
+
+def chain_map_system(S, T, blocks=()):
+    """The GF(2) linear system A·x = b in the entries x of a chain map
+    h: S -> T, as (A, b, offs).
+
+    x holds each h_n (T.dim(n) x S.dim(n)) flattened row-major, degrees
+    ascending; h_n starts at offs[n].  The rows say d_T·h_n + h_{n+1}·d_S
+    = 0 in every degree, then L·h_n·R = out for each (n, L, R, out) in
+    *blocks*, through vec(L·h·R) = (L ⊗ Rᵀ)·vec(h).  Row order does not
+    matter to callers: ``gf2.solve`` and ``gf2.null_space`` depend only
+    on the row space.
+    """
+    degs = sorted(set(S.degrees) | set(T.degrees) | {blk[0] for blk in blocks})
     offs, total = {}, 0
     for n in degs:
         offs[n] = total
-        total += X.dim(n) * B.dim(n)
+        total += T.dim(n) * S.dim(n)
+    nat = [n for n in degs if T.dim(n + 1) and S.dim(n)]
+    height = (sum(T.dim(n + 1) * S.dim(n) for n in nat)
+              + sum(out.size for *_, out in blocks))
+    A = gf2.zeros(height, total)
+    b = np.zeros(height, dtype=np.uint8)
 
-    rows, rhs = [], []
+    def put(r, n, L, R):  # rows r.. of L·h_n·R; returns their number
+        blk = _kron(L, R.T)
+        A[r:r + blk.shape[0], offs[n]:offs[n] + blk.shape[1]] = blk
+        return blk.shape[0]
 
-    def h_coeff(row, n, r, c, val=1):
-        if X.dim(n) == 0 or B.dim(n) == 0:
-            return
-        row[offs[n] + r * B.dim(n) + c] ^= val
+    r = 0
+    for n in nat:
+        put(r, n, T.d(n), gf2.eye(S.dim(n)))
+        r += put(r, n + 1, gf2.eye(T.dim(n + 1)), S.d(n))
+    for n, L, R, out in blocks:
+        b[r:r + out.size] = out.ravel()
+        r += put(r, n, L, R)
+    return A, b, offs
 
-    def add_left_compose(n, L, m, R, out):
-        # constraint block:  L @ h_m @ R == out   (L maps X_m -> W, R maps V -> B_m)
-        W, V = out.shape
-        for wi in range(W):
-            for vj in range(V):
-                row = np.zeros(total, dtype=np.uint8)
-                for r in range(X.dim(m)):
-                    if L[wi, r]:
-                        for c in range(B.dim(m)):
-                            if R[c, vj]:
-                                h_coeff(row, m, r, c)
-                rows.append(row)
-                rhs.append(out[wi, vj])
 
-    for n in degs:
-        # h_n @ i_n = top_n
-        add_left_compose(n, gf2.eye(X.dim(n)), n, i.mat(n), top.mat(n))
-        # p_n @ h_n = bottom_n
-        add_left_compose(n, p.mat(n), n, gf2.eye(B.dim(n)), bottom.mat(n))
-        # dX_n @ h_n + h_{n+1} @ dB_n = 0
-        dim_out = X.dim(n + 1) * B.dim(n)
-        if dim_out:
-            for r in range(X.dim(n + 1)):
-                for c in range(B.dim(n)):
-                    row = np.zeros(total, dtype=np.uint8)
-                    dX = X.d(n)
-                    for k in range(X.dim(n)):
-                        if dX[r, k]:
-                            h_coeff(row, n, k, c)
-                    dB = B.d(n)
-                    for k in range(B.dim(n + 1)):
-                        if dB[k, c]:
-                            h_coeff(row, n + 1, r, k)
-                    rows.append(row)
-                    rhs.append(0)
+def _kron(L, M):
+    """L ⊗ M by broadcasting; on the blocks of a few rows that the
+    generators and the strict factorizations build, ``np.kron`` costs
+    several times more per call."""
+    return (L[:, None, :, None] * M[None, :, None, :]).reshape(
+        L.shape[0] * M.shape[0], L.shape[1] * M.shape[1])
 
-    A = np.array(rows, dtype=np.uint8) if rows else gf2.zeros(0, total)
-    b = np.array(rhs, dtype=np.uint8)
-    sol = gf2.solve(A, b)
-    if sol is None:
-        return None
-    mats = {}
-    for n in degs:
-        if X.dim(n) and B.dim(n):
-            mats[n] = sol[offs[n]:offs[n] + X.dim(n) * B.dim(n)].reshape(
-                X.dim(n), B.dim(n))
-    return BaseMap(B, X, mats=mats)
+
+def map_from_vector(S, T, x, offs, check=True):
+    """The chain map S -> T whose entries, laid out as in
+    ``chain_map_system``, are the vector *x*."""
+    return BaseMap(S, T, mats={n: x[o:o + T.dim(n) * S.dim(n)].reshape(
+        T.dim(n), S.dim(n)) for n, o in offs.items()}, check=check)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .base import (CHAIN_F2, SET_BIJ, BaseMap, BaseObject, compose, identity)
+from .base import (CHAIN_F2, SET_BIJ, BaseMap, BaseObject, chain_map_system,
+                   compose, identity, map_from_vector)
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure)
@@ -41,7 +42,7 @@ def enumerate_base_maps(X, Y):
             out.append(BaseMap(X, Y, mapping=dict(zip(X.elements, images)),
                                check=False))
         return out
-    N, offs, degs = _chain_hom_space(X, Y)
+    N, offs = _chain_hom_space(X, Y)
     k = N.shape[1]
     if k > ENUMERATION_CAP:
         raise PreconditionError(
@@ -51,43 +52,15 @@ def enumerate_base_maps(X, Y):
     for bits in itertools.product((0, 1), repeat=k):
         vec = gf2.matmul(N, np.array(bits, dtype=np.uint8).reshape(-1, 1)).ravel() \
             if k else np.zeros(N.shape[0], dtype=np.uint8)
-        out.append(_chain_map_from_vector(X, Y, vec, offs, degs))
+        out.append(map_from_vector(X, Y, vec, offs, check=False))
     return out
 
 
 def _chain_hom_space(X, Y):
-    """Null space of the naturality system; columns = basis of Hom(X, Y)."""
-    degs = sorted(set(X.degrees) | set(Y.degrees))
-    offs, total = {}, 0
-    for n in degs:
-        offs[n] = total
-        total += Y.dim(n) * X.dim(n)
-    rows = []
-    for n in degs:
-        if not Y.dim(n + 1) * X.dim(n):
-            continue
-        dY, dX = Y.d(n), X.d(n)
-        for r in range(Y.dim(n + 1)):
-            for c in range(X.dim(n)):
-                row = np.zeros(total, dtype=np.uint8)
-                for k in range(Y.dim(n)):
-                    if dY[r, k]:
-                        row[offs[n] + k * X.dim(n) + c] ^= 1
-                for k in range(X.dim(n + 1)):
-                    if dX[k, c]:
-                        row[offs[n + 1] + r * X.dim(n + 1) + k] ^= 1
-                rows.append(row)
-    A = np.array(rows, dtype=np.uint8) if rows else gf2.zeros(0, total)
-    return gf2.null_space(A), offs, degs
-
-
-def _chain_map_from_vector(X, Y, vec, offs, degs):
-    mats = {}
-    for n in degs:
-        if Y.dim(n) and X.dim(n):
-            mats[n] = vec[offs[n]:offs[n] + Y.dim(n) * X.dim(n)].reshape(
-                Y.dim(n), X.dim(n))
-    return BaseMap(X, Y, mats=mats, check=False)
+    """(N, offs): the columns of N are a basis of Hom(X, Y), laid out as
+    in ``chain_map_system``."""
+    A, _, offs = chain_map_system(X, Y)
+    return gf2.null_space(A), offs
 
 
 def spread_from_max(X, Y, phi):
@@ -126,14 +99,6 @@ def hom_pro(X, Y, depth=None):
     return _omega_hom(X, Y, d)
 
 
-def _dedup(maps):
-    out = []
-    for m in maps:
-        if not any(m == o for o in out):
-            out.append(m)
-    return out
-
-
 def _omega_hom(X, Y, d):
     """Depth-d evaluation of the hom inverse system, with a conservative
     Mittag-Leffler stabilization marker.
@@ -145,34 +110,34 @@ def _omega_hom(X, Y, d):
     germs (precomposition with the top step is injective)."""
     top = d - 1
     germs_top = enumerate_base_maps(X.value(top), Y.value(top))
-    stable = {s: _dedup([compose(Y.struct(top, s), g) for g in germs_top])
+    stable = {s: list(dict.fromkeys(compose(Y.struct(top, s), g)
+                                    for g in germs_top))
               for s in range(d)}
     pinned = d - 2  # coordinates below this are settled by two tower steps
     stabilized = d >= 3
     if stabilized:
         for s in range(pinned):
-            prev = _dedup([compose(Y.struct(d - 2, s), g)
-                           for g in enumerate_base_maps(X.value(top),
-                                                        Y.value(d - 2))])
-            if not _same_maps(prev, stable[s]):
+            prev = {compose(Y.struct(d - 2, s), g)
+                    for g in enumerate_base_maps(X.value(top), Y.value(d - 2))}
+            if prev != set(stable[s]):
                 stabilized = False
                 break
     if stabilized:
         for s in range(pinned - 1):
             down = [compose(Y.struct(s + 1, s), g) for g in stable[s + 1]]
-            if len(_dedup(down)) != len(stable[s + 1]) or \
+            if len(set(down)) != len(stable[s + 1]) or \
                     len(stable[s + 1]) != len(stable[s]):
                 stabilized = False
                 break
     if stabilized:
         for s in range(pinned):
-            seen = []
+            seen = set()
             for phi in enumerate_base_maps(X.value(d - 2), Y.value(s)):
                 pre = compose(phi, X.struct(top, d - 2))
-                if any(pre == o for o in seen):
+                if pre in seen:
                     stabilized = False
                     break
-                seen.append(pre)
+                seen.add(pre)
             if not stabilized:
                 break
     if not stabilized:
@@ -195,17 +160,12 @@ def _omega_hom(X, Y, d):
                                 check=False, depth=d))
     stab_at = pinned
     for k in range(1, pinned + 1):
-        if all(_same_maps(_dedup([compose(Y.struct(k, s), g)
-                                  for g in enumerate_base_maps(X.value(top),
-                                                               Y.value(k))]),
-                          stable[s]) for s in range(min(k, pinned))):
+        if all({compose(Y.struct(k, s), g)
+                for g in enumerate_base_maps(X.value(top), Y.value(k))}
+               == set(stable[s]) for s in range(min(k, pinned))):
             stab_at = k
             break
     return HomSet(maps=reps, depth=d, stabilized_at=stab_at)
-
-
-def _same_maps(a, b):
-    return len(a) == len(b) and all(any(x == y for y in b) for x in a)
 
 
 # ------------------------------------------------------------------ iso
@@ -218,6 +178,30 @@ class HFamily:
 
     def get(self, t, s):
         return self.pairs.get((t, s))
+
+
+def hfamily_failure(f, fam):
+    """The first pair t > s, in index order, at which the h-family *fam*
+    for the LEVEL map f: X -> Y fails, as (t, s, what): *what* is
+    "missing" (no h_ts), "left" (h_ts ∘ f_t ≠ X(t, s)) or "right"
+    (f_s ∘ h_ts ≠ Y(t, s)).  None when every triangle commutes."""
+    idx = f.source.index
+    for t in idx.elements:
+        for s in idx.elements:
+            if idx.lt(s, t):
+                h = fam.get(t, s)
+                what = "missing" if h is None else _triangle_failure(f, t, s, h)
+                if what is not None:
+                    return t, s, what
+    return None
+
+
+def _triangle_failure(f, t, s, h):
+    if compose(h, f.level_component(t)) != f.source.struct(t, s):
+        return "left"
+    if compose(f.level_component(s), h) != f.target.struct(t, s):
+        return "right"
+    return None
 
 
 @dataclass
@@ -258,20 +242,12 @@ class IsoCertificate:
             idx = f.source.index
             if idx.regime != FINITE:
                 raise VerificationFailure("h-family replay is finite-regime only")
-            for t in idx.elements:
-                for s in idx.elements:
-                    if not idx.lt(s, t):
-                        continue
-                    h = self.hfamily.get(t, s)
-                    if h is None:
-                        raise VerificationFailure(f"missing witness for {t}>{s}",
-                                                  witness=(t, s))
-                    if compose(h, f.level_component(t)) != X.struct(t, s):
-                        raise VerificationFailure(
-                            f"left triangle fails at {t}>{s}", witness=(t, s))
-                    if compose(f.level_component(s), h) != Y.struct(t, s):
-                        raise VerificationFailure(
-                            f"right triangle fails at {t}>{s}", witness=(t, s))
+            bad = hfamily_failure(f, self.hfamily)
+            if bad is not None:
+                t, s, what = bad
+                raise VerificationFailure(
+                    f"missing witness for {t}>{s}" if what == "missing"
+                    else f"{what} triangle fails at {t}>{s}", witness=(t, s))
             checked = True
         if not checked:
             raise VerificationFailure("certificate has no witness data")
@@ -356,12 +332,8 @@ def _search_hfamily(f):
         for s in idx.elements:
             if not idx.lt(s, t):
                 continue
-            found = None
-            for h in enumerate_base_maps(Y.value(t), X.value(s)):
-                if compose(h, f.level_component(t)) == X.struct(t, s) and \
-                        compose(f.level_component(s), h) == Y.struct(t, s):
-                    found = h
-                    break
+            found = next((h for h in enumerate_base_maps(Y.value(t), X.value(s))
+                          if _triangle_failure(f, t, s, h) is None), None)
             if found is None:
                 return None
             pairs[(t, s)] = found

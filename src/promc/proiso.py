@@ -19,8 +19,8 @@ from .base import ACOF_FIB, COF_ACF, classify_map, compose
 from .baselim import Cone
 from .errors import PreconditionError, VerificationFailure
 from .indexing import FINITE
-from .prohom import (HFamily, IsoCertificate, ProDiagram, pro_colimit_levelwise,
-                     pro_limit_levelwise)
+from .prohom import (HFamily, IsoCertificate, ProDiagram, hfamily_failure,
+                     pro_colimit_levelwise, pro_limit_levelwise)
 from .proobj import (LEVEL, ProObject, compose_pro, identity_pro, level_map)
 from .strict import MODE_L1, MODE_L2, detect_special, factor_strict, lift_strict
 from .base import factor_map
@@ -42,19 +42,13 @@ def _require_level_shared(maps):
 
 def verify_witnesses(f, fam):
     """Both triangle identities for a complete family over f's index."""
-    idx = f.source.index
-    X, Y = f.source, f.target
-    for t in idx.elements:
-        for s in idx.elements:
-            if not idx.lt(s, t):
-                continue
-            h = fam.get(t, s)
-            if h is None:
-                raise PreconditionError(f"missing witness for {t}>{s}")
-            if compose(h, f.level_component(t)) != X.struct(t, s):
-                raise PreconditionError(f"witness triangle (struct) fails at {t}>{s}")
-            if compose(f.level_component(s), h) != Y.struct(t, s):
-                raise PreconditionError(f"witness triangle (target) fails at {t}>{s}")
+    bad = hfamily_failure(f, fam)
+    if bad is not None:
+        t, s, what = bad
+        if what == "missing":
+            raise PreconditionError(f"missing witness for {t}>{s}")
+        side = "struct" if what == "left" else "target"
+        raise PreconditionError(f"witness triangle ({side}) fails at {t}>{s}")
 
 
 @dataclass

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import (ACOF_FIB, COF_ACF, BaseMap, classify_map, compose,
-                   factor_map)
+                   factor_map, solve_lift)
 from .baselim import Cone, Diagram, finite_limit
 from .errors import (PreconditionError, UnsupportedRegimeError,
                      VerificationFailure)
 from .indexing import FINITE, OMEGA, linear_extension
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, general_map,
-                     level_map)
+                     level_map, omega_pro_object)
 
 MODE_L1 = "L1"  # strict cofibration then special acyclic fibration
 MODE_L2 = "L2"  # levelwise acyclic cofibration then special fibration
@@ -36,43 +36,48 @@ class MatchingData:
     cone: object = None   # LimitCone; None when t is minimal
 
 
-def matching_diagram(f, t):
-    """The finite diagram whose limit is lim_{s<t} X_s x_{lim Y_s} Y_t."""
-    X, Y = f.source, f.target
-    idx = X.index
-    preds = idx.predecessors(t)
-    nodes, edges = {}, []
-    for s in preds:
-        nodes[f"X:{s}"] = X.value(s)
+def _matching_limit(label, Y, t, apex, top, side, struct):
+    """The limit of W_s -> Y_s <- Y_t over the strict predecessors s of t,
+    with the structure maps W_s -> W_u and Y_s -> Y_u for u < s, and the
+    mediating map into it from the cone with legs top: apex -> Y_t and
+    a_s: apex -> W_s.  Returns (limit cone, mediating map).
+
+    *side* maps each predecessor s to (W_s, p_s: W_s -> Y_s, a_s);
+    struct(s, u) is W_s -> W_u.  W_s is the node "{label}:{s}", beside
+    "Y:{s}" and "Y.top:{t}".  The limit orders its coordinates by node
+    name, so the label fixes the apex basis and the certificate bytes.
+    """
+    idx = Y.index
+    nodes, edges = {f"Y.top:{t}": Y.value(t)}, []
+    legs = {f"Y.top:{t}": top}
+    for s, (W, p, a) in side.items():
+        w = f"{label}:{s}"
+        nodes[w] = W
         nodes[f"Y:{s}"] = Y.value(s)
-        edges.append((f"X:{s}", f"Y:{s}", f.level_component(s)))
-    nodes[f"Y.top:{t}"] = Y.value(t)
-    for s in preds:
-        for u in preds:
-            if idx.lt(u, s):
-                edges.append((f"X:{s}", f"X:{u}", X.struct(s, u)))
-                edges.append((f"Y:{s}", f"Y:{u}", Y.struct(s, u)))
+        edges.append((w, f"Y:{s}", p))
         edges.append((f"Y.top:{t}", f"Y:{s}", Y.struct(t, s)))
-    return Diagram(nodes, edges)
+        for u in side:
+            if idx.lt(u, s):
+                edges.append((w, f"{label}:{u}", struct(s, u)))
+                edges.append((f"Y:{s}", f"Y:{u}", Y.struct(s, u)))
+        legs[w] = a
+        legs[f"Y:{s}"] = compose(p, a)
+    dia = Diagram(nodes, edges)
+    lim = finite_limit(dia)
+    return lim, lim.mediate(Cone(dia, apex, legs))
 
 
 def matching_map(f, t):
     """The relative matching map of a LEVEL presentation at level t."""
     if f.kind != LEVEL:
         raise PreconditionError("matching maps need a LEVEL presentation")
-    X, Y = f.source, f.target
-    idx = X.index
-    preds = idx.predecessors(t)
+    X = f.source
+    preds = X.index.predecessors(t)
     if not preds:
         return MatchingData(level=t, map=f.level_component(t))
-    dia = matching_diagram(f, t)
-    lim = finite_limit(dia)
-    legs = {}
-    for s in preds:
-        legs[f"X:{s}"] = X.struct(t, s)
-        legs[f"Y:{s}"] = compose(f.level_component(s), X.struct(t, s))
-    legs[f"Y.top:{t}"] = f.level_component(t)
-    med = lim.mediate(Cone(dia, X.value(t), legs))
+    side = {s: (X.value(s), f.level_component(s), X.struct(t, s)) for s in preds}
+    lim, med = _matching_limit("X", f.target, t, X.value(t),
+                               f.level_component(t), side, X.struct)
     return MatchingData(level=t, map=med, cone=lim)
 
 
@@ -164,29 +169,13 @@ class _FactorState:
     def build_level(self, s):
         X, Y, idx = self.X, self.Y, self.idx
         preds = [t for t in self.done if idx.lt(t, s)]
-        if not preds:
-            cmp_map = self.f.level_component(s)
-            lim = None
-        else:
-            nodes, edges = {f"Y.top:{s}": Y.value(s)}, []
-            for t in preds:
-                nodes[f"Y:{t}"] = Y.value(t)
-                nodes[f"Z:{t}"] = self.zvals[t]
-                edges.append((f"Z:{t}", f"Y:{t}", self.pvals[t]))
-                edges.append((f"Y.top:{s}", f"Y:{t}", Y.struct(s, t)))
-            for t in preds:
-                for u in preds:
-                    if idx.lt(u, t):
-                        edges.append((f"Y:{t}", f"Y:{u}", Y.struct(t, u)))
-                        edges.append((f"Z:{t}", f"Z:{u}", self.zstructs[(t, u)]))
-            dia = Diagram(nodes, edges)
-            lim = finite_limit(dia)
-            legs = {f"Y.top:{s}": self.f.level_component(s)}
-            for t in preds:
-                legs[f"Z:{t}"] = compose(self.ivals[t], X.struct(s, t))
-                legs[f"Y:{t}"] = compose(self.pvals[t],
-                                         compose(self.ivals[t], X.struct(s, t)))
-            cmp_map = lim.mediate(Cone(dia, X.value(s), legs))
+        lim, cmp_map = None, self.f.level_component(s)
+        if preds:
+            side = {t: (self.zvals[t], self.pvals[t],
+                        compose(self.ivals[t], X.struct(s, t))) for t in preds}
+            lim, cmp_map = _matching_limit("Z", Y, s, X.value(s),
+                                           self.f.level_component(s), side,
+                                           lambda t, u: self.zstructs[(t, u)])
         fp = factor_map(cmp_map, self.base_mode)
         self.zvals[s] = fp.middle
         self.ivals[s] = fp.left
@@ -263,7 +252,6 @@ def _factor_strict_omega(f, mode, state, depth):
         ensure(n + 1)
         return state.zstructs[(n + 1, n)]
 
-    from .proobj import omega_pro_object
     Z = omega_pro_object(zval, zstep, depth=d)
 
     def icomp(n):
@@ -372,8 +360,6 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
                     beta = m.cone.mediate(cone)
                 except PreconditionError:
                     continue
-            if compose(m.map, alpha) != compose(beta, i.level_component(u)):
-                continue
             h = _base_lift(i.level_component(u), m.map, alpha, beta)
             if h is None:
                 continue
@@ -394,7 +380,6 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
 
 
 def _base_lift(i_c, m_map, alpha, beta):
-    from .base import solve_lift
     try:
         return solve_lift(i_c, m_map, alpha, beta)
     except PreconditionError:

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import gf2
 from .base import (ACOF_FIB, CHAIN_F2, SET_BIJ, BaseMap, BaseObject,
-                   chain_map, chain_obj, compose, factor_map, identity,
-                   set_map, set_obj, zero_complex)
+                   chain_map, chain_map_system, chain_obj, compose, factor_map,
+                   identity, map_from_vector, set_map, set_obj, zero_complex)
 from .baselim import Cone
 from .indexing import chain_poset, from_covers, linear_extension
-from .prohom import HFamily, enumerate_base_maps, hom_pro
+from .prohom import HFamily, _chain_hom_space, enumerate_base_maps, hom_pro
 from .proobj import ProObject, compose_pro, level_map
 
 
@@ -84,38 +84,14 @@ def gen_base_obj(rng, instance, **kw):
 
 
 def gen_chain_map(rng, X, Y):
-    """A random chain map X -> Y (particular 0 plus a random combination
-    of the naturality null space)."""
-    degs = sorted(set(X.degrees) | set(Y.degrees))
-    offs, total = {}, 0
-    for n in degs:
-        offs[n] = total
-        total += Y.dim(n) * X.dim(n)
-    rows = []
-    for n in degs:
-        dY, dX = Y.d(n), X.d(n)
-        for r in range(Y.dim(n + 1)):
-            for c in range(X.dim(n)):
-                row = np.zeros(total, dtype=np.uint8)
-                for k in range(Y.dim(n)):
-                    if dY[r, k]:
-                        row[offs[n] + k * X.dim(n) + c] ^= 1
-                for k in range(X.dim(n + 1)):
-                    if dX[k, c]:
-                        row[offs[n + 1] + r * X.dim(n + 1) + k] ^= 1
-                rows.append(row)
-    A = np.array(rows, dtype=np.uint8) if rows else gf2.zeros(0, total)
-    N = gf2.null_space(A) if total else gf2.zeros(0, 0)
-    vec = np.zeros(total, dtype=np.uint8)
+    """A random chain map X -> Y (a random combination of the basis of
+    the chain-map space)."""
+    N, offs = _chain_hom_space(X, Y)
+    vec = np.zeros(N.shape[0], dtype=np.uint8)
     if N.shape[1]:
         coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
         vec = gf2.matmul(N, coeff).ravel()
-    mats = {}
-    for n in degs:
-        if Y.dim(n) and X.dim(n):
-            mats[n] = vec[offs[n]:offs[n] + Y.dim(n) * X.dim(n)].reshape(
-                Y.dim(n), X.dim(n))
-    return BaseMap(X, Y, mats=mats)
+    return map_from_vector(X, Y, vec, offs)
 
 
 def gen_base_map(rng, X, Y):
@@ -249,51 +225,18 @@ def _commuting_square(rng, v_up, v_dn, tries):
 def _solve_b(rng, v_up, want):
     """Random chain map b with b ∘ v_up = want."""
     U, V = v_up.target, want.target
-    dummy = BaseMap(U, V, mats={}, check=False)
-    del dummy
-    # unknown b: U -> V subject to naturality and b @ v_up.mat = want.mat
-    degs = sorted(set(U.degrees) | set(V.degrees) | set(v_up.source.degrees))
-    offs, total = {}, 0
-    for n in degs:
-        offs[n] = total
-        total += V.dim(n) * U.dim(n)
-    rows, rhs = [], []
-    for n in degs:
-        dV, dU = V.d(n), U.d(n)
-        for r in range(V.dim(n + 1)):
-            for c in range(U.dim(n)):
-                row = np.zeros(total, dtype=np.uint8)
-                for k in range(V.dim(n)):
-                    if dV[r, k]:
-                        row[offs[n] + k * U.dim(n) + c] ^= 1
-                for k in range(U.dim(n + 1)):
-                    if dU[k, c]:
-                        row[offs[n + 1] + r * U.dim(n + 1) + k] ^= 1
-                rows.append(row)
-                rhs.append(0)
-        P, R = v_up.mat(n), want.mat(n)
-        for r in range(V.dim(n)):
-            for c in range(P.shape[1]):
-                row = np.zeros(total, dtype=np.uint8)
-                for k in range(U.dim(n)):
-                    if P[k, c]:
-                        row[offs[n] + r * U.dim(n) + k] ^= 1
-                rows.append(row)
-                rhs.append(R[r, c])
-    A = np.array(rows, dtype=np.uint8) if rows else gf2.zeros(0, total)
-    b_vec = gf2.solve(A, np.array(rhs, dtype=np.uint8))
+    blocks = [(n, gf2.eye(V.dim(n)), v_up.mat(n), want.mat(n))
+              for n in sorted(set(U.degrees) | set(V.degrees)
+                              | set(v_up.source.degrees))]
+    A, rhs, offs = chain_map_system(U, V, blocks)
+    b_vec = gf2.solve(A, rhs)
     if b_vec is None:
         return None
-    N = gf2.null_space(A) if total else gf2.zeros(0, 0)
+    N = gf2.null_space(A)
     if N.shape[1]:
         coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
         b_vec = (b_vec + gf2.matmul(N, coeff).ravel()) % 2
-    mats = {}
-    for n in degs:
-        if V.dim(n) and U.dim(n):
-            mats[n] = b_vec[offs[n]:offs[n] + V.dim(n) * U.dim(n)].reshape(
-                V.dim(n), U.dim(n))
-    return BaseMap(U, V, mats=mats)
+    return map_from_vector(U, V, b_vec, offs)
 
 
 # ------------------------------------------------- isomorphism-style data

@@ -2,11 +2,19 @@
 Independent certificate replay.
 
 Rebuilds every object and map from the certificate document and
-re-derives every claim using only base classification, composition, and
-finite limits: matching objects are recomputed from scratch, class
-verdicts re-classified, triangle and composite identities re-composed.
-Nothing recorded by the construction side is trusted beyond the data
-itself.
+re-derives every claim.  Replay shares with the construction side only
+operations whose results the construction cannot choose: base
+classification, composition, finite limits, the relative matching limit
+(``strict.matching_map``) and the h-family triangle check
+(``prohom.hfamily_failure``).
+
+It never takes what the construction chose from the certificate
+unchecked: the lift components, with the refinement levels a(s) they
+carry, are accepted only through the two lift triangles (the separate
+``level_index`` record is not read); middle objects only through the
+composite, the class verdicts of the factors and the matching maps
+recomputed over them; and every recorded verdict is compared with a
+fresh classification.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
                     poset_from_doc, promap_from_doc, proobj_from_doc)
 from .errors import MalformedError, VerificationFailure
 from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
+from .prohom import hfamily_failure
 from .proobj import LEVEL, compose_pro, identity_pro
+from .strict import matching_map
 
 
 def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
@@ -26,36 +36,6 @@ def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
     src = proobj_from_doc(instance, payload["source_object"], sposet)
     tgt = proobj_from_doc(instance, payload["target_object"], tposet)
     return promap_from_doc(instance, payload, src, tgt)
-
-
-def _matching(f, t):
-    """Recompute the relative matching map at level t from first
-    principles (limit over the strict predecessors plus the top value).
-    Node keys follow the serialization convention so apex element names
-    reproduce exactly."""
-    X, Y = f.source, f.target
-    idx = X.index
-    preds = idx.predecessors(t)
-    if not preds:
-        return f.level_component(t)
-    nodes, edges = {f"Y.top:{t}": Y.value(t)}, []
-    for s in preds:
-        nodes[f"X:{s}"] = X.value(s)
-        nodes[f"Y:{s}"] = Y.value(s)
-        edges.append((f"X:{s}", f"Y:{s}", f.level_component(s)))
-        edges.append((f"Y.top:{t}", f"Y:{s}", Y.struct(t, s)))
-    for s in preds:
-        for u in preds:
-            if idx.lt(u, s):
-                edges.append((f"X:{s}", f"X:{u}", X.struct(s, u)))
-                edges.append((f"Y:{s}", f"Y:{u}", Y.struct(s, u)))
-    dia = Diagram(nodes, edges)
-    lim = finite_limit(dia)
-    legs = {f"Y.top:{t}": f.level_component(t)}
-    for s in preds:
-        legs[f"X:{s}"] = X.struct(t, s)
-        legs[f"Y:{s}"] = compose(f.level_component(s), X.struct(t, s))
-    return lim.mediate(Cone(dia, X.value(t), legs))
 
 
 def _check_classes(cls, doc, where):
@@ -70,7 +50,7 @@ def _special_levels(f, mode, verdicts, ok, failing, depth):
               else list(range(depth if depth else DEFAULT_DEPTH)))
     for t in levels:
         key = str(t)
-        cls = classify_map(_matching(f, t))
+        cls = classify_map(matching_map(f, t).map)
         if key in verdicts:
             _check_classes(cls, verdicts[key], f"matching level {t}")
         good = cls.is_fib if mode == "fib" else (cls.is_fib and cls.is_we)
@@ -103,21 +83,12 @@ def _iso_replay(instance, payload, depth=DEFAULT_DEPTH):
         if fwd.kind != LEVEL:
             raise VerificationFailure("h-family on a non-LEVEL forward map")
         fam = hfamily_from_doc(instance, payload["hfamily"], fwd)
-        idx = X.index
-        for t in idx.elements:
-            for s in idx.elements:
-                if not idx.lt(s, t):
-                    continue
-                h = fam.get(t, s)
-                if h is None:
-                    raise VerificationFailure(f"missing witness {t}>{s}",
-                                              witness=(t, s))
-                if compose(h, fwd.level_component(t)) != X.struct(t, s):
-                    raise VerificationFailure(f"left triangle fails {t}>{s}",
-                                              witness=(t, s))
-                if compose(fwd.level_component(s), h) != Y.struct(t, s):
-                    raise VerificationFailure(f"right triangle fails {t}>{s}",
-                                              witness=(t, s))
+        bad = hfamily_failure(fwd, fam)
+        if bad is not None:
+            t, s, what = bad
+            raise VerificationFailure(
+                f"missing witness {t}>{s}" if what == "missing"
+                else f"{what} triangle fails {t}>{s}", witness=(t, s))
         checked = True
     if not checked:
         raise VerificationFailure("iso payload carries no witness")
@@ -186,7 +157,7 @@ def _verify_lift(instance, doc, depth):
         need = cls.is_cof if mode == "L1" else (cls.is_cof and cls.is_we)
         if not need:
             raise VerificationFailure(f"left map class fails at {s}", witness=s)
-        mcls = classify_map(_matching(p, s))
+        mcls = classify_map(matching_map(p, s).map)
         good = (mcls.is_fib and mcls.is_we) if mode == "L1" else mcls.is_fib
         if not good:
             raise VerificationFailure(f"right map not special at {s}", witness=s)
@@ -204,16 +175,11 @@ def _verify_pro_factor_iso(instance, doc, depth):
     Z = proobj_from_doc(instance, doc["middle"], idx)
     left = promap_from_doc(instance, doc["left"], X, Z)
     right = promap_from_doc(instance, doc["right"], Z, Y)
-    wit = hfamily_from_doc(instance, doc["witnesses"], f)
-    for t in idx.elements:
-        for s in idx.elements:
-            if not idx.lt(s, t):
-                continue
-            h = wit.get(t, s)
-            if h is None or compose(h, f.level_component(t)) != X.struct(t, s) \
-                    or compose(f.level_component(s), h) != Y.struct(t, s):
-                raise VerificationFailure(f"input witness fails at {t}>{s}",
-                                          witness=(t, s))
+    bad = hfamily_failure(f, hfamily_from_doc(instance, doc["witnesses"], f))
+    if bad is not None:
+        t, s, _ = bad
+        raise VerificationFailure(f"input witness fails at {t}>{s}",
+                                  witness=(t, s))
     for s in idx.elements:
         if compose(right.level_component(s), left.level_component(s)) != \
                 f.level_component(s):
@@ -224,18 +190,12 @@ def _verify_pro_factor_iso(instance, doc, depth):
         _check_classes(rcls, doc["right_verdicts"][str(s)], f"right {s}")
         if not lcls.is_cof or not rcls.is_fib:
             raise VerificationFailure(f"factor classes fail at {s}", witness=s)
-    for fam_doc, fwd, XX, YY in ((doc["left_family"], left, X, Z),
-                                 (doc["right_family"], right, Z, Y)):
-        fam = hfamily_from_doc(instance, fam_doc, fwd)
-        for t in idx.elements:
-            for s in idx.elements:
-                if not idx.lt(s, t):
-                    continue
-                h = fam.get(t, s)
-                if h is None or compose(h, fwd.level_component(t)) != XX.struct(t, s) \
-                        or compose(fwd.level_component(s), h) != YY.struct(t, s):
-                    raise VerificationFailure(
-                        f"factor iso witness fails at {t}>{s}", witness=(t, s))
+    for fam_doc, fwd in ((doc["left_family"], left), (doc["right_family"], right)):
+        bad = hfamily_failure(fwd, hfamily_from_doc(instance, fam_doc, fwd))
+        if bad is not None:
+            t, s, _ = bad
+            raise VerificationFailure(f"factor iso witness fails at {t}>{s}",
+                                      witness=(t, s))
     return {"kind": "pro-factor-iso", "levels": len(idx.elements)}
 
 
@@ -275,7 +235,7 @@ def _verify_levelize(instance, doc, depth):
 
 def _verify_matching(instance, doc, depth):
     f = _load_promap(instance, doc["map"], depth)
-    rebuilt = _matching(f, doc["level"])
+    rebuilt = matching_map(f, doc["level"]).map
     src = obj_from_doc(instance, doc["matching_source"])
     tgt = obj_from_doc(instance, doc["matching_target"])
     recorded = map_from_doc(instance, doc["matching_map"], src, tgt)

@@ -6,6 +6,7 @@ from promc.base import (ACOF_FIB, COF_ACF, chain_map, chain_obj, classify_map,
                         compose, factor_map, identity, set_map, set_obj,
                         solve_lift, zero_complex)
 from promc.errors import MalformedError, PreconditionError
+from promc.prohom import enumerate_base_maps
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
                      random_set_map, random_set_obj, sphere0, we_by_cone)
@@ -243,3 +244,46 @@ def test_lift_random_acof_vs_fib(seed):
     assert h is not None
     assert compose(h, j) == j
     assert compose(p, h) == p
+
+
+# ------------------------------------------------ chain-map system oracle
+
+def _shifted(obj, k):
+    return chain_obj(obj.lo + k, obj.hi + k, [obj.dim(n) for n in obj.degrees],
+                     {n + k: obj.d(n) for n in range(obj.lo, obj.hi)})
+
+
+def _brute_force_chain_maps(X, Y):
+    """Every tuple of degreewise 0/1 matrices that commutes with the
+    boundaries, checked with plain numpy; keys are per-degree bytes."""
+    import itertools
+    degs = range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2)
+    shapes = [(n, Y.dim(n), X.dim(n)) for n in degs]
+    total = sum(r * c for _, r, c in shapes)
+    found = set()
+    for bits in itertools.product((0, 1), repeat=total):
+        flat, mats = np.array(bits, dtype=np.int64), {}
+        for n, r, c in shapes:
+            mats[n], flat = flat[:r * c].reshape(r, c), flat[r * c:]
+        if all(not ((Y.d(n).astype(np.int64) @ mats[n]
+                     + mats[n + 1] @ X.d(n).astype(np.int64)) % 2).any()
+               for n in degs[:-1]):
+            found.add(tuple(mats[n].astype(np.uint8).tobytes() for n in degs))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_enumerate_chain_maps_matches_brute_force(seed):
+    rng = np.random.default_rng(900 + seed)
+    while True:
+        X = random_complex(rng, max_deg=2, max_dim=3)
+        Y = _shifted(random_complex(rng, max_deg=2, max_dim=3),
+                     int(rng.integers(0, 2)))
+        unknowns = sum(X.dim(n) * Y.dim(n) for n in range(-1, 5))
+        if 4 <= unknowns <= 10:
+            break
+    degs = range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2)
+    maps = enumerate_base_maps(X, Y)
+    keys = [tuple(m.mat(n).tobytes() for n in degs) for m in maps]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _brute_force_chain_maps(X, Y)

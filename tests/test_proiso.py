@@ -3,7 +3,7 @@ import pytest
 from promc.base import classify_map, compose, identity, set_map, set_obj
 from promc.errors import PreconditionError, VerificationFailure
 from promc.indexing import chain_poset
-from promc.prohom import HFamily, IsoCertificate, is_pro_iso
+from promc.prohom import HFamily, IsoCertificate, hfamily_failure, is_pro_iso
 from promc.proobj import (compose_pro, constant_over, identity_pro, level_map,
                           pro_object)
 from promc.proiso import (ProperPullbackResult, RetractDiagram,
@@ -24,6 +24,32 @@ def identity_family(X):
 
 def collapse_witnesses(X, Y):
     return HFamily({("1", "0"): set_map(Y.value("1"), X.value("0"), {"u": "x"})})
+
+
+def test_hfamily_failure_names_the_failing_triangle():
+    # Y_1 has an element v outside the image of f_1, so a witness can
+    # pass the left triangle and still fail the right one
+    I = chain_poset(2)
+    X1, X0 = set_obj(["a"]), set_obj(["x", "z"])
+    Y1, Y0 = set_obj(["u", "v"]), set_obj(["y", "w"])
+    X = pro_object(I, {"1": X1, "0": X0},
+                   {("1", "0"): set_map(X1, X0, {"a": "x"})})
+    Y = pro_object(I, {"1": Y1, "0": Y0},
+                   {("1", "0"): set_map(Y1, Y0, {"u": "y", "v": "y"})})
+    f = level_map(X, Y, {"1": set_map(X1, Y1, {"a": "u"}),
+                         "0": set_map(X0, Y0, {"x": "y", "z": "w"})})
+
+    def fam(images):
+        return HFamily({("1", "0"): set_map(Y1, X0, images)})
+
+    assert hfamily_failure(f, fam({"u": "x", "v": "x"})) is None
+    assert hfamily_failure(f, fam({"u": "x", "v": "z"})) == ("1", "0", "right")
+    assert hfamily_failure(f, fam({"u": "z", "v": "x"})) == ("1", "0", "left")
+    assert hfamily_failure(f, HFamily({})) == ("1", "0", "missing")
+    with pytest.raises(PreconditionError, match="target"):
+        verify_witnesses(f, fam({"u": "x", "v": "z"}))
+    with pytest.raises(VerificationFailure, match="right triangle"):
+        IsoCertificate(forward=f, hfamily=fam({"u": "x", "v": "z"})).replay()
 
 
 # ----------------------------------------------------------- pro_factor_iso
