@@ -2,29 +2,37 @@
 Dense GF(2) linear algebra.
 
 Row echelon form, rank, solving, null spaces and inverses over the
-two-element field.  Matrices are numpy uint8 arrays of 0s and 1s; all
-routines are deterministic: pivots are chosen lowest column first,
-free variables are set to zero.
+two-element field.  Matrices are numpy uint8 arrays; every routine reads
+its input mod 2, as ``asmat`` does.  All routines are deterministic:
+pivots are the lowest columns, free variables are set to zero.
 
-Every elimination goes through ``row_echelon``, which stores the rows
-one of two ways, picked by shape:
+Eliminations run on rows packed into Python ints, bit c holding column c
+(the word-packed rows of M4RI, Albrecht, Bard & Hart, ACM TOMS 2010), so
+a row operation is one int XOR whatever the width.  Each row is inserted
+into a basis keyed by its lowest set bit: it is XORed with the basis row
+owning that bit until its lowest bit is new or it vanishes.  The keys
+are then the pivot columns of the reduced row echelon form (RREF); back
+substitution, highest pivot first, clears every other pivot column from
+each basis row and gives the RREF rows.  The RREF and its pivot columns
+are unique for a matrix, so the result does not depend on the order in
+which rows are inserted.  ``rank`` and ``image_basis`` read only the
+keys and skip the back substitution; ``solve`` packs [A | B] straight
+into ints and reads X from the bits above A's columns of the reduced
+rows, so it makes no dense copy of the system.
 
-* At most ``INT_ROWS_MAX`` rows and columns: each row is one Python int,
-  bit c holding column c (the word-packed rows of M4RI, Albrecht, Bard &
-  Hart, ACM TOMS 2010), and a row operation is one int XOR.  Packing is
-  one numpy product with the powers of two; unpacking is
-  ``np.unpackbits`` of the rows as uint64 words.
-* Larger: numpy uint8 arrays, with XORs on whole blocks of rows.
+The lift systems are large and very sparse: the 162 inputs above 64
+rows or columns in one round of the ``chainf2-factor`` and
+``chainf2-lift`` benchmark workloads were 0.05-4.9% ones, up to 8176 x
+5977.  An insertion there XORs a few basis rows, where a column sweep
+visits every row for every column.  Dense matrices are the trade-off:
+on uniform-random square ones (median of 7, one 2-vCPU Xeon) int rows
+beat numpy elimination (whole uint8 rows XORed per pivot) up to 200 x
+200 and are 1.2-1.3x slower from 500 x 500 up (1000 x 1000
+``row_echelon``: 188 ms against 148 ms).
 
-The strict factorizations eliminate tens of thousands of matrices of
-at most 16x16, where numpy's per-call cost dominates and int rows are
-several times faster.  Once both sides exceed 64 the Python loop over
-rows costs more than numpy's vectorized XORs; on the large sparse lift
-systems numpy is many times faster.  64 columns is also one uint64 word.
-
-Both paths pivot alike (lowest column first, swap with the first row
-holding it, clear below, and above when reducing), so they return
-bit-for-bit the same ``R`` and pivot columns.
+The non-reduced echelon form is not unique; ``row_echelon(M,
+reduce=False)`` keeps the column algorithm: lowest column first, swap
+with the first row holding it, clear below.
 """
 
 from __future__ import annotations
@@ -61,8 +69,76 @@ def mat_eq(A, B):
     return A.shape == B.shape and bool(np.array_equal(A, B))
 
 
-INT_ROWS_MAX = 64  # both sides at most this: eliminate on Python-int rows
-_POW2 = np.left_shift(np.uint64(1), np.arange(INT_ROWS_MAX, dtype=np.uint64))
+# ------------------------------------------------------------- int rows
+
+_WORD = 64  # up to this many columns a row is one uint64: packed by a product
+_POW2 = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+_PACK_ROWS = 1024  # rows per block when packing wider matrices
+
+
+def _pack(M):
+    """The rows of *M*, read mod 2, as Python ints (bit c = column c).
+    Wide matrices are packed a block of rows at a time, so no copy of the
+    whole matrix is made."""
+    m, n = M.shape
+    if M.size == 0:
+        return [0] * m
+    if n <= _WORD:
+        return ((np.asarray(M, dtype=np.uint8) & 1) @ _POW2[:n]).tolist()
+    w = (n + 7) // 8
+    rows = []
+    for lo in range(0, m, _PACK_ROWS):
+        block = np.asarray(M[lo:lo + _PACK_ROWS], dtype=np.uint8) & 1
+        data = np.packbits(block, axis=1, bitorder="little").tobytes()
+        rows.extend(int.from_bytes(data[k:k + w], "little")
+                    for k in range(0, len(data), w))
+    return rows
+
+
+def _unpack(rows, n):
+    """The uint8 matrix with the int *rows* as its rows, *n* columns."""
+    if n <= _WORD:
+        packed = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        w = (n + 7) // 8
+        data = b"".join(r.to_bytes(w, "little") for r in rows)
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), w)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _basis(rows):
+    """{pivot column: row}: each row inserted by its lowest set bit."""
+    basis = {}
+    for r in rows:
+        while r:
+            c = (r & -r).bit_length() - 1
+            p = basis.get(c)
+            if p is None:
+                basis[c] = r
+                break
+            r ^= p
+    return basis
+
+
+def _back_substitute(basis, shift=0):
+    """(pivots, rows): the pivot columns in order and, for each, the bits
+    from *shift* up of its RREF row.  The RREF row of pivot c is its
+    basis row XOR the RREF rows of the higher pivots set in it."""
+    pivots = sorted(basis)
+    mask = 0
+    for c in pivots:
+        mask |= 1 << c
+    done = {}
+    for c in reversed(pivots):
+        r = basis[c]
+        v = r >> shift
+        above = (r & mask) ^ (1 << c)
+        while above:
+            low = above & -above
+            v ^= done[low.bit_length() - 1]
+            above ^= low
+        done[c] = v
+    return pivots, [done[c] for c in pivots]
 
 
 def row_echelon(M, reduce=True):
@@ -74,14 +150,15 @@ def row_echelon(M, reduce=True):
         is the GF(2) rank.
     """
     m, n = M.shape
-    if m <= INT_ROWS_MAX and n <= INT_ROWS_MAX:
-        return _row_echelon_int(M, reduce)
-    return _row_echelon_numpy(M, reduce)
+    if not reduce:
+        return _column_echelon(M)
+    pivots, rows = _back_substitute(_basis(_pack(M)))
+    return _unpack(rows + [0] * (m - len(rows)), n), pivots
 
 
-def _row_echelon_int(M, reduce):
+def _column_echelon(M):
     m, n = M.shape
-    rows = (M @ _POW2[:n]).tolist()
+    rows = _pack(M)
     pivot_cols: list[int] = []
     pr = 0
     for col in range(n):
@@ -95,43 +172,17 @@ def _row_echelon_int(M, reduce):
             continue
         p = rows[row]
         rows[row] = rows[pr]
-        lo = 0 if reduce else pr + 1
-        rows[lo:] = [r ^ p if r & bit else r for r in rows[lo:]]
+        rows[pr + 1:] = [r ^ p if r & bit else r for r in rows[pr + 1:]]
         rows[pr] = p
         pivot_cols.append(col)
         pr += 1
-    packed = np.array(rows, dtype="<u8").view(np.uint8).reshape(m, 8)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little"), pivot_cols
-
-
-def _row_echelon_numpy(M, reduce):
-    R = M.copy()
-    m, n = R.shape
-    pivot_cols: list[int] = []
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        hit = np.flatnonzero(R[pr:, col])
-        if hit.size == 0:
-            continue
-        row = pr + int(hit[0])
-        if row != pr:
-            R[[pr, row]] = R[[row, pr]]
-        below = np.flatnonzero(R[pr + 1:, col]) + pr + 1
-        R[below] ^= R[pr]
-        if reduce:
-            above = np.flatnonzero(R[:pr, col])
-            R[above] ^= R[pr]
-        pivot_cols.append(col)
-        pr += 1
-    return R, pivot_cols
+    return _unpack(rows, n), pivot_cols
 
 
 def rank(M):
     if M.size == 0:
         return 0
-    return len(row_echelon(M, reduce=False)[1])
+    return len(_basis(_pack(M)))
 
 
 def solve(A, B):
@@ -141,20 +192,20 @@ def solve(A, B):
     elimination).  Free variables are zero, so the result is the
     deterministic minimal-pivot solution.
     """
-    A = asmat(A, A.shape[0] if A.ndim == 2 else None, None)
+    if A.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
     vec = B.ndim == 1
     Bm = B.reshape(-1, 1) if vec else B
     m, n = A.shape
     if Bm.shape[0] != m:
         raise ValueError("shape mismatch in solve")
-    aug = np.concatenate([A, Bm], axis=1).astype(np.uint8)
-    R, piv = row_echelon(aug)
-    piv_in_A = [c for c in piv if c < n]
-    if len(piv_in_A) != len(piv):
-        return None  # a pivot in the augmented block: inconsistent
+    basis = _basis([a | b << n for a, b in zip(_pack(A), _pack(Bm))])
+    if basis and max(basis) >= n:
+        return None  # a pivot in the right-hand block: inconsistent
+    pivots, rows = _back_substitute(basis, n)
     X = zeros(n, Bm.shape[1])
-    for i, c in enumerate(piv_in_A):
-        X[c] = R[i, n:]
+    if pivots:
+        X[pivots] = _unpack(rows, Bm.shape[1])
     return X[:, 0] if vec else X
 
 
@@ -163,14 +214,21 @@ def null_space(M):
     m, n = M.shape
     if n == 0:
         return zeros(0, 0)
-    R, piv = row_echelon(M)
-    free = [c for c in range(n) if c not in piv]
-    N = zeros(n, len(free))
-    for j, fc in enumerate(free):
-        N[fc, j] = 1
-        for i, pc in enumerate(piv):
-            N[pc, j] = R[i, fc]
-    return N
+    if m == 0:
+        return eye(n)
+    pivots, rows = _back_substitute(_basis(_pack(M)))
+    # the identity with each pivot row XORed with its RREF row: its free
+    # column fc is the null vector that is 1 at fc and 0 at the other
+    # free columns
+    full = [1 << c for c in range(n)]
+    for c, r in zip(pivots, rows):
+        full[c] ^= r
+    return _unpack(full, n)[:, _free_columns(pivots, n)]
+
+
+def _free_columns(pivots, n):
+    piv = set(pivots)
+    return [c for c in range(n) if c not in piv]
 
 
 def inverse(M):
@@ -188,8 +246,7 @@ def image_basis(M):
     """Basis of the column space, as columns (pivot columns of M)."""
     if M.size == 0:
         return zeros(M.shape[0], 0)
-    _, pivc = row_echelon(M, reduce=False)
-    return M[:, pivc]
+    return asmat(M[:, sorted(_basis(_pack(M)))])
 
 
 def quotient_map(U, dim):
@@ -204,15 +261,10 @@ def quotient_map(U, dim):
     if U.size == 0:
         return eye(dim), dim
     R, piv = row_echelon(U.T)  # row space of U.T = column space of U
-    # R's rows (the pivot rows) span the subspace; reduce a vector by them,
-    # then read off non-pivot coordinates.
-    rows = R[: len(piv)]
-    free = [c for c in range(dim) if c not in piv]
+    # R's rows (the pivot rows) span the subspace; v |-> v - sum v[pc]*R[i]
+    # eliminates the pivot coordinates, then read off the free ones
+    free = _free_columns(piv, dim)
     Q = zeros(len(free), dim)
-    for j, fc in enumerate(free):
-        Q[j, fc] = 1
-    # eliminate pivot coordinates: v |-> v - sum v[pc]*rows[i], then take free coords
-    for i, pc in enumerate(piv):
-        for j, fc in enumerate(free):
-            Q[j, pc] ^= rows[i, fc]
+    Q[range(len(free)), free] = 1
+    Q[:, piv] = R[:len(piv), free].T
     return Q, len(free)

@@ -380,12 +380,14 @@ def pro_colimit_of_pair(X, E):
 
 
 def _colim_classes(X, Y, s):
-    """Germ pairs (t, g: X_t -> Y_s) with their union-find roots."""
+    """Germ pairs (t, g: X_t -> Y_s), their union-find roots (the
+    smallest index of each class) and the index of each pair."""
     J = X.index
     items = []
     for t in J.elements:
         for g in enumerate_base_maps(X.value(t), Y.value(s)):
             items.append((t, g))
+    index = {item: a for a, item in enumerate(items)}
     parent = list(range(len(items)))
 
     def find(a):
@@ -395,13 +397,13 @@ def _colim_classes(X, Y, s):
         return a
 
     for a, (t, g) in enumerate(items):
-        for b, (u, h) in enumerate(items):
-            if J.lt(t, u) and h == compose(g, X.struct(u, t)):
-                ra, rb = find(a), find(b)
+        for u in J.elements:
+            if J.lt(t, u):
+                ra, rb = find(a), find(index[(u, compose(g, X.struct(u, t)))])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
     roots = [find(a) for a in range(len(items))]
-    return items, roots
+    return items, roots, index
 
 
 def brute_force_hom(X, Y):
@@ -410,25 +412,24 @@ def brute_force_hom(X, Y):
     threads checked against every transition."""
     I = Y.index
     classes = {s: _colim_classes(X, Y, s) for s in I.elements}
+
+    def root(s, t, g):  # the class of the germ (t, g: X_t -> Y_s)
+        _, roots, index = classes[s]
+        return roots[index[(t, g)]]
+
     N = I.max_element()
-    items_N, roots_N = classes[N]
+    items_N, roots_N, _ = classes[N]
     reps = sorted(set(roots_N))
     threads = []
     for r in reps:
         t, g = items_N[r]
-        thread = {}
-        for s in I.elements:
-            cand = (t, compose(Y.struct(N, s), g))
-            items_s, roots_s = classes[s]
-            thread[s] = roots_s[items_s.index(cand)]
+        thread = {s: root(s, t, compose(Y.struct(N, s), g)) for s in I.elements}
         ok = True
         for s2 in I.elements:
             for s1 in I.elements:
                 if I.lt(s1, s2):
                     t2, g2 = classes[s2][0][thread[s2]]
-                    cand = (t2, compose(Y.struct(s2, s1), g2))
-                    items1, roots1 = classes[s1]
-                    if roots1[items1.index(cand)] != thread[s1]:
+                    if root(s1, t2, compose(Y.struct(s2, s1), g2)) != thread[s1]:
                         ok = False
         if ok:
             threads.append(thread)

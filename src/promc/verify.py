@@ -10,11 +10,11 @@ classification, composition, finite limits, the relative matching limit
 
 It never takes what the construction chose from the certificate
 unchecked: the lift components, with the refinement levels a(s) they
-carry, are accepted only through the two lift triangles (the separate
-``level_index`` record is not read); middle objects only through the
-composite, the class verdicts of the factors and the matching maps
-recomputed over them; and every recorded verdict is compared with a
-fresh classification.
+carry, are accepted only through the two lift triangles, and the
+separate ``level_index`` record must name the same a(s) at every level;
+middle objects only through the composite, the class verdicts of the
+factors and the matching maps recomputed over them; and every recorded
+verdict is compared with a fresh classification.
 """
 
 from __future__ import annotations
@@ -165,6 +165,13 @@ def _verify_lift(instance, doc, depth):
         raise VerificationFailure("lift fails the top triangle")
     if not compose_pro(p, lift).equals(bottom):
         raise VerificationFailure("lift fails the bottom triangle")
+    recorded = doc.get("level_index")
+    if not isinstance(recorded, dict):
+        raise MalformedError("level_index is missing or not an object")
+    for s in idx.elements:
+        if recorded.get(str(s)) != str(lift.component(s)[0]):
+            raise VerificationFailure(
+                f"level_index differs from the lift's a(s) at {s}", witness=s)
     return {"kind": "lift", "mode": mode, "levels": len(idx.elements)}
 
 

@@ -226,6 +226,21 @@ def test_corrupted_lift_certificate_exit1(tmp_path, capsys):
     assert code in (1, 2)
 
 
+def test_lift_certificate_level_index_is_replayed(tmp_path, capsys):
+    out_file = tmp_path / "lift.json"
+    code, _ = run(capsys, "lift", fx("special.json"), "--i", "i", "--p", "p",
+                  "--top", "top", "--bottom", "bottom", "--out", str(out_file))
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    levels = sorted(doc["level_index"])
+    assert levels == sorted(doc["lift"]["general"])
+    doc["level_index"] = {s: "bogus" for s in levels}
+    out_file.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    code, out = run(capsys, "verify", str(out_file))
+    assert code == 1
+    assert "level_index" in out and f"witness: {levels[0]}" in out
+
+
 def test_unreadable_file_exit2(capsys):
     code, out = run(capsys, "hom", "/nonexistent/xx.json", "X", "Y")
     assert code == 2

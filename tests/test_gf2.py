@@ -153,3 +153,128 @@ def test_solve_and_null_space_on_reference_shapes(rows, cols, rank, seed):
         assert N.shape == (cols, cols - r)
         assert not gf2.matmul(A, N).any()
         assert gf2.rank(N) == cols - r
+
+
+# --------------------------- the int-row kernel against the reference, all
+
+
+def ref_solve(A, B):
+    """X with free variables zero from the reference RREF of [A | B] mod 2,
+    or None when a pivot lands in the B block."""
+    n = A.shape[1]
+    R, piv = ref_row_echelon(np.concatenate([A % 2, B % 2], axis=1), True)
+    if any(c >= n for c in piv):
+        return None
+    X = np.zeros((n, B.shape[1]), dtype=np.uint8)
+    for i, c in enumerate(piv):
+        X[c] = R[i][n:]
+    return X
+
+
+def ref_null_space(A):
+    n = A.shape[1]
+    R, piv = ref_row_echelon(A % 2, True)
+    free = [c for c in range(n) if c not in piv]
+    N = np.zeros((n, len(free)), dtype=np.uint8)
+    for j, fc in enumerate(free):
+        N[fc, j] = 1
+        for i, pc in enumerate(piv):
+            N[pc, j] = R[i][fc]
+    return N
+
+
+def assert_matches_reference(A, B):
+    """row_echelon (both forms), solve, null_space, rank and image_basis
+    on A (and B), entries read mod 2, equal the pure-Python reference."""
+    A2 = A % 2
+    for reduce in (True, False):
+        R, piv = gf2.row_echelon(A, reduce=reduce)
+        ref, ref_piv = ref_row_echelon(A2, reduce)
+        assert R.dtype == np.uint8 and R.shape == A.shape
+        assert R.tolist() == ref and piv == ref_piv
+    assert gf2.rank(A) == len(ref_piv)
+    assert gf2.mat_eq(gf2.image_basis(A), A2[:, ref_piv])
+    if A.shape[1]:
+        assert gf2.mat_eq(gf2.null_space(A), ref_null_space(A))
+    X, ref_X = gf2.solve(A, B), ref_solve(A, B)
+    if ref_X is None:
+        assert X is None
+    else:
+        assert X is not None and gf2.mat_eq(X, ref_X)
+        assert gf2.mat_eq(gf2.matmul(A2, X), B % 2)
+    return ref_X
+
+
+def sparse_matrix(rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("rows,cols,density", [
+    (300, 200, 0.01), (200, 300, 0.01), (400, 150, 0.005), (150, 400, 0.02),
+])
+def test_sparse_shapes_above_64(rows, cols, density, seed):
+    A = sparse_matrix(rows, cols, density, seed)
+    rng = np.random.default_rng(50 + seed)
+    X0 = rng.integers(0, 2, size=(cols, 2)).astype(np.uint8)
+    assert assert_matches_reference(A, gf2.matmul(A, X0)) is not None
+    assert_matches_reference(A, rng.integers(0, 2, size=(rows, 1)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("rows,cols,rank", [
+    (300, 200, 40), (200, 300, 90), (130, 70, 3),
+])
+def test_sparse_rank_deficient_shapes_above_64(rows, cols, rank, seed):
+    L = sparse_matrix(rows, rank, 0.05, seed)
+    Rt = sparse_matrix(rank, cols, 0.05, 10 + seed)
+    A = gf2.matmul(L, Rt)
+    B = gf2.matmul(A, sparse_matrix(cols, 3, 0.1, 20 + seed))
+    assert_matches_reference(A, B)
+    assert gf2.rank(A) <= rank
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("rows,cols,rank", [
+    (100, 80, None), (80, 130, None), (129, 129, None), (150, 120, 40),
+])
+def test_dense_shapes_above_64(rows, cols, rank, seed):
+    A = ref_matrix(rows, cols, rank, seed)
+    rng = np.random.default_rng(70 + seed)
+    B = gf2.matmul(A, rng.integers(0, 2, size=(cols, 4)).astype(np.uint8))
+    assert assert_matches_reference(A, B) is not None
+    assert_matches_reference(A, rng.integers(0, 2, size=(rows, 70)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("rows,cols", [(65, 0), (0, 65), (65, 33), (3, 70)])
+def test_zero_right_hand_side_columns(rows, cols):
+    A = ref_matrix(rows, cols, None, 0)
+    X = assert_matches_reference(A, np.zeros((rows, 0), dtype=np.uint8))
+    assert X.shape == (cols, 0)
+
+
+@pytest.mark.parametrize("rows,cols", [(70, 66), (10, 12), (66, 200)])
+def test_inconsistent_system_pivots_in_the_b_block(rows, cols):
+    A = ref_matrix(rows, cols, 20 if min(rows, cols) > 20 else 4, 3)
+    A[5] = 0
+    b = gf2.matmul(A, ref_matrix(cols, 1, None, 4))[:, 0]
+    b[5] = 1  # row 5 reads 0 = 1
+    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
+    _, piv = ref_row_echelon(aug, True)
+    _, piv_A = ref_row_echelon(A, True)
+    assert piv == piv_A + [cols]  # the only extra pivot is b's column
+    assert gf2.solve(A, b) is None
+    assert assert_matches_reference(A, b.reshape(-1, 1)) is None
+
+
+@pytest.mark.parametrize("rows,cols", [(7, 9), (64, 64), (90, 70), (120, 300)])
+def test_entries_two_and_three_act_as_zero_and_one(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    A = ref_matrix(rows, cols, None, 5)
+    B = gf2.matmul(A, ref_matrix(cols, 2, None, 6))
+    A23 = A + 2 * rng.integers(0, 2, size=A.shape).astype(np.uint8)
+    B23 = B + 2 * rng.integers(0, 2, size=B.shape).astype(np.uint8)
+    assert set(np.unique(A23)) == {0, 1, 2, 3}
+    assert assert_matches_reference(A23, B23) is not None
+    assert gf2.mat_eq(gf2.solve(A23, B23[:, 0]), gf2.solve(A, B[:, 0]))

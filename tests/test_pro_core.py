@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from promc.prohom import (HFamily, IsoCertificate, Levelization, ProDiagram,
 from promc.proobj import (GENERAL, LEVEL, compose_pro, constant_over,
                           general_map, identity_pro, level_map,
                           omega_pro_object, pro_object, to_general)
+from promc.suites import brute_force_hom, hom_oracle_family
 
 
 # --------------------------------------------------------------- fixtures
@@ -295,3 +297,67 @@ def test_lim_omega_unstable_reported():
     Y = omega_pro_object(val, step)
     res = lim_functor(Y, depth=8)
     assert res.stabilized_at is None
+
+
+# ------------------------------------------------------ brute-force oracle
+
+
+def _pairwise_classes(X, Y, s):
+    """Germ pairs (t, g: X_t -> Y_s) and union-find roots, joined by an
+    all-pairs scan: (t, g) ~ (u, h) when t < u and h = g . X(u -> t)."""
+    J = X.index
+    items = [(t, g) for t in J.elements
+             for g in enumerate_base_maps(X.value(t), Y.value(s))]
+    parent = list(range(len(items)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, (t, g) in enumerate(items):
+        for b, (u, h) in enumerate(items):
+            if J.lt(t, u) and h == compose(g, X.struct(u, t)):
+                ra, rb = find(a), find(b)
+                parent[max(ra, rb)] = min(ra, rb)
+    return items, [find(a) for a in range(len(items))]
+
+
+def _pairwise_hom(X, Y):
+    """lim_s colim_t Hom(X_t, Y_s) with list scans: one thread per class
+    at the maximum whose images agree along every transition of Y."""
+    I = Y.index
+    classes = {s: _pairwise_classes(X, Y, s) for s in I.elements}
+
+    def root(s, t, g):
+        items, roots = classes[s]
+        return roots[items.index((t, g))]
+
+    N = I.max_element()
+    items_N, roots_N = classes[N]
+    threads = []
+    for r in sorted(set(roots_N)):
+        t, g = items_N[r]
+        thread = {s: root(s, t, compose(Y.struct(N, s), g)) for s in I.elements}
+        if all(root(s1, *_rep(classes[s2], thread[s2], Y.struct(s2, s1)))
+               == thread[s1]
+               for s2 in I.elements for s1 in I.elements if I.lt(s1, s2)):
+            threads.append(thread)
+    return threads
+
+
+def _rep(cls, idx, down):
+    t, g = cls[0][idx]
+    return t, compose(down, g)
+
+
+def test_brute_force_hom_matches_pairwise_reference():
+    family = hom_oracle_family()
+    pairs = random.Random(5).sample(range(len(family) ** 2), 150)
+    sizes = set()
+    for k in pairs:
+        X, Y = family[k // len(family)], family[k % len(family)]
+        threads = brute_force_hom(X, Y)
+        assert threads == _pairwise_hom(X, Y), (repr(X), repr(Y))
+        sizes.add(len(threads))
+    assert len(sizes) >= 5  # homs of many sizes, not only singletons
