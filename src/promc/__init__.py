@@ -1,17 +1,19 @@
 """Executable strict model structures on pro-categories.
 
-Pluggable exact model instances (finite sets with bijections, bounded
-GF(2) chain complexes), cofinite directed index posets, pro-objects and
-pro-maps, the strict factorization and lifting constructions, pro-iso
-factorizations, cocell towers, and replayable certificates.  All values
+Pluggable exact model instances behind one protocol (``Instance``; two
+ship: finite sets with bijections, bounded GF(2) chain complexes),
+cofinite directed index posets, pro-objects and pro-maps, the strict
+factorization and lifting constructions, pro-iso factorizations, cocell
+towers, and replayable certificates.  All values
 are immutable after construction and every operation is a pure function
 of its inputs.
 """
 
 from .base import (ACOF_FIB, CHAIN_F2, COF_ACF, SET_BIJ, BaseMap, BaseObject,
-                   FactorizationPair, MapClasses, chain_map, chain_obj,
-                   classify_map, compose, factor_map, identity, set_map,
-                   set_obj, solve_lift, zero_complex)
+                   FactorizationPair, Instance, MapClasses, chain_map,
+                   chain_obj, classify_map, compose, factor_map, identity,
+                   instance_of, inverse, set_map, set_obj, solve_lift,
+                   zero_complex)
 from .baselim import (ColimitCone, Cone, Diagram, LimitCone, finite_colimit,
                       finite_limit, pullback, pushout)
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
@@ -41,9 +43,11 @@ __version__ = "0.1.0"
 __all__ = [
     "SET_BIJ", "CHAIN_F2", "COF_ACF", "ACOF_FIB", "FIB", "ACYCLIC_FIB",
     "MODE_L1", "MODE_L2", "LEVEL", "GENERAL",
+    "Instance", "instance_of",
     "BaseObject", "BaseMap", "FactorizationPair", "MapClasses",
     "set_obj", "set_map", "chain_obj", "chain_map", "zero_complex",
-    "identity", "compose", "classify_map", "factor_map", "solve_lift",
+    "identity", "compose", "inverse", "classify_map", "factor_map",
+    "solve_lift",
     "Diagram", "Cone", "LimitCone", "ColimitCone",
     "finite_limit", "finite_colimit", "pullback", "pushout",
     "IndexPoset", "WellOrdering", "CofinalMap", "IndexViolation",

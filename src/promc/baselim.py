@@ -1,25 +1,16 @@
 """
-Finite limits and colimits in the base instances.
+Finite diagrams in a base instance and their limits and colimits.
 
-SetBij limits are subsets of products (enumerated by backtracking with
-constraint propagation) and colimits quotients of disjoint unions;
-ChainF2 works degreewise with kernels and cokernels.  Cones come with a
-mediating-map constructor so the universal property can be checked on
-demand.
-
-Limit apex elements of loop-free SetBij diagrams are named by their
-coordinates at the in-degree-zero nodes, e.g. "(x,u)" for a pullback.
+Each instance builds its own (co)limit cones (``Instance.limit`` and
+``Instance.colimit``); a cone comes with its mediating-map constructor,
+so the universal property can be checked on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import gf2
-from .base import (CHAIN_F2, SET_BIJ, BaseMap, BaseObject, compose, set_obj,
-                   zero_complex)
+from .base import BaseObject, compose
 from .errors import MalformedError, PreconditionError
 
 
@@ -92,296 +83,48 @@ class Cone:
 
 @dataclass
 class LimitCone(Cone):
-    _name_index: dict = field(default_factory=dict, repr=False)
+    """A limit cone; *factor* builds the mediating map out of a cone over
+    the same diagram once ``mediate`` has checked it."""
+    factor: object = field(default=None, repr=False)
 
     def mediate(self, cone):
         """The unique map cone.apex -> self.apex commuting with all legs."""
         bad = cone.check_limit_cone()
         if bad is not None:
             raise PreconditionError(f"not a cone: edge {bad} fails")
-        if self.diagram.instance == SET_BIJ or self.diagram.instance is None:
-            mapping = {}
-            for w in cone.apex.elements:
-                key = tuple(cone.legs[v].mapping[w] for v in self._key_nodes)
-                if key not in self._name_index:
-                    raise PreconditionError("cone does not factor through the limit")
-                mapping[w] = self._name_index[key]
-            return BaseMap(cone.apex, self.apex, mapping=mapping)
-        N = self._basis  # columns: apex basis in product coordinates
-        mats = {}
-        for n in self._degrees:
-            stacked = np.concatenate(
-                [cone.legs[v].mat(n) for v in self._node_order], axis=0) \
-                if self._node_order else gf2.zeros(0, cone.apex.dim(n))
-            sol = gf2.solve(N[n], stacked)
-            if sol is None:
-                raise PreconditionError("cone does not factor through the limit")
-            mats[n] = sol
-        return BaseMap(cone.apex, self.apex, mats=mats)
+        return self.factor(cone)
 
 
 @dataclass
 class ColimitCone(Cone):
+    """A colimit cocone; *factor* builds the mediating map into a cocone
+    over the same diagram once ``mediate`` has checked it."""
+    factor: object = field(default=None, repr=False)
+
     def mediate(self, cocone):
         """The unique map self.apex -> cocone.apex commuting with all legs."""
         bad = cocone.check_colimit_cocone()
         if bad is not None:
             raise PreconditionError(f"not a cocone: edge {bad} fails")
-        if self.diagram.instance == SET_BIJ or self.diagram.instance is None:
-            mapping = {}
-            for cls, members in self._classes.items():
-                vals = {cocone.legs[v].mapping[x] for v, x in members}
-                if len(vals) != 1:
-                    raise PreconditionError("cocone not constant on a class")
-                mapping[cls] = vals.pop()
-            return BaseMap(self.apex, cocone.apex, mapping=mapping)
-        mats = {}
-        for n in self._degrees:
-            stacked = np.concatenate(
-                [cocone.legs[v].mat(n) for v in self._node_order], axis=1) \
-                if self._node_order else gf2.zeros(cocone.apex.dim(n), 0)
-            R = self._sections[n]  # Q @ R = I
-            m = gf2.matmul(stacked, R)
-            if not gf2.mat_eq(gf2.matmul(m, self._quotients[n]), stacked):
-                raise PreconditionError("cocone does not factor through the colimit")
-            mats[n] = m
-        return BaseMap(self.apex, cocone.apex, mats=mats)
-
-
-def _set_limit(diagram):
-    order = diagram.toposort()
-    nodes = sorted(diagram.nodes)
-    if order is None:
-        order = nodes
-        key_nodes = nodes
-    else:
-        key_nodes = diagram.free_nodes()
-    solutions = []
-
-    def extend(i, assignment):
-        if i == len(order):
-            solutions.append(dict(assignment))
-            return
-        v = order[i]
-        forced = None
-        for src, _, f in diagram.in_edges(v):
-            if src in assignment:
-                forced = f.mapping[assignment[src]]
-                break
-        candidates = [forced] if forced is not None else diagram.nodes[v].elements
-        for x in candidates:
-            ok = True
-            for src, _, f in diagram.in_edges(v):
-                if src in assignment and f.mapping[assignment[src]] != x:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = x
-                extend(i + 1, assignment)
-                del assignment[v]
-
-    extend(0, {})
-    names, rows = [], []
-    for sol in solutions:
-        key = tuple(sol[v] for v in key_nodes)
-        names.append("(" + ",".join(key) + ")")
-        rows.append(sol)
-    if len(set(names)) != len(names):
-        raise AssertionError("limit key projection not injective")
-    order_idx = sorted(range(len(names)), key=lambda i: names[i])
-    names = [names[i] for i in order_idx]
-    rows = [rows[i] for i in order_idx]
-    apex = set_obj(names)
-    legs = {}
-    for v in nodes:
-        legs[v] = BaseMap(apex, diagram.nodes[v],
-                          mapping={names[i]: rows[i][v] for i in range(len(names))})
-    cone = LimitCone(diagram, apex, legs)
-    cone._key_nodes = key_nodes
-    cone._name_index = {tuple(rows[i][v] for v in key_nodes): names[i]
-                        for i in range(len(names))}
-    return cone
-
-
-def _chain_limit(diagram):
-    nodes = sorted(diagram.nodes)
-    degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
-    if not degs:
-        degs = [0]
-    offs = {}
-    basis, dims = {}, {}
-    for n in degs:
-        off, o = {}, 0
-        for v in nodes:
-            off[v] = o
-            o += diagram.nodes[v].dim(n)
-        offs[n] = (off, o)
-        rows = []
-        for src, tgt, f in diagram.edges:
-            blk = gf2.zeros(diagram.nodes[tgt].dim(n), o)
-            M = f.mat(n)
-            blk[:, off[src]:off[src] + diagram.nodes[src].dim(n)] ^= M
-            d = diagram.nodes[tgt].dim(n)
-            blk[:, off[tgt]:off[tgt] + d] ^= gf2.eye(d)
-            rows.append(blk)
-        A = np.concatenate(rows, axis=0) if rows else gf2.zeros(0, o)
-        basis[n] = gf2.null_space(A)
-        dims[n] = basis[n].shape[1]
-    lo, hi = degs[0], degs[-1]
-    diff = {}
-    for n in range(lo, hi):
-        offn, on = offs[n]
-        D = gf2.zeros(offs[n + 1][1], on)
-        for v in nodes:
-            obj = diagram.nodes[v]
-            D[offs[n + 1][0][v]:offs[n + 1][0][v] + obj.dim(n + 1),
-              offn[v]:offn[v] + obj.dim(n)] = obj.d(n)
-        DN = gf2.matmul(D, basis[n])
-        sol = gf2.solve(basis[n + 1], DN)
-        if sol is None:
-            raise AssertionError("product differential does not preserve the limit")
-        diff[n] = sol
-    apex = BaseObject(CHAIN_F2, lo=lo, hi=hi,
-                      dims={n: dims[n] for n in degs}, diff=diff)
-    legs = {}
-    for v in nodes:
-        mats = {}
-        for n in degs:
-            off, _ = offs[n]
-            mats[n] = basis[n][off[v]:off[v] + diagram.nodes[v].dim(n), :]
-        legs[v] = BaseMap(apex, diagram.nodes[v], mats=mats)
-    cone = LimitCone(diagram, apex, legs)
-    cone._basis = basis
-    cone._degrees = degs
-    cone._node_order = nodes
-    return cone
+        return self.factor(cocone)
 
 
 def finite_limit(diagram):
-    """Limit cone of a finite diagram; empty diagram gives the terminal
-    object (singleton set or zero complex)."""
+    """Limit cone of a finite diagram.  The empty diagram names no
+    instance; it gives the SetBij terminal object, a singleton."""
     if not diagram.nodes:
-        if diagram.instance == CHAIN_F2:
-            cone = LimitCone(diagram, zero_complex(), {})
-            cone._basis = {0: gf2.zeros(0, 0)}
-            cone._degrees = [0]
-            cone._node_order = []
-            return cone
-        cone = LimitCone(diagram, set_obj(["*"]), {})
-        cone._key_nodes = []
-        cone._name_index = {(): "*"}
-        return cone
-    if diagram.instance == SET_BIJ:
-        return _set_limit(diagram)
-    return _chain_limit(diagram)
-
-
-def _set_colimit(diagram):
-    nodes = sorted(diagram.nodes)
-    items = [(v, x) for v in nodes for x in diagram.nodes[v].elements]
-    parent = {it: it for it in items}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for src, tgt, f in diagram.edges:
-        for x in diagram.nodes[src].elements:
-            union((src, x), (tgt, f.mapping[x]))
-    classes = {}
-    for it in items:
-        classes.setdefault(find(it), []).append(it)
-    named = {}
-    for members in classes.values():
-        name = "[" + "|".join(f"{v}.{x}" for v, x in sorted(members)) + "]"
-        named[name] = members
-    apex = set_obj(sorted(named))
-    legs = {}
-    member_class = {it: name for name, ms in named.items() for it in ms}
-    for v in nodes:
-        legs[v] = BaseMap(diagram.nodes[v], apex,
-                          mapping={x: member_class[(v, x)]
-                                   for x in diagram.nodes[v].elements})
-    cone = ColimitCone(diagram, apex, legs)
-    cone._classes = named
-    return cone
-
-
-def _chain_colimit(diagram):
-    nodes = sorted(diagram.nodes)
-    degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
-    if not degs:
-        degs = [0]
-    offs, quotients, sections, dims = {}, {}, {}, {}
-    for n in degs:
-        off, o = {}, 0
-        for v in nodes:
-            off[v] = o
-            o += diagram.nodes[v].dim(n)
-        offs[n] = (off, o)
-        cols = []
-        for src, tgt, f in diagram.edges:
-            sdim = diagram.nodes[src].dim(n)
-            blk = gf2.zeros(o, sdim)
-            blk[off[src]:off[src] + sdim, :] ^= gf2.eye(sdim)
-            blk[off[tgt]:off[tgt] + diagram.nodes[tgt].dim(n), :] ^= f.mat(n)
-            cols.append(blk)
-        U = np.concatenate(cols, axis=1) if cols else gf2.zeros(o, 0)
-        Q, k = gf2.quotient_map(gf2.image_basis(U), o)
-        quotients[n] = Q
-        dims[n] = k
-        R = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(o, 0)
-        sections[n] = R
-    lo, hi = degs[0], degs[-1]
-    diff = {}
-    for n in range(lo, hi):
-        offn, on = offs[n]
-        D = gf2.zeros(offs[n + 1][1], on)
-        for v in nodes:
-            obj = diagram.nodes[v]
-            D[offs[n + 1][0][v]:offs[n + 1][0][v] + obj.dim(n + 1),
-              offn[v]:offn[v] + obj.dim(n)] = obj.d(n)
-        diff[n] = gf2.matmul(gf2.matmul(quotients[n + 1], D), sections[n])
-    apex = BaseObject(CHAIN_F2, lo=lo, hi=hi,
-                      dims={n: dims[n] for n in degs}, diff=diff)
-    legs = {}
-    for v in nodes:
-        mats = {}
-        for n in degs:
-            off, _ = offs[n]
-            mats[n] = quotients[n][:, off[v]:off[v] + diagram.nodes[v].dim(n)]
-        legs[v] = BaseMap(diagram.nodes[v], apex, mats=mats)
-    cone = ColimitCone(diagram, apex, legs)
-    cone._quotients = quotients
-    cone._sections = sections
-    cone._degrees = degs
-    cone._node_order = nodes
-    return cone
+        from .setbij import INSTANCE
+        return INSTANCE.limit(diagram)
+    return diagram.instance.limit(diagram)
 
 
 def finite_colimit(diagram):
-    """Colimit cocone; empty diagram gives the initial object."""
+    """Colimit cocone; the empty diagram gives the SetBij initial object,
+    the empty set."""
     if not diagram.nodes:
-        if diagram.instance == CHAIN_F2:
-            cone = ColimitCone(diagram, zero_complex(), {})
-            cone._quotients = {0: gf2.zeros(0, 0)}
-            cone._sections = {0: gf2.zeros(0, 0)}
-            cone._degrees = [0]
-            cone._node_order = []
-            return cone
-        cone = ColimitCone(diagram, set_obj([]), {})
-        cone._classes = {}
-        return cone
-    if diagram.instance == SET_BIJ:
-        return _set_colimit(diagram)
-    return _chain_colimit(diagram)
+        from .setbij import INSTANCE
+        return INSTANCE.colimit(diagram)
+    return diagram.instance.colimit(diagram)
 
 
 def pullback(f, g):

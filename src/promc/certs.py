@@ -10,8 +10,6 @@ verdicts), so a certificate file stands alone.
 
 from __future__ import annotations
 
-import json
-
 from .docio import (CERT_SCHEMA, hfamily_to_doc, map_to_doc, obj_to_doc,
                     poset_to_doc, promap_to_doc, proobj_to_doc)
 
@@ -42,7 +40,7 @@ def _iso_payload(cert):
 
 
 def _base(instance, kind):
-    return {"schema": CERT_SCHEMA, "kind": kind, "instance": instance}
+    return {"schema": CERT_SCHEMA, "kind": kind, "instance": instance.tag}
 
 
 def detect_special_cert(f, result):
@@ -139,14 +137,8 @@ def hom_cert(X, Y, hs):
     doc["Y_poset"] = poset_to_doc(Y.index)
     if X.index.regime == "finite" and Y.index.regime == "finite":
         top = Y.index.max_element()
-        if X.instance == "set-bij":
-            doc["realized"] = [list(map(list, r)) for r in sorted(
-                sorted(rep.realize(top).mapping.items()) for rep in hs.maps)]
-        else:
-            # map documents are dicts, so order them by their canonical JSON
-            doc["realized"] = sorted(
-                (map_to_doc(rep.realize(top)) for rep in hs.maps),
-                key=lambda d: json.dumps(d, sort_keys=True))
+        doc["realized"] = X.instance.map_set_doc(
+            [rep.realize(top) for rep in hs.maps])
     if hs.depth is not None:
         doc["depth"] = hs.depth
         doc["stabilized_at"] = hs.stabilized_at

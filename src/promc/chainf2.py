@@ -1,0 +1,662 @@
+"""
+ChainF2: bounded chain complexes of finite-dimensional GF(2) vector
+spaces; weak equivalences are quasi-isomorphisms, fibrations the
+degreewise surjections, cofibrations the degreewise injections (every
+degreewise injection has projective cokernel over a field).
+
+Differentials raise degree by one: d_n maps degree n to degree n+1 and
+d_{n+1} ∘ d_n = 0.  Degrees run over a finite range [lo, hi].  A map is
+one matrix per degree, a numpy uint8 array of 0s and 1s, stored only
+where it is nonzero.  All linear algebra is exact, through ``gf2``;
+limits and colimits work degreewise with kernels and cokernels.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+import numpy as np
+
+from . import gf2
+from .base import (ACOF_FIB, COF_ACF, BaseMap, BaseObject, FactorizationPair,
+                   MapClasses, compose, factor_map, identity)
+from .baselim import ColimitCone, Cone, LimitCone
+from .errors import MalformedError, PreconditionError
+
+CHAIN_F2 = "chain-f2"
+
+ENUMERATION_CAP = 12  # max GF(2) dimension of a hom space to enumerate
+
+
+class ChainObject(BaseObject):
+    """A degree range [lo, hi], a dimension per degree and one boundary
+    matrix per degree (d_n maps degree n to degree n+1)."""
+
+    __slots__ = ("lo", "hi", "_dims", "_diff")
+
+    def __init__(self, lo, hi, dims, diff=None):
+        """*dims* maps each degree in [lo, hi] to its dimension, *diff*
+        a source degree to its boundary matrix."""
+        if lo > hi:
+            raise MalformedError("empty degree range; use a zero complex instead")
+        self.instance = INSTANCE
+        self.lo, self.hi = int(lo), int(hi)
+        dims = {n: int(dims[n]) for n in range(lo, hi + 1)}
+        if any(d < 0 for d in dims.values()):
+            raise MalformedError("negative dimension")
+        self._dims = dims
+        diff = dict(diff or {})
+        self._diff = {}
+        for n in range(lo, hi):
+            M = gf2.asmat(diff.get(n, []), dims[n + 1], dims[n])
+            if M.shape != (dims[n + 1], dims[n]):
+                raise MalformedError(
+                    f"boundary out of degree {n} has shape {M.shape}, "
+                    f"expected {(dims[n + 1], dims[n])}")
+            self._diff[n] = M
+        for n in range(lo, hi - 1):
+            if gf2.matmul(self._diff[n + 1], self._diff[n]).any():
+                raise MalformedError(f"d∘d nonzero out of degree {n}")
+
+    def dim(self, n):
+        return self._dims.get(n, 0)
+
+    def d(self, n):
+        """Boundary matrix degree n -> n+1 (zero outside the stored range)."""
+        M = self._diff.get(n)
+        if M is None:
+            return gf2.zeros(self.dim(n + 1), self.dim(n))
+        return M
+
+    @property
+    def degrees(self):
+        return range(self.lo, self.hi + 1)
+
+    def __repr__(self):
+        return f"ChainObj[{self.lo},{self.hi}]dims={[self.dim(n) for n in self.degrees]}"
+
+
+class ChainMap(BaseMap):
+    """One matrix per degree, commuting with the boundaries.
+
+    With check=True every matrix is read mod 2, its shape and the
+    commutation are checked: every document input takes this path.
+    With check=False a uint8 array of the expected shape is kept as
+    given, so the caller hands over a fresh array of 0s and 1s (a
+    ``gf2`` result, for one) and does not change it afterwards.
+    """
+
+    __slots__ = ("_mats",)
+
+    def __init__(self, source, target, mats=None, check=True):
+        if check and not (isinstance(source, ChainObject)
+                          and isinstance(target, ChainObject)):
+            raise MalformedError("source and target from different instances")
+        self.instance = INSTANCE
+        self.source = source
+        self.target = target
+        mats = mats or {}
+        self._mats = {}
+        degs = set(source.degrees) | set(target.degrees)
+        for n in degs:
+            M = mats.get(n)
+            if M is None:
+                continue
+            shape = (target.dim(n), source.dim(n))
+            if check or not (isinstance(M, np.ndarray) and M.dtype == np.uint8
+                             and M.shape == shape):
+                M = gf2.asmat(M, *shape)
+                if M.shape != shape:
+                    raise MalformedError(
+                        f"matrix in degree {n} has shape {M.shape}, expected {shape}")
+            if M.any():
+                self._mats[n] = M
+        if check:
+            for n in degs:
+                lhs = gf2.matmul(target.d(n), self.mat(n))
+                rhs = gf2.matmul(self.mat(n + 1), source.d(n))
+                if not gf2.mat_eq(lhs, rhs):
+                    raise MalformedError(f"does not commute with boundaries at degree {n}")
+
+    def mat(self, n):
+        M = self._mats.get(n)
+        if M is None:
+            return gf2.zeros(self.target.dim(n), self.source.dim(n))
+        return M
+
+    def __repr__(self):
+        return f"ChainMap({self.source!r}->{self.target!r})"
+
+
+def chain_obj(lo, hi, dims, diff=None):
+    """Build a ChainF2 object; *dims* is a list indexed from lo, *diff* a
+    dict source-degree -> matrix (rows = dim one above, cols = dim at degree)."""
+    return ChainObject(lo, hi, {lo + k: d for k, d in enumerate(dims)}, diff)
+
+
+def chain_map(source, target, mats):
+    return ChainMap(source, target, mats)
+
+
+def zero_complex():
+    return chain_obj(0, 0, [0])
+
+
+def _degrees(*objs):
+    return set().union(*(X.degrees for X in objs))
+
+
+class ChainF2:
+    """The ChainF2 instance."""
+
+    tag = CHAIN_F2
+    map_class = ChainMap
+    exhaustive_homs = False  # ``hom`` refuses spaces above ENUMERATION_CAP
+    sizes = {"max_deg": 2, "max_dim": 3}
+    small_sizes = {"max_deg": 1, "max_dim": 2}
+
+    def obj_eq(self, X, other):
+        if not isinstance(other, ChainObject):
+            return False
+        degs = _degrees(X, other)
+        return all(X.dim(n) == other.dim(n) for n in degs) and all(
+            gf2.mat_eq(X.d(n), other.d(n)) for n in degs)
+
+    def obj_hash(self, X):
+        return hash((CHAIN_F2, tuple(sorted((n, d) for n, d in X._dims.items() if d))))
+
+    def map_eq(self, f, other):
+        if not isinstance(other, ChainMap):
+            return False
+        if f.source != other.source or f.target != other.target:
+            return False
+        return all(gf2.mat_eq(f.mat(n), other.mat(n))
+                   for n in _degrees(f.source, f.target))
+
+    def map_hash(self, f):
+        return hash((CHAIN_F2, f.source, f.target,
+                     tuple(sorted((n, M.tobytes()) for n, M in f._mats.items()))))
+
+    def identity(self, X):
+        return ChainMap(X, X, {n: gf2.eye(X.dim(n)) for n in X.degrees}, check=False)
+
+    def compose(self, g, f):
+        degs = _degrees(f.source, g.target, f.target)
+        return ChainMap(f.source, g.target,
+                        {n: gf2.matmul(g.mat(n), f.mat(n)) for n in degs},
+                        check=False)
+
+    def inverse(self, f):
+        degs = _degrees(f.source, f.target)
+        if any(f.source.dim(n) != f.target.dim(n) for n in degs):
+            return None
+        mats = {n: gf2.inverse(f.mat(n)) for n in degs}
+        if any(M is None for M in mats.values()):
+            return None
+        return ChainMap(f.target, f.source, mats, check=False)
+
+    def classify(self, f):
+        degs = sorted(_degrees(f.source, f.target))
+        is_cof = all(gf2.rank(f.mat(n)) == f.source.dim(n) for n in degs)
+        is_fib = all(gf2.rank(f.mat(n)) == f.target.dim(n) for n in degs)
+        is_we = True
+        for n in degs:
+            H = homology_matrix(f, n)
+            if H.shape[0] != H.shape[1] or gf2.rank(H) != H.shape[0]:
+                is_we = False
+                break
+        return MapClasses(is_we=is_we, is_cof=is_cof, is_fib=is_fib)
+
+    def factor(self, f, mode):
+        """Mapping cylinder (cof-then-acyclicfib), resp. mapping path
+        object (acycliccof-then-fib)."""
+        return _cylinder_factor(f) if mode == COF_ACF else _path_factor(f)
+
+    def lift(self, i, p, top, bottom):
+        """Solves the GF(2) linear system in the entries of the lift (all
+        degrees at once); pivots are chosen lowest index first and free
+        entries are zero, so the lift is deterministic."""
+        B, X = i.target, p.source
+        blocks = []
+        for n in sorted(_degrees(B, X, i.source, p.target)):
+            blocks.append((n, gf2.eye(X.dim(n)), i.mat(n), top.mat(n)))
+            blocks.append((n, p.mat(n), gf2.eye(B.dim(n)), bottom.mat(n)))
+        A, b, offs = chain_map_system(B, X, blocks)
+        sol = gf2.solve(A, b)
+        return None if sol is None else map_from_vector(B, X, sol, offs)
+
+    def limit(self, diagram):
+        nodes, degs, span = _layout(diagram)
+        basis = {}
+        for n in degs:
+            width = sum(diagram.nodes[v].dim(n) for v in nodes)
+            rows = []
+            for src, tgt, f in diagram.edges:
+                blk = gf2.zeros(diagram.nodes[tgt].dim(n), width)
+                blk[:, span[n][src]] ^= f.mat(n)
+                blk[:, span[n][tgt]] ^= gf2.eye(diagram.nodes[tgt].dim(n))
+                rows.append(blk)
+            A = np.concatenate(rows, axis=0) if rows else gf2.zeros(0, width)
+            basis[n] = gf2.null_space(A)
+        lo, hi = degs[0], degs[-1]
+        diff = {}
+        for n in range(lo, hi):
+            sol = gf2.solve(basis[n + 1],
+                            gf2.matmul(_block_diff(diagram, nodes, span, n), basis[n]))
+            if sol is None:
+                raise AssertionError("product differential does not preserve the limit")
+            diff[n] = sol
+        apex = ChainObject(lo, hi, {n: basis[n].shape[1] for n in degs}, diff)
+        legs = {v: ChainMap(apex, diagram.nodes[v],
+                            {n: basis[n][span[n][v], :] for n in degs})
+                for v in nodes}
+
+        def factor(cone):
+            mats = {}
+            for n in degs:
+                stacked = np.concatenate([cone.legs[v].mat(n) for v in nodes], axis=0)
+                sol = gf2.solve(basis[n], stacked)
+                if sol is None:
+                    raise PreconditionError("cone does not factor through the limit")
+                mats[n] = sol
+            return ChainMap(cone.apex, apex, mats)
+
+        return LimitCone(diagram, apex, legs, factor)
+
+    def colimit(self, diagram):
+        nodes, degs, span = _layout(diagram)
+        quotients, sections = {}, {}
+        for n in degs:
+            width = sum(diagram.nodes[v].dim(n) for v in nodes)
+            cols = []
+            for src, tgt, f in diagram.edges:
+                blk = gf2.zeros(width, diagram.nodes[src].dim(n))
+                blk[span[n][src], :] ^= gf2.eye(diagram.nodes[src].dim(n))
+                blk[span[n][tgt], :] ^= f.mat(n)
+                cols.append(blk)
+            U = np.concatenate(cols, axis=1) if cols else gf2.zeros(width, 0)
+            Q, k = gf2.quotient_map(gf2.image_basis(U), width)
+            quotients[n] = Q
+            sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width, 0)  # Q R = I
+        lo, hi = degs[0], degs[-1]
+        diff = {n: gf2.matmul(gf2.matmul(quotients[n + 1],
+                                         _block_diff(diagram, nodes, span, n)),
+                              sections[n])
+                for n in range(lo, hi)}
+        apex = ChainObject(lo, hi, {n: quotients[n].shape[0] for n in degs}, diff)
+        legs = {v: ChainMap(diagram.nodes[v], apex,
+                            {n: quotients[n][:, span[n][v]] for n in degs})
+                for v in nodes}
+
+        def factor(cocone):
+            mats = {}
+            for n in degs:
+                stacked = np.concatenate([cocone.legs[v].mat(n) for v in nodes], axis=1)
+                m = gf2.matmul(stacked, sections[n])
+                if not gf2.mat_eq(gf2.matmul(m, quotients[n]), stacked):
+                    raise PreconditionError("cocone does not factor through the colimit")
+                mats[n] = m
+            return ChainMap(apex, cocone.apex, mats)
+
+        return ColimitCone(diagram, apex, legs, factor)
+
+    def hom(self, X, Y):
+        """Every chain map X -> Y, when the chain-map space has dimension
+        at most ENUMERATION_CAP; refused above that."""
+        N, offs = hom_space(X, Y)
+        k = N.shape[1]
+        if k > ENUMERATION_CAP:
+            raise PreconditionError(
+                f"chain hom space has dimension {k} > {ENUMERATION_CAP}; "
+                "enumeration refused")
+        out = []
+        for bits in itertools.product((0, 1), repeat=k):
+            vec = gf2.matmul(N, np.array(bits, dtype=np.uint8).reshape(-1, 1)).ravel() \
+                if k else np.zeros(N.shape[0], dtype=np.uint8)
+            out.append(map_from_vector(X, Y, vec, offs, check=False))
+        return out
+
+    def image(self, f):
+        dims, bases = {}, {}
+        for n in _degrees(f.source, f.target):
+            bases[n] = gf2.image_basis(f.mat(n))
+            dims[n] = bases[n].shape[1]
+        degs = sorted(bases)
+        lo, hi = degs[0], degs[-1]
+        diff = {}
+        for n in range(lo, hi):
+            sol = gf2.solve(bases[n + 1], gf2.matmul(f.target.d(n), bases[n]))
+            if sol is None:
+                raise AssertionError("boundary does not preserve an image")
+            diff[n] = sol
+        img = ChainObject(lo, hi, dims, diff)
+        incl = ChainMap(img, f.target, bases, check=False)
+        core = ChainMap(f.source, img, {n: gf2.solve(bases[n], f.mat(n)) for n in degs},
+                        check=False)
+        return img, core, incl
+
+    def corestrict(self, f, incl):
+        mats = {}
+        for n in _degrees(f.source, incl.source):
+            sol = gf2.solve(incl.mat(n), f.mat(n))
+            if sol is None:
+                return None
+            mats[n] = sol
+        return ChainMap(f.source, incl.source, mats, check=False)
+
+    def obj_to_doc(self, X):
+        return {"lo": X.lo, "hi": X.hi,
+                "dims": [X.dim(n) for n in X.degrees],
+                "d": {str(n): X.d(n).tolist()
+                      for n in range(X.lo, X.hi) if X.d(n).size}}
+
+    def obj_from_doc(self, doc):
+        try:
+            dims = doc["dims"]
+            lo, hi = int(doc["lo"]), int(doc["hi"])
+        except (KeyError, TypeError) as e:
+            raise MalformedError(f"bad ChainF2 object payload: {e}")
+        diff = {int(k): v for k, v in doc.get("d", {}).items()}
+        return chain_obj(lo, hi, dims, diff)
+
+    def map_to_doc(self, f):
+        return {str(n): f.mat(n).tolist()
+                for n in _degrees(f.source, f.target) if f.mat(n).size}
+
+    def map_from_doc(self, doc, source, target):
+        return ChainMap(source, target, {int(k): v for k, v in doc.items()})
+
+    def map_set_doc(self, maps):
+        # map documents are dicts, so order them by their canonical JSON
+        return sorted((self.map_to_doc(m) for m in maps),
+                      key=lambda d: json.dumps(d, sort_keys=True))
+
+    def gen_object(self, rng, max_deg=2, max_dim=3, **_):
+        return gen_complex(rng, max_deg=max_deg, max_dim=max_dim)
+
+    def gen_map(self, rng, X, Y):
+        """A random combination of a basis of the chain maps X -> Y."""
+        N, offs = hom_space(X, Y)
+        vec = np.zeros(N.shape[0], dtype=np.uint8)
+        if N.shape[1]:
+            coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
+            vec = gf2.matmul(N, coeff).ravel()
+        return map_from_vector(X, Y, vec, offs)
+
+    def gen_square(self, rng, v_up, v_dn, tries):
+        for _ in range(tries):
+            a = self.gen_map(rng, v_up.source, v_dn.source)
+            b = _solve_b(rng, v_up, compose(v_dn, a))
+            if b is not None:
+                return a, b
+        # the zero map always admits a matching b
+        zero_a = ChainMap(v_up.source, v_dn.source, {}, check=False)
+        b = _solve_b(rng, v_up, compose(v_dn, zero_a))
+        assert b is not None
+        return zero_a, b
+
+    def gen_iso(self, rng, X, prefix):
+        Ps = {n: rng.invertible(X.dim(n)) for n in X.degrees}
+        diff = {}
+        for n in range(X.lo, X.hi):
+            inv = gf2.inverse(Ps[n]) if X.dim(n) else gf2.zeros(0, 0)
+            diff[n] = gf2.matmul(gf2.matmul(Ps[n + 1], X.d(n)), inv)
+        X2 = ChainObject(X.lo, X.hi, {n: X.dim(n) for n in X.degrees}, diff)
+        return X2, ChainMap(X, X2, Ps, check=False)
+
+    def gen_we_level_map(self, rng, X, prefix):
+        """The projection X ⊕ E -> X with E a levelwise contractible
+        pro-object (path objects of a random one)."""
+        from .prohom import ProDiagram, pro_colimit_levelwise
+        from .proobj import ProObject, level_map
+        from .suites import gen_pro_object
+        idx = X.index
+        V = gen_pro_object(rng, idx, self, max_deg=1, max_dim=2)
+        evals = {s: _path_middle(V.value(s)) for s in idx.elements}
+        estructs = {(t, s): _path_functor_map(V.struct(t, s))
+                    for t in idx.elements for s in idx.elements if idx.lt(s, t)}
+        E = ProObject(idx, values=evals, structs=estructs)
+        big = pro_colimit_levelwise(ProDiagram(idx, {"x": X, "e": E}, []))
+        proj = {}
+        for s in idx.elements:
+            cocone = Cone(big.level_cones[s].diagram, X.value(s),
+                          {"x": identity(X.value(s)),
+                           "e": ChainMap(E.value(s), X.value(s), {}, check=False)})
+            proj[s] = big.level_cones[s].mediate(cocone)
+        return level_map(big.apex, X, proj)
+
+
+# ------------------------------------------------------------- homology
+
+
+def _homology_quotient(obj, n):
+    """(Z, Q) with Z a cycle basis in degree n (columns) and Q the
+    projection from cycle coordinates onto H_n coordinates."""
+    Z = gf2.null_space(obj.d(n))
+    B = gf2.image_basis(obj.d(n - 1))
+    if B.shape[1]:
+        C = gf2.solve(Z, B)  # boundaries are cycles, so solvable
+        if C is None:
+            raise AssertionError("boundary not a cycle")
+    else:
+        C = gf2.zeros(Z.shape[1], 0)
+    Q, _ = gf2.quotient_map(C, Z.shape[1])
+    return Z, Q
+
+
+def homology_matrix(f, n):
+    """The induced map H_n(source) -> H_n(target), as an explicit matrix
+    computed from cycle/boundary bases."""
+    Zx, Qx = _homology_quotient(f.source, n)
+    Zy, Qy = _homology_quotient(f.target, n)
+    fZ = gf2.matmul(f.mat(n), Zx)
+    W = gf2.solve(Zy, fZ)  # chain maps carry cycles to cycles
+    if W is None:
+        raise AssertionError("image of a cycle not a cycle")
+    # H(f) descends: pick any right inverse of the surjection Qx.
+    Rx = gf2.solve(Qx, gf2.eye(Qx.shape[0]))
+    if Qx.shape[0] == 0:
+        return gf2.zeros(Qy.shape[0], 0)
+    return gf2.matmul(gf2.matmul(Qy, W), Rx)
+
+
+# ------------------------------------------------------- factorizations
+
+
+def _cylinder_factor(f):
+    """Mapping cylinder: middle in degree n is X_n ⊕ X_{n+1} ⊕ Y_n with
+    d(x, x', y) = (dx + x', dx', dy + f x'); all signs +1 over GF(2)."""
+    X, Y = f.source, f.target
+    lo, hi = min(X.lo - 1, Y.lo), max(X.hi, Y.hi)
+
+    def parts(n):
+        return X.dim(n), X.dim(n + 1), Y.dim(n)
+
+    mid = ChainObject(lo, hi, {n: sum(parts(n)) for n in range(lo, hi + 1)}, {
+        n: _blocks(parts(n + 1), parts(n), {
+            (0, 0): X.d(n), (0, 1): gf2.eye(X.dim(n + 1)), (1, 1): X.d(n + 1),
+            (2, 1): f.mat(n + 1), (2, 2): Y.d(n)})
+        for n in range(lo, hi)})
+    degs = range(lo, hi + 1)
+    left = {n: _blocks(parts(n), [X.dim(n)], {(0, 0): gf2.eye(X.dim(n))})
+            for n in degs}
+    right = {n: _blocks([Y.dim(n)], parts(n),
+                        {(0, 0): f.mat(n), (0, 2): gf2.eye(Y.dim(n))}) for n in degs}
+    return FactorizationPair(left=ChainMap(X, mid, left),
+                             right=ChainMap(mid, Y, right), mode=COF_ACF)
+
+
+def _path_factor(f):
+    """Mapping path object: middle in degree n is X_n ⊕ Y_n ⊕ Y_{n-1} with
+    d(x, b, c) = (dx, db, fx + b + dc)."""
+    X, Y = f.source, f.target
+    lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi + 1)
+
+    def parts(n):
+        return X.dim(n), Y.dim(n), Y.dim(n - 1)
+
+    mid = ChainObject(lo, hi, {n: sum(parts(n)) for n in range(lo, hi + 1)}, {
+        n: _blocks(parts(n + 1), parts(n), {
+            (0, 0): X.d(n), (1, 1): Y.d(n), (2, 0): f.mat(n),
+            (2, 1): gf2.eye(Y.dim(n)), (2, 2): Y.d(n - 1)})
+        for n in range(lo, hi)})
+    degs = range(lo, hi + 1)
+    left = {n: _blocks(parts(n), [X.dim(n)],
+                       {(0, 0): gf2.eye(X.dim(n)), (1, 0): f.mat(n)}) for n in degs}
+    right = {n: _blocks([Y.dim(n)], parts(n), {(0, 1): gf2.eye(Y.dim(n))})
+             for n in degs}
+    return FactorizationPair(left=ChainMap(X, mid, left),
+                             right=ChainMap(mid, Y, right), mode=ACOF_FIB)
+
+
+def _blocks(rows, cols, parts):
+    """The 0/1 matrix with row blocks of sizes *rows* and column blocks
+    of sizes *cols*, block (i, j) being parts[i, j] or zero."""
+    r = [0, *itertools.accumulate(rows)]
+    c = [0, *itertools.accumulate(cols)]
+    M = gf2.zeros(r[-1], c[-1])
+    for (i, j), B in parts.items():
+        M[r[i]:r[i + 1], c[j]:c[j + 1]] = B
+    return M
+
+
+def _layout(diagram):
+    """(nodes, degrees, span): the coordinates of the product of the node
+    objects, span[n][v] the slice of node v in degree n."""
+    nodes = sorted(diagram.nodes)
+    degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
+    span = {}
+    for n in degs:
+        ends = [0, *itertools.accumulate(diagram.nodes[v].dim(n) for v in nodes)]
+        span[n] = {v: slice(ends[k], ends[k + 1]) for k, v in enumerate(nodes)}
+    return nodes, degs, span
+
+
+def _block_diff(diagram, nodes, span, n):
+    """The block-diagonal boundary degree n -> n+1 of the product of the
+    node objects."""
+    D = gf2.zeros(sum(diagram.nodes[v].dim(n + 1) for v in nodes),
+                  sum(diagram.nodes[v].dim(n) for v in nodes))
+    for v in nodes:
+        D[span[n + 1][v], span[n][v]] = diagram.nodes[v].d(n)
+    return D
+
+
+# ------------------------------------------------- chain-map linear systems
+
+
+def chain_map_system(S, T, blocks=()):
+    """The GF(2) linear system A·x = b in the entries x of a chain map
+    h: S -> T, as (A, b, offs).
+
+    x holds each h_n (T.dim(n) x S.dim(n)) flattened row-major, degrees
+    ascending; h_n starts at offs[n].  The rows say d_T·h_n + h_{n+1}·d_S
+    = 0 in every degree, then L·h_n·R = out for each (n, L, R, out) in
+    *blocks*, through vec(L·h·R) = (L ⊗ Rᵀ)·vec(h).  Row order does not
+    matter to callers: ``gf2.solve`` and ``gf2.null_space`` depend only
+    on the row space.
+    """
+    degs = sorted(_degrees(S, T) | {blk[0] for blk in blocks})
+    offs, total = {}, 0
+    for n in degs:
+        offs[n] = total
+        total += T.dim(n) * S.dim(n)
+    nat = [n for n in degs if T.dim(n + 1) and S.dim(n)]
+    height = (sum(T.dim(n + 1) * S.dim(n) for n in nat)
+              + sum(out.size for *_, out in blocks))
+    A = gf2.zeros(height, total)
+    b = np.zeros(height, dtype=np.uint8)
+
+    def put(r, n, L, R):  # rows r.. of L·h_n·R; returns their number
+        blk = _kron(L, R.T)
+        A[r:r + blk.shape[0], offs[n]:offs[n] + blk.shape[1]] = blk
+        return blk.shape[0]
+
+    r = 0
+    for n in nat:
+        put(r, n, T.d(n), gf2.eye(S.dim(n)))
+        r += put(r, n + 1, gf2.eye(T.dim(n + 1)), S.d(n))
+    for n, L, R, out in blocks:
+        b[r:r + out.size] = out.ravel()
+        r += put(r, n, L, R)
+    return A, b, offs
+
+
+def _kron(L, M):
+    """L ⊗ M by broadcasting; on the blocks of a few rows that the
+    generators and the strict factorizations build, ``np.kron`` costs
+    several times more per call."""
+    return (L[:, None, :, None] * M[None, :, None, :]).reshape(
+        L.shape[0] * M.shape[0], L.shape[1] * M.shape[1])
+
+
+def map_from_vector(S, T, x, offs, check=True):
+    """The chain map S -> T whose entries, laid out as in
+    ``chain_map_system``, are the vector *x* (a fresh 0/1 uint8 vector)."""
+    return ChainMap(S, T, {n: x[o:o + T.dim(n) * S.dim(n)].reshape(
+        T.dim(n), S.dim(n)) for n, o in offs.items()}, check=check)
+
+
+def hom_space(X, Y):
+    """(N, offs): the columns of N are a basis of Hom(X, Y), laid out as
+    in ``chain_map_system``."""
+    A, _, offs = chain_map_system(X, Y)
+    return gf2.null_space(A), offs
+
+
+# ------------------------------------------------------------ generators
+
+
+def gen_complex(rng, max_deg=2, max_dim=3):
+    hi = rng.randint(0, max_deg)
+    dims = [rng.randint(0, max_dim) for _ in range(hi + 1)]
+    diff, prev = {}, None
+    for n in range(0, hi):
+        rows, cols = dims[n + 1], dims[n]
+        if prev is None or not prev.any():
+            D = rng.mat(rows, cols)
+        else:
+            Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
+            D = gf2.matmul(rng.mat(rows, k), Q)
+        diff[n] = D
+        prev = D
+    return chain_obj(0, hi, dims, diff)
+
+
+def _solve_b(rng, v_up, want):
+    """Random chain map b with b ∘ v_up = want."""
+    U, V = v_up.target, want.target
+    blocks = [(n, gf2.eye(V.dim(n)), v_up.mat(n), want.mat(n))
+              for n in sorted(_degrees(U, V, v_up.source))]
+    A, rhs, offs = chain_map_system(U, V, blocks)
+    b_vec = gf2.solve(A, rhs)
+    if b_vec is None:
+        return None
+    N = gf2.null_space(A)
+    if N.shape[1]:
+        coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
+        b_vec = (b_vec + gf2.matmul(N, coeff).ravel()) % 2
+    return map_from_vector(U, V, b_vec, offs)
+
+
+def _path_middle(V):
+    """The middle of the path factorization of 0 -> V, a contractible
+    complex."""
+    return factor_map(chain_map(zero_complex(), V, {}), ACOF_FIB).middle
+
+
+def _path_functor_map(w):
+    """The induced map on path middles E(V_t) -> E(V_s) of w: V_t -> V_s."""
+    src, tgt = _path_middle(w.source), _path_middle(w.target)
+    mats = {}
+    for n in _degrees(src, tgt):
+        a = w.source.dim(n)
+        M = gf2.zeros(tgt.dim(n), src.dim(n))
+        M[:w.target.dim(n), :a] = w.mat(n)
+        M[w.target.dim(n):, a:] = w.mat(n - 1)
+        mats[n] = M
+    return ChainMap(src, tgt, mats)
+
+
+INSTANCE = ChainF2()

@@ -1,10 +1,11 @@
 """
 The self-describing JSON document format.
 
-A document names one instance and any number of index posets,
-pro-objects, pro-maps (level or general), base objects/maps, diagrams,
-and witness bundles.  Matrices serialize row-major as 0/1 arrays, sets
-as arrays of strings, posets as cover-pair lists (or the literal
+A document names one instance by its tag and any number of index
+posets, pro-objects, pro-maps (level or general), base objects/maps,
+diagrams, and witness bundles.  Base values serialize as their instance
+writes them (SetBij sets as arrays of strings, ChainF2 matrices
+row-major as 0/1 arrays), posets as cover-pair lists (or the literal
 "omega"); ω-regime values are given as eventually-constant lists.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .base import CHAIN_F2, SET_BIJ, BaseMap, chain_obj, set_map, set_obj
+from .base import identity, instance_of
 from .errors import MalformedError
 from .indexing import DEFAULT_DEPTH, OMEGA, from_covers, omega
 from .prohom import HFamily
@@ -26,41 +27,19 @@ CERT_SCHEMA = "promc.cert/1"
 
 
 def obj_to_doc(obj):
-    if obj.instance == SET_BIJ:
-        return list(obj.elements)
-    return {"lo": obj.lo, "hi": obj.hi,
-            "dims": [obj.dim(n) for n in obj.degrees],
-            "d": {str(n): obj.d(n).tolist()
-                  for n in range(obj.lo, obj.hi) if obj.d(n).size}}
+    return obj.instance.obj_to_doc(obj)
 
 
 def obj_from_doc(instance, doc):
-    if instance == SET_BIJ:
-        if not isinstance(doc, list):
-            raise MalformedError("SetBij object payload must be a list")
-        return set_obj(doc)
-    try:
-        dims = doc["dims"]
-        lo, hi = int(doc["lo"]), int(doc["hi"])
-    except (KeyError, TypeError) as e:
-        raise MalformedError(f"bad ChainF2 object payload: {e}")
-    diff = {int(k): v for k, v in doc.get("d", {}).items()}
-    return chain_obj(lo, hi, dims, diff)
+    return instance_of(instance).obj_from_doc(doc)
 
 
 def map_to_doc(m):
-    if m.instance == SET_BIJ:
-        return dict(m.mapping)
-    return {str(n): m.mat(n).tolist()
-            for n in set(m.source.degrees) | set(m.target.degrees)
-            if m.mat(n).size}
+    return m.instance.map_to_doc(m)
 
 
 def map_from_doc(instance, doc, source, target):
-    if instance == SET_BIJ:
-        return set_map(source, target, doc)
-    mats = {int(k): v for k, v in doc.items()}
-    return BaseMap(source, target, mats=mats)
+    return instance_of(instance).map_from_doc(doc, source, target)
 
 
 def poset_to_doc(p):
@@ -106,7 +85,6 @@ def proobj_from_doc(instance, doc, index):
         def step(n):
             if n < len(steps):
                 return steps[n]
-            from .base import identity
             if value(n + 1) != value(n):
                 raise MalformedError("ω tail is not constant; give more steps")
             return identity(value(n))
@@ -209,9 +187,7 @@ class Document:
             raise MalformedError("document must be a JSON object")
         if raw.get("schema") != DOC_SCHEMA:
             raise MalformedError(f"unknown document schema {raw.get('schema')!r}")
-        self.instance = raw.get("instance")
-        if self.instance not in (SET_BIJ, CHAIN_F2):
-            raise MalformedError(f"unknown instance {self.instance!r}")
+        self.instance = instance_of(raw.get("instance"))
         self.depth = int(raw.get("depth", depth))
         self.posets = {}
         for name, doc in raw.get("posets", {}).items():

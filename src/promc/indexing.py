@@ -72,11 +72,6 @@ class IndexPoset:
             return tuple(range(int(t)))
         return tuple(s for s in self.elements if self.lt(s, t))
 
-    def upper_bounds(self, s, t):
-        if self.regime == OMEGA:
-            return (max(int(s), int(t)),)
-        return tuple(u for u in self.elements if self.leq(s, u) and self.leq(t, u))
-
     def max_element(self):
         """The maximum; exists in every finite directed poset."""
         if self.regime == OMEGA:

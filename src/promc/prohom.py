@@ -14,14 +14,9 @@ pro-hom composite-equals-identity checks at refinement index t.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import gf2
-from .base import (CHAIN_F2, SET_BIJ, BaseMap, BaseObject, chain_map_system,
-                   compose, identity, map_from_vector)
+from .base import BaseObject, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure)
@@ -29,38 +24,11 @@ from .indexing import FINITE, OMEGA, IndexPoset, chain_poset, point_poset
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, constant_over,
                      general_map, identity_pro, level_map, omega_pro_object)
 
-ENUMERATION_CAP = 12  # max GF(2) dimension of a hom space to enumerate
-
 
 def enumerate_base_maps(X, Y):
-    """All base maps X -> Y.  SetBij enumerates functions; ChainF2
-    enumerates the chain-map solution space when its dimension is at most
-    ENUMERATION_CAP and raises otherwise."""
-    if X.instance == SET_BIJ:
-        out = []
-        for images in itertools.product(Y.elements, repeat=len(X.elements)):
-            out.append(BaseMap(X, Y, mapping=dict(zip(X.elements, images)),
-                               check=False))
-        return out
-    N, offs = _chain_hom_space(X, Y)
-    k = N.shape[1]
-    if k > ENUMERATION_CAP:
-        raise PreconditionError(
-            f"chain hom space has dimension {k} > {ENUMERATION_CAP}; "
-            "enumeration refused")
-    out = []
-    for bits in itertools.product((0, 1), repeat=k):
-        vec = gf2.matmul(N, np.array(bits, dtype=np.uint8).reshape(-1, 1)).ravel() \
-            if k else np.zeros(N.shape[0], dtype=np.uint8)
-        out.append(map_from_vector(X, Y, vec, offs, check=False))
-    return out
-
-
-def _chain_hom_space(X, Y):
-    """(N, offs): the columns of N are a basis of Hom(X, Y), laid out as
-    in ``chain_map_system``."""
-    A, _, offs = chain_map_system(X, Y)
-    return gf2.null_space(A), offs
+    """All base maps X -> Y.  An instance may refuse a hom set too large
+    to list (ChainF2 does above its ``ENUMERATION_CAP``)."""
+    return X.instance.hom(X, Y)
 
 
 def spread_from_max(X, Y, phi):
@@ -253,35 +221,15 @@ class IsoCertificate:
             raise VerificationFailure("certificate has no witness data")
 
 
-def _invert_base(phi):
-    """Inverse of an invertible base map, or None."""
-    if phi.instance == SET_BIJ:
-        if len(set(phi.mapping.values())) != len(phi.source.elements) \
-                or len(phi.source.elements) != len(phi.target.elements):
-            return None
-        return BaseMap(phi.target, phi.source,
-                       mapping={v: k for k, v in phi.mapping.items()}, check=False)
-    degs = set(phi.source.degrees) | set(phi.target.degrees)
-    mats = {}
-    for n in degs:
-        if phi.source.dim(n) != phi.target.dim(n):
-            return None
-        inv = gf2.inverse(phi.mat(n))
-        if inv is None and phi.source.dim(n) > 0:
-            return None
-        if inv is not None:
-            mats[n] = inv
-    return BaseMap(phi.target, phi.source, mats=mats, check=False)
-
-
 def is_pro_iso(f, candidate_inverse=None, depth=None):
     """An IsoCertificate for f, or None when no witness was found.
 
     Order of attack: verify a supplied candidate (pro-map or HFamily);
     otherwise try the honest realized-at-maxima inverse; otherwise, for
-    SetBij LEVEL maps, search h-families pair by pair (exhaustive).
-    None is "no certificate", not a proof of non-isomorphism, except
-    that the SetBij searches are exhaustive over their regimes.
+    LEVEL maps of an instance whose hom sets are enumerated in full
+    (SetBij), search h-families pair by pair (exhaustive).  None is "no
+    certificate", not a proof of non-isomorphism, except that those
+    searches are exhaustive over their regimes.
     """
     X, Y = f.source, f.target
     if candidate_inverse is not None:
@@ -294,13 +242,13 @@ def is_pro_iso(f, candidate_inverse=None, depth=None):
     if X.index.regime == FINITE and Y.index.regime == FINITE:
         N = Y.index.max_element()
         phi = f.realize(N)
-        psi = _invert_base(phi)
+        psi = inverse(phi)
         if psi is not None:
             backward = spread_from_max(Y, X, psi)
             cert = IsoCertificate(forward=f, backward=backward)
             cert.replay()
             return cert
-        if f.kind == LEVEL and f.source.instance == SET_BIJ:
+        if f.kind == LEVEL and f.source.instance.exhaustive_homs:
             fam = _search_hfamily(f)
             if fam is not None:
                 cert = IsoCertificate(forward=f, hfamily=fam)
@@ -310,7 +258,7 @@ def is_pro_iso(f, candidate_inverse=None, depth=None):
     # ω regime: honest check to depth against a realized inverse germ
     if f.kind == LEVEL:
         d = depth if depth is not None else X.index.depth
-        psi = _invert_base(f.level_component(d - 1))
+        psi = inverse(f.level_component(d - 1))
         if psi is not None:
             backward = general_map(Y, X, lambda n, _d=d - 1:
                                    (_d, compose(X.struct(_d, n), psi)),
@@ -566,6 +514,7 @@ class LimResult:
     value: BaseObject
     stabilized_at: int | None = None
     depth: int | None = None
+    inclusion: object = None  # ω regime: the stable image into level 0
 
 
 def lim_functor(Y, depth=None):
@@ -579,38 +528,13 @@ def lim_functor(Y, depth=None):
     d = depth if depth is not None else Y.index.depth
     stable = _stable_images(Y, d)
     stab_at = _image_stabilization(Y, d, stable)
-    return LimResult(value=stable[0][0], stabilized_at=stab_at, depth=d)
+    return LimResult(value=stable[0][0], stabilized_at=stab_at, depth=d,
+                     inclusion=stable[0][2])
 
 
 def _image_of(m):
     """(image object, corestriction, inclusion) of a base map."""
-    if m.instance == SET_BIJ:
-        names = tuple(sorted(set(m.mapping.values())))
-        img = BaseObject(SET_BIJ, elements=names)
-        incl = BaseMap(img, m.target, mapping={x: x for x in names}, check=False)
-        core = BaseMap(m.source, img, mapping=dict(m.mapping), check=False)
-        return img, core, incl
-    dims, bases = {}, {}
-    for n in set(m.source.degrees) | set(m.target.degrees):
-        bases[n] = gf2.image_basis(m.mat(n))
-        dims[n] = bases[n].shape[1]
-    degs = sorted(bases)
-    lo, hi = degs[0], degs[-1]
-    diff = {}
-    for n in range(lo, hi):
-        rhs = gf2.matmul(m.target.d(n), bases[n])
-        sol = gf2.solve(bases[n + 1], rhs)
-        if sol is None:
-            raise AssertionError("boundary does not preserve an image")
-        diff[n] = sol
-    img = BaseObject(CHAIN_F2, lo=lo, hi=hi, dims=dims, diff=diff)
-    incl = BaseMap(img, m.target, mats=bases, check=False)
-    core_mats = {}
-    for n in degs:
-        sol = gf2.solve(bases[n], m.mat(n))
-        core_mats[n] = sol
-    core = BaseMap(m.source, img, mats=core_mats, check=False)
-    return img, core, incl
+    return m.instance.image(m)
 
 
 def _stable_images(Y, d):
@@ -629,7 +553,7 @@ def _image_stabilization(Y, d, stable):
         if _image_of(Y.struct(d - 2, n))[0] != stable[n][0]:
             return None
     for n in range(d - 2):
-        if _invert_base(_restrict(Y, n, stable)) is None:
+        if inverse(_restrict(Y, n, stable)) is None:
             return None
     # earliest depth whose images already equal the stable ones
     for k in range(1, d):
@@ -639,15 +563,10 @@ def _image_stabilization(Y, d, stable):
 
 
 def _restrict(Y, n, stable):
-    img_up, _, incl_up = stable[n + 1]
-    img_dn, core_dn, _ = stable[n]
+    """The structure map Y_{n+1} -> Y_n between the stable images."""
+    incl_up = stable[n + 1][2]
     medium = compose(Y.struct(n + 1, n), incl_up)
-    if medium.instance == SET_BIJ:
-        return BaseMap(img_up, img_dn, mapping=dict(medium.mapping), check=False)
-    mats = {}
-    for k in set(img_up.degrees) | set(img_dn.degrees):
-        sol = gf2.solve(stable[n][2].mat(k), medium.mat(k))
-        if sol is None:
-            raise AssertionError("structure map leaves the stable image")
-        mats[k] = sol
-    return BaseMap(img_up, img_dn, mats=mats, check=False)
+    out = medium.instance.corestrict(medium, stable[n][2])
+    if out is None:
+        raise AssertionError("structure map leaves the stable image")
+    return out

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .base import (ACOF_FIB, CHAIN_F2, SET_BIJ, BaseMap, BaseObject,
-                   chain_map, chain_map_system, chain_obj, compose, factor_map,
-                   identity, map_from_vector, set_map, set_obj, zero_complex)
-from .baselim import Cone
+from .base import SHIPPED, compose, identity, instance_of, inverse, set_map, set_obj
+from .chainf2 import gen_complex  # noqa: F401  (a public name here)
 from .indexing import chain_poset, from_covers, linear_extension
-from .prohom import HFamily, _chain_hom_space, enumerate_base_maps, hom_pro
+from .prohom import HFamily, enumerate_base_maps
 from .proobj import ProObject, compose_pro, level_map
+from .setbij import gen_set_obj  # noqa: F401  (a public name here)
 
 
 class Rng:
@@ -49,57 +48,6 @@ class Rng:
             M = self.mat(n, n)
             if gf2.rank(M) == n or n == 0:
                 return M
-
-
-# ------------------------------------------------------------ base objects
-
-
-def gen_set_obj(rng, max_size=4, prefix="e"):
-    k = rng.randint(1, max_size)
-    return set_obj([f"{prefix}{i}" for i in range(k)])
-
-
-def gen_complex(rng, max_deg=2, max_dim=3):
-    hi = rng.randint(0, max_deg)
-    dims = [rng.randint(0, max_dim) for _ in range(hi + 1)]
-    diff, prev = {}, None
-    for n in range(0, hi):
-        rows, cols = dims[n + 1], dims[n]
-        if prev is None or not prev.any():
-            D = rng.mat(rows, cols)
-        else:
-            Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
-            D = gf2.matmul(rng.mat(rows, k), Q)
-        diff[n] = D
-        prev = D
-    return chain_obj(0, hi, dims, diff)
-
-
-def gen_base_obj(rng, instance, **kw):
-    if instance == SET_BIJ:
-        return gen_set_obj(rng, max_size=kw.get("max_size", 4),
-                           prefix=kw.get("prefix", "e"))
-    return gen_complex(rng, max_deg=kw.get("max_deg", 2),
-                       max_dim=kw.get("max_dim", 3))
-
-
-def gen_chain_map(rng, X, Y):
-    """A random chain map X -> Y (a random combination of the basis of
-    the chain-map space)."""
-    N, offs = _chain_hom_space(X, Y)
-    vec = np.zeros(N.shape[0], dtype=np.uint8)
-    if N.shape[1]:
-        coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
-        vec = gf2.matmul(N, coeff).ravel()
-    return map_from_vector(X, Y, vec, offs)
-
-
-def gen_base_map(rng, X, Y):
-    if X.instance == SET_BIJ:
-        return set_map(X, Y, {x: rng.choice(Y.elements) for x in X.elements})
-    m = gen_chain_map(rng, X, Y)
-    assert m is not None  # naturality alone is always solvable
-    return m
 
 
 # --------------------------------------------------------------- posets
@@ -133,13 +81,14 @@ def gen_poset(rng, max_elems=5):
 def gen_pro_object(rng, poset, instance, **kw):
     """A random functor: values assigned along the linear extension, each
     structure map routed through every intermediate chain level."""
+    instance = instance_of(instance)
     order = list(linear_extension(poset))
     vals = {}
     for k, s in enumerate(order):
-        vals[s] = gen_base_obj(rng, instance, prefix=f"l{k}_", **kw)
+        vals[s] = instance.gen_object(rng, prefix=f"l{k}_", **kw)
     chain_maps = {}
     for k in range(len(order) - 1):
-        chain_maps[k] = gen_base_map(rng, vals[order[k + 1]], vals[order[k]])
+        chain_maps[k] = instance.gen_map(rng, vals[order[k + 1]], vals[order[k]])
     pos = {s: k for k, s in enumerate(order)}
     structs = {}
     for t in poset.elements:
@@ -156,14 +105,15 @@ def gen_pro_object(rng, poset, instance, **kw):
 def gen_level_map(rng, poset, instance, tries=64, **kw):
     """A random LEVEL map over *poset*, built in the arrow category along
     the linear extension with rejection sampling for each square."""
+    instance = instance_of(instance)
     order = list(linear_extension(poset))
     n = len(order)
-    A = [gen_base_obj(rng, instance, prefix=f"a{k}_", **kw) for k in range(n)]
-    B = [gen_base_obj(rng, instance, prefix=f"b{k}_", **kw) for k in range(n)]
-    v = [gen_base_map(rng, A[k], B[k]) for k in range(n)]
+    A = [instance.gen_object(rng, prefix=f"a{k}_", **kw) for k in range(n)]
+    B = [instance.gen_object(rng, prefix=f"b{k}_", **kw) for k in range(n)]
+    v = [instance.gen_map(rng, A[k], B[k]) for k in range(n)]
     asteps, bsteps = {}, {}
     for k in range(n - 1):
-        a, b = _commuting_square(rng, v[k + 1], v[k], tries)
+        a, b = instance.gen_square(rng, v[k + 1], v[k], tries)
         asteps[k], bsteps[k] = a, b
     pos = {s: k for k, s in enumerate(order)}
 
@@ -187,93 +137,20 @@ def gen_level_map(rng, poset, instance, tries=64, **kw):
     return f
 
 
-def _commuting_square(rng, v_up, v_dn, tries):
-    """(a, b) with v_dn ∘ a = b ∘ v_up, a: src(v_up) -> src(v_dn)."""
-    for _ in range(tries):
-        a = gen_base_map(rng, v_up.source, v_dn.source)
-        want = compose(v_dn, a)
-        if v_up.instance == SET_BIJ:
-            fibers_ok = all(
-                want.mapping[x1] == want.mapping[x2]
-                for x1 in v_up.source.elements for x2 in v_up.source.elements
-                if v_up.mapping[x1] == v_up.mapping[x2])
-            if not fibers_ok:
-                continue
-            cands = [b for b in enumerate_base_maps(v_up.target, v_dn.target)
-                     if compose(b, v_up) == want]
-            if cands:
-                return a, rng.choice(cands)
-        else:
-            b = _solve_b(rng, v_up, want)
-            if b is not None:
-                return a, b
-    # a constant (or zero) always admits a matching b
-    if v_up.instance == SET_BIJ:
-        c = v_dn.source.elements[0]
-        a = set_map(v_up.source, v_dn.source,
-                    {x: c for x in v_up.source.elements})
-        cc = v_dn.mapping[c]
-        b = set_map(v_up.target, v_dn.target,
-                    {y: cc for y in v_up.target.elements})
-        return a, b
-    zero_a = BaseMap(v_up.source, v_dn.source, mats={}, check=False)
-    b = _solve_b(rng, v_up, compose(v_dn, zero_a))
-    assert b is not None
-    return zero_a, b
-
-
-def _solve_b(rng, v_up, want):
-    """Random chain map b with b ∘ v_up = want."""
-    U, V = v_up.target, want.target
-    blocks = [(n, gf2.eye(V.dim(n)), v_up.mat(n), want.mat(n))
-              for n in sorted(set(U.degrees) | set(V.degrees)
-                              | set(v_up.source.degrees))]
-    A, rhs, offs = chain_map_system(U, V, blocks)
-    b_vec = gf2.solve(A, rhs)
-    if b_vec is None:
-        return None
-    N = gf2.null_space(A)
-    if N.shape[1]:
-        coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
-        b_vec = (b_vec + gf2.matmul(N, coeff).ravel()) % 2
-    return map_from_vector(U, V, b_vec, offs)
-
-
 # ------------------------------------------------- isomorphism-style data
-
-
-def random_iso(rng, X, prefix):
-    """(X', alpha) with alpha: X -> X' an invertible base map."""
-    if X.instance == SET_BIJ:
-        names = [f"{prefix}{i}" for i in range(len(X.elements))]
-        perm = list(names)
-        rng.rnd.shuffle(perm)
-        X2 = set_obj(perm)
-        alpha = BaseMap(X, X2, mapping=dict(zip(X.elements, perm)), check=False)
-        return X2, alpha
-    Ps = {n: rng.invertible(X.dim(n)) for n in X.degrees}
-    diff = {}
-    for n in range(X.lo, X.hi):
-        inv = gf2.inverse(Ps[n]) if X.dim(n) else gf2.zeros(0, 0)
-        diff[n] = gf2.matmul(gf2.matmul(Ps[n + 1], X.d(n)), inv)
-    X2 = BaseObject(CHAIN_F2, lo=X.lo, hi=X.hi,
-                    dims={n: X.dim(n) for n in X.degrees}, diff=diff)
-    alpha = BaseMap(X, X2, mats=Ps, check=False)
-    return X2, alpha
 
 
 def conjugate_pro(rng, X, prefix="c"):
     """(X', alpha: X -> X' a levelwise iso LEVEL map)."""
     vals, alphas = {}, {}
     for k, s in enumerate(X.index.elements):
-        vals[s], alphas[s] = random_iso(rng, X.value(s), f"{prefix}{k}_")
+        vals[s], alphas[s] = X.instance.gen_iso(rng, X.value(s), f"{prefix}{k}_")
     structs = {}
     for t in X.index.elements:
         for s in X.index.elements:
             if X.index.lt(s, t):
-                from .prohom import _invert_base
                 structs[(t, s)] = compose(
-                    alphas[s], compose(X.struct(t, s), _invert_base(alphas[t])))
+                    alphas[s], compose(X.struct(t, s), inverse(alphas[t])))
     X2 = ProObject(X.index, values=vals, structs=structs)
     return X2, level_map(X, X2, alphas)
 
@@ -301,79 +178,24 @@ def gen_shift_iso(rng, instance, length=2, conjugate=True, **kw):
            for t in I.elements for s in I.elements if I.lt(s, t)}
     if not conjugate:
         return f, HFamily(fam)
-    from .prohom import _invert_base
     X2, alpha = conjugate_pro(rng, X, prefix="x")
     Y2, beta = conjugate_pro(rng, Y, prefix="y")
     f2 = level_map(X2, Y2, {
         s: compose(beta.level_component(s),
                    compose(f.level_component(s),
-                           _invert_base(alpha.level_component(s))))
+                           inverse(alpha.level_component(s))))
         for s in I.elements})
     fam2 = {(t, s): compose(alpha.level_component(s),
                             compose(fam[(t, s)],
-                                    _invert_base(beta.level_component(t))))
+                                    inverse(beta.level_component(t))))
             for (t, s) in fam}
     return f2, HFamily(fam2)
 
 
 def gen_we_level_map(rng, X, prefix="w"):
-    """A natural levelwise weak equivalence out of a fattened copy of X.
-
-    SetBij: a levelwise renaming (every SetBij we is a bijection).
-    ChainF2: the projection X ⊕ E -> X with E a levelwise contractible
-    pro-object, conjugated for variety.
-    """
-    idx = X.index
-    if X.instance == SET_BIJ:
-        X2, alpha = conjugate_pro(rng, X, prefix=prefix)
-        return level_map(X2, X, {
-            s: _inv(alpha.level_component(s)) for s in idx.elements})
-    V = gen_pro_object(rng, idx, CHAIN_F2, max_deg=1, max_dim=2)
-    evals, elegs = {}, {}
-    for s in idx.elements:
-        fp = factor_map(chain_map(zero_complex(), V.value(s), {}), ACOF_FIB)
-        evals[s] = fp.middle
-    estructs = {}
-    for t in idx.elements:
-        for s in idx.elements:
-            if idx.lt(s, t):
-                estructs[(t, s)] = _path_functor_map(V.struct(t, s))
-    E = ProObject(idx, values=evals, structs=estructs)
-    big = pro_colimit_of_pair(X, E)
-    proj = {}
-    for s in idx.elements:
-        cocone = Cone(big.level_cones[s].diagram, X.value(s),
-                      {"x": identity(X.value(s)),
-                       "e": BaseMap(E.value(s), X.value(s), mats={}, check=False)})
-        proj[s] = big.level_cones[s].mediate(cocone)
-    return level_map(big.apex, X, proj)
-
-
-def _inv(m):
-    from .prohom import _invert_base
-    out = _invert_base(m)
-    assert out is not None
-    return out
-
-
-def _path_functor_map(w):
-    """The induced map on path middles E(V_t) -> E(V_s) of w: V_t -> V_s."""
-    src = factor_map(chain_map(zero_complex(), w.source, {}), ACOF_FIB).middle
-    tgt = factor_map(chain_map(zero_complex(), w.target, {}), ACOF_FIB).middle
-    mats = {}
-    for n in set(src.degrees) | set(tgt.degrees):
-        a, b = w.source.dim(n), w.source.dim(n - 1)
-        M = gf2.zeros(tgt.dim(n), src.dim(n))
-        M[:w.target.dim(n), :a] = w.mat(n)
-        M[w.target.dim(n):, a:] = w.mat(n - 1)
-        mats[n] = M
-    return BaseMap(src, tgt, mats=mats)
-
-
-def pro_colimit_of_pair(X, E):
-    from .prohom import ProDiagram, pro_colimit_levelwise
-    pd = ProDiagram(X.index, {"x": X, "e": E}, [])
-    return pro_colimit_levelwise(pd)
+    """A natural levelwise weak equivalence onto X, as its instance
+    builds one."""
+    return X.instance.gen_we_level_map(rng, X, prefix)
 
 
 # ------------------------------------------------------- brute-force hom
@@ -451,24 +273,19 @@ class SuiteReport:
         return not self.failures
 
 
-def _gen_instances(seed, trials, instance):
+def _gen_instances(seed, trials):
     for k in range(trials):
         yield k, Rng(seed * 1_000_003 + k)
-
-
-def _sizes(instance):
-    if instance == SET_BIJ:
-        return {"max_size": 4}
-    return {"max_deg": 2, "max_dim": 3}
 
 
 def suite_factorization(instance, trials, seed, max_elems=5):
     """Strict factorization postconditions on random level maps."""
     from .strict import MODE_L1, MODE_L2, factor_strict
-    rep = SuiteReport(name=f"factorization[{instance}]", trials=trials)
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"factorization[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         poset = gen_poset(rng, max_elems=max_elems)
-        f = gen_level_map(rng, poset, instance, **_sizes(instance))
+        f = gen_level_map(rng, poset, instance, **instance.sizes)
         for mode in (MODE_L1, MODE_L2):
             try:
                 fs = factor_strict(f, mode)
@@ -482,10 +299,11 @@ def suite_lifting(instance, trials, seed, max_elems=4):
     """Squares assembled from factorization outputs; both pairings."""
     from .proobj import identity_pro
     from .strict import MODE_L1, MODE_L2, factor_strict, lift_strict
-    rep = SuiteReport(name=f"lifting[{instance}]", trials=trials)
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"lifting[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         poset = gen_poset(rng, max_elems=max_elems)
-        q = gen_level_map(rng, poset, instance, **_sizes(instance))
+        q = gen_level_map(rng, poset, instance, **instance.sizes)
         mode = (MODE_L1, MODE_L2)[k % 2]
         try:
             fs = factor_strict(q, mode)
@@ -515,12 +333,11 @@ def suite_lifting(instance, trials, seed, max_elems=4):
 def suite_pro_factor_iso(instance, trials, seed, length=2):
     """Shift-pattern pro-isos with witnesses through pro_factor_iso."""
     from .proiso import pro_factor_iso
-    rep = SuiteReport(name=f"pro-factor-iso[{instance}]", trials=trials)
-    small = ({"max_size": 3} if instance == SET_BIJ
-             else {"max_deg": 1, "max_dim": 2})
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"pro-factor-iso[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         try:
-            f, wit = gen_shift_iso(rng, instance, length=length, **small)
+            f, wit = gen_shift_iso(rng, instance, length=length, **instance.small_sizes)
             out = pro_factor_iso(f, wit)
             out.left_cert.replay()
             out.right_cert.replay()
@@ -536,12 +353,11 @@ def suite_two_of_three(instance, trials, seed):
     """compose_zigzag_we and both two_of_three sides on generated data."""
     from .proiso import compose_zigzag_we, two_of_three
     from .proobj import identity_pro
-    rep = SuiteReport(name=f"two-of-three[{instance}]", trials=trials)
-    small = ({"max_size": 3} if instance == SET_BIJ
-             else {"max_deg": 1, "max_dim": 2})
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"two-of-three[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         try:
-            h, wit = gen_shift_iso(rng, instance, length=2, **small)
+            h, wit = gen_shift_iso(rng, instance, length=2, **instance.small_sizes)
             Z, Y = h.source, h.target
             f = gen_we_level_map(rng, Y)
             g = conjugate_pro(rng, Z, prefix="g")[1]
@@ -574,9 +390,7 @@ def gen_fib_onto(rng, Y, prefix="r"):
     """A levelwise fibration onto Y: the projection from the levelwise
     product with a random pro-object over the same index."""
     from .prohom import ProDiagram, pro_limit_levelwise
-    small = ({"max_size": 3} if Y.instance == SET_BIJ
-             else {"max_deg": 1, "max_dim": 2})
-    R = gen_pro_object(rng, Y.index, Y.instance, **small)
+    R = gen_pro_object(rng, Y.index, Y.instance, **Y.instance.small_sizes)
     lim = pro_limit_levelwise(ProDiagram(Y.index, {"y": Y, "r": R}, []))
     return lim.legs["y"]
 
@@ -585,12 +399,11 @@ def suite_properness(instance, trials, seed):
     """proper_pullback outputs are levelwise weak equivalences."""
     from .proiso import proper_pullback
     from .proobj import identity_pro
-    rep = SuiteReport(name=f"properness[{instance}]", trials=trials)
-    small = ({"max_size": 3} if instance == SET_BIJ
-             else {"max_deg": 1, "max_dim": 2})
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"properness[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         try:
-            g, wit = gen_shift_iso(rng, instance, length=2, **small)
+            g, wit = gen_shift_iso(rng, instance, length=2, **instance.small_sizes)
             W, Y = g.source, g.target
             fwe = gen_we_level_map(rng, W)
             p = gen_fib_onto(rng, Y)
@@ -608,10 +421,11 @@ def suite_cocell(instance, trials, seed, max_elems=4):
     """Cocell round trip on special (acyclic) fibrations from factor_strict."""
     from .strict import MODE_L1, MODE_L2, factor_strict
     from .towers import build_cocell_tower, tower_limit
-    rep = SuiteReport(name=f"cocell[{instance}]", trials=trials)
-    for k, rng in _gen_instances(seed, trials, instance):
+    instance = instance_of(instance)
+    rep = SuiteReport(name=f"cocell[{instance.tag}]", trials=trials)
+    for k, rng in _gen_instances(seed, trials):
         poset = gen_poset(rng, max_elems=max_elems)
-        f = gen_level_map(rng, poset, instance, **_sizes(instance))
+        f = gen_level_map(rng, poset, instance, **instance.sizes)
         mode = (MODE_L1, MODE_L2)[k % 2]
         try:
             fs = factor_strict(f, mode)
@@ -725,7 +539,7 @@ def _omega_tower_samples(two):
 def run_all_suites(trials, seed, depth=16):
     """Everything check-axioms runs; returns the list of reports."""
     reports = []
-    for instance in (SET_BIJ, CHAIN_F2):
+    for instance in SHIPPED:
         reports.append(suite_factorization(instance, trials, seed))
         reports.append(suite_lifting(instance, trials, seed + 1))
         reports.append(suite_pro_factor_iso(instance, max(1, trials // 2), seed + 2))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base import BaseMap, BaseObject, classify_map, compose, identity
+from .base import BaseMap, BaseObject, classify_map, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_limit
 from .errors import (PreconditionError, UnsupportedRegimeError,
                      VerificationFailure)
@@ -58,9 +58,6 @@ class Tower:
             return self.base_value
         return self.stages[k - 1].new_stage_value
 
-    def stage_object(self, k):
-        return constant_embed(self.stage_value(k))
-
     def replay_base_changes(self):
         """Re-check every bonding square: it commutes, the stage embeds in
         the honest pullback, and the attach map has its declared class."""
@@ -71,33 +68,27 @@ class Tower:
                 raise VerificationFailure(
                     f"attach map at stage {k} is not in class {self.class_tag}",
                     witness=st.level)
-            lhs = compose(st.cone_map, st.bonding)
-            rhs = compose(st.attach, st.new_leg)
-            if lhs != rhs:
-                raise VerificationFailure(
-                    f"bonding square does not commute at stage {k}",
-                    witness=st.level)
-            dia = Diagram({"a": st.bonding.target, "b": st.attach.source,
-                           "c": st.attach.target},
-                          [("a", "c", st.cone_map), ("b", "c", st.attach)])
-            lim = finite_limit(dia)
-            med = lim.mediate(Cone(dia, st.bonding.source,
-                                   {"a": st.bonding, "b": st.new_leg,
-                                    "c": lhs}))
-            inv = _mutually_inverse(med, lim, st)
-            if not inv:
-                raise VerificationFailure(
-                    f"stage {k} is not the pullback along the attach map",
-                    witness=st.level)
+            bad = stage_failure(st.attach, st.cone_map, st.bonding, st.new_leg)
+            if bad is not None:
+                raise VerificationFailure(f"stage {k}: {bad}", witness=st.level)
 
 
-def _mutually_inverse(med, lim, st):
-    """The mediating map stage -> recomputed pullback must be an iso
-    (it already commutes with the recorded projections by construction)."""
-    cls = classify_map(med)
-    if med.instance == "set-bij":
-        return cls.is_we
-    return cls.is_cof and cls.is_fib
+def stage_failure(attach, cone_map, bonding, new_leg):
+    """Why a stage (bonding: S -> P, new_leg: S -> source of attach) is
+    not the pullback of P along attach, through cone_map: P -> target of
+    attach; None when it is."""
+    lhs = compose(cone_map, bonding)
+    if lhs != compose(attach, new_leg):
+        return "the bonding square does not commute"
+    dia = Diagram({"a": bonding.target, "b": attach.source, "c": attach.target},
+                  [("a", "c", cone_map), ("b", "c", attach)])
+    med = finite_limit(dia).mediate(
+        Cone(dia, bonding.source, {"a": bonding, "b": new_leg, "c": lhs}))
+    # the mediating map commutes with the recorded projections by
+    # construction, so the stage is the pullback iff it is an iso
+    if inverse(med) is None:
+        return "not the pullback along the attach map"
+    return None
 
 
 def build_cocell_tower(f, special=None, class_tag=None):
@@ -129,18 +120,15 @@ def build_cocell_tower(f, special=None, class_tag=None):
         m = matching_map(f, s)
         if m.cone is None:
             psi = compose(Y.struct(M, s), mu)
-            dia = Diagram({"a": cur, "b": m.map.source, "c": m.map.target},
-                          [("a", "c", psi), ("b", "c", m.map)])
-            lim = finite_limit(dia)
         else:
             legs = {f"Y.top:{s}": compose(Y.struct(M, s), mu)}
             for t in idx.predecessors(s):
                 legs[f"X:{t}"] = lam[t]
                 legs[f"Y:{t}"] = compose(f.level_component(t), lam[t])
             psi = m.cone.mediate(Cone(m.cone.diagram, cur, legs))
-            dia = Diagram({"a": cur, "b": m.map.source, "c": m.map.target},
-                          [("a", "c", psi), ("b", "c", m.map)])
-            lim = finite_limit(dia)
+        dia = Diagram({"a": cur, "b": m.map.source, "c": m.map.target},
+                      [("a", "c", psi), ("b", "c", m.map)])
+        lim = finite_limit(dia)
         stage = TowerStage(level=s, attach=m.map,
                            attach_class=classify_map(m.map),
                            cone_map=psi, bonding=lim.legs["a"],
@@ -268,7 +256,7 @@ def adjunction_check(X, Y, depth=None, naturality_probes=()):
             if not back.equals(rep):
                 raise VerificationFailure("round trip lost a hom class")
             pairs.append((rep, phi))
-        if len({_key(phi) for _, phi in pairs}) != len(pairs):
+        if len({phi for _, phi in pairs}) != len(pairs):
             raise VerificationFailure("realization not injective")
         if len(pairs) != len(rights):
             raise VerificationFailure("realization not surjective")
@@ -301,28 +289,12 @@ def adjunction_check(X, Y, depth=None, naturality_probes=()):
     for rep in hs.maps:
         _, g0 = rep.component(0)
         # corestrict the 0-germ into the stable image
-        phi = _corestrict(g0, lim.value)
-        if not any(phi == r for r in rights):
+        phi = g0.instance.corestrict(g0, lim.inclusion)
+        if phi is None or not any(phi == r for r in rights):
             raise VerificationFailure("ω hom class leaves the stable image")
         pairs.append((rep, phi))
-    if len({_key(phi) for _, phi in pairs}) != len(pairs):
+    if len({phi for _, phi in pairs}) != len(pairs):
         raise VerificationFailure("ω realization not injective")
     return AdjunctionWitness(left_size=len(hs.maps), right_size=len(rights),
                              pairs=pairs, depth=d,
                              stabilized_at=hs.stabilized_at)
-
-
-def _key(m):
-    if m.instance == "set-bij":
-        return tuple(sorted(m.mapping.items()))
-    return tuple(sorted((n, M.tobytes()) for n, M in m._mats.items()))
-
-
-def _corestrict(m, sub):
-    """Corestrict a base map into a sub-object (same-instance value)."""
-    if m.instance == "set-bij":
-        bad = [v for v in m.mapping.values() if v not in sub.elements]
-        if bad:
-            raise VerificationFailure(f"values {bad} outside the stable image")
-        return BaseMap(m.source, sub, mapping=dict(m.mapping), check=False)
-    raise UnsupportedRegimeError("ω adjunction checks run on SetBij towers")

@@ -5,8 +5,9 @@ Rebuilds every object and map from the certificate document and
 re-derives every claim.  Replay shares with the construction side only
 operations whose results the construction cannot choose: base
 classification, composition, finite limits, the relative matching limit
-(``strict.matching_map``) and the h-family triangle check
-(``prohom.hfamily_failure``).
+(``strict.matching_map``), the h-family triangle check
+(``prohom.hfamily_failure``) and the cocell pullback check
+(``towers.stage_failure``).
 
 It never takes what the construction chose from the certificate
 unchecked: the lift components, with the refinement levels a(s) they
@@ -19,8 +20,7 @@ verdict is compared with a fresh classification.
 
 from __future__ import annotations
 
-from .base import classify_map, compose
-from .baselim import Cone, Diagram, finite_limit
+from .base import classify_map, compose, instance_of
 from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
                     poset_from_doc, promap_from_doc, proobj_from_doc)
 from .errors import MalformedError, VerificationFailure
@@ -28,6 +28,7 @@ from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
 from .prohom import hfamily_failure
 from .proobj import LEVEL, compose_pro, identity_pro
 from .strict import matching_map
+from .towers import stage_failure
 
 
 def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
@@ -101,11 +102,10 @@ def verify_certificate(doc, depth=DEFAULT_DEPTH):
     if not isinstance(doc, dict) or doc.get("schema") != CERT_SCHEMA:
         raise MalformedError("not a certificate document")
     kind = doc.get("kind")
-    instance = doc.get("instance")
     handler = _HANDLERS.get(kind)
     if handler is None:
         raise MalformedError(f"unknown certificate kind {kind!r}")
-    return handler(instance, doc, depth)
+    return handler(instance_of(doc.get("instance")), doc, depth)
 
 
 def _verify_detect_special(instance, doc, depth):
@@ -270,21 +270,9 @@ def _verify_cocell(instance, doc, depth):
         cone_map = map_from_doc(instance, st["cone_map"], prev, a_tgt)
         bonding = map_from_doc(instance, st["bonding"], stage_val, prev)
         new_leg = map_from_doc(instance, st["new_leg"], stage_val, a_src)
-        if compose(cone_map, bonding) != compose(attach, new_leg):
-            raise VerificationFailure(f"stage {k} square does not commute",
-                                      witness=k)
-        dia = Diagram({"a": prev, "b": a_src, "c": a_tgt},
-                      [("a", "c", cone_map), ("b", "c", attach)])
-        lim = finite_limit(dia)
-        med = lim.mediate(Cone(dia, stage_val,
-                               {"a": bonding, "b": new_leg,
-                                "c": compose(cone_map, bonding)}))
-        mcls = classify_map(med)
-        is_iso = mcls.is_we if instance == "set-bij" else (mcls.is_cof and mcls.is_fib)
-        if not is_iso:
-            raise VerificationFailure(
-                f"stage {k} is not the pullback along its attach map",
-                witness=k)
+        bad = stage_failure(attach, cone_map, bonding, new_leg)
+        if bad is not None:
+            raise VerificationFailure(f"stage {k}: {bad}", witness=k)
         prev = stage_val
     report = {"kind": doc["kind"], "stages": len(doc["stages"])}
     if doc.get("iso") is not None:
@@ -314,7 +302,7 @@ def _verify_adjunction(instance, doc, depth):
             seen.append(a)
         if len(assigns) != len(rights):
             raise VerificationFailure("assignments not surjective")
-        if instance == "set-bij":
+        if instance.exhaustive_homs:
             from .suites import brute_force_hom
             from .prohom import constant_embed
             threads = brute_force_hom(constant_embed(X), Y)
@@ -333,7 +321,7 @@ def _verify_hom(instance, doc, depth):
     Yp = poset_from_doc(doc["Y_poset"], depth)
     X = proobj_from_doc(instance, doc["X"], Xp)
     Y = proobj_from_doc(instance, doc["Y"], Yp)
-    if instance == "set-bij" and Xp.regime == FINITE and Yp.regime == FINITE:
+    if instance.exhaustive_homs and Xp.regime == FINITE and Yp.regime == FINITE:
         from .suites import brute_force_hom
         threads = brute_force_hom(X, Y)
         if len(threads) != doc["count"]:

@@ -9,8 +9,7 @@ directly.
 import numpy as np
 
 from promc import gf2
-from promc.base import (CHAIN_F2, BaseMap, BaseObject, chain_map, chain_obj,
-                        set_map, set_obj)
+from promc.base import chain_map, chain_obj, set_map, set_obj
 
 # ---------------------------------------------------------------- fixtures
 
@@ -46,7 +45,7 @@ def cone_of(f):
         D[ra:, :a] = f.mat(n + 1)
         D[ra:, a:] = Y.d(n)
         diff[n] = D
-    return BaseObject(CHAIN_F2, lo=lo, hi=hi, dims=dims, diff=diff)
+    return chain_obj(lo, hi, [dims[n] for n in range(lo, hi + 1)], diff)
 
 
 def is_acyclic(obj):

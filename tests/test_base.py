@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from promc import gf2
-from promc.base import (ACOF_FIB, COF_ACF, chain_map, chain_obj, classify_map,
-                        compose, factor_map, identity, set_map, set_obj,
-                        solve_lift, zero_complex)
+from promc.base import (ACOF_FIB, COF_ACF, BaseMap, chain_map, chain_obj,
+                        classify_map, compose, factor_map, identity, set_map,
+                        set_obj, solve_lift, zero_complex)
 from promc.errors import MalformedError, PreconditionError
+from promc.indexing import chain_poset
 from promc.prohom import enumerate_base_maps
+from promc.strict import factor_strict
+from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso,
+                          suite_factorization)
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
                      random_set_map, random_set_obj, sphere0, we_by_cone)
@@ -287,3 +291,42 @@ def test_enumerate_chain_maps_matches_brute_force(seed):
     keys = [tuple(m.mat(n).tobytes() for n in degs) for m in maps]
     assert len(set(keys)) == len(keys)
     assert set(keys) == _brute_force_chain_maps(X, Y)
+
+
+# ------------------------------------------------- unchecked construction
+
+def _seeded_chain_maps(seed):
+    f = gen_level_map(Rng(seed), chain_poset(3), "chain-f2")
+    fs = factor_strict(f, "L1")
+    for g in (f, fs.left, fs.right):
+        for s in g.source.index.elements:
+            yield g.level_component(s)
+            for t in g.source.index.elements:
+                if g.source.index.lt(s, t):
+                    yield g.source.struct(t, s)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_unchecked_chain_map_equals_checked(seed):
+    for m in _seeded_chain_maps(seed):
+        degs = sorted(set(m.source.degrees) | set(m.target.degrees))
+        arrays = {n: m.mat(n).copy() for n in degs}
+        fast = BaseMap(m.source, m.target, mats=arrays, check=False)
+        slow = BaseMap(m.source, m.target, mats=dict(arrays), check=True)
+        assert fast == slow == m
+        assert hash(fast) == hash(slow) == hash(m)
+        # check=False keeps the given arrays; check=True reduces a copy
+        assert all(fast._mats[n] is arrays[n] for n in fast._mats)
+        assert not any(slow._mats[n] is arrays[n] for n in slow._mats)
+
+
+@pytest.mark.parametrize("tag", [None, -1, 2.5, [], True, "bogus"])
+def test_generators_refuse_an_unknown_instance(tag):
+    with pytest.raises(MalformedError):
+        gen_level_map(Rng(0), chain_poset(2), tag)
+    with pytest.raises(MalformedError):
+        gen_pro_object(Rng(0), chain_poset(2), tag)
+    with pytest.raises(MalformedError):
+        gen_shift_iso(Rng(0), tag)
+    with pytest.raises(MalformedError):
+        suite_factorization(tag, 1, 0)

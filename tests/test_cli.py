@@ -241,6 +241,23 @@ def test_lift_certificate_level_index_is_replayed(tmp_path, capsys):
     assert "level_index" in out and f"witness: {levels[0]}" in out
 
 
+UNKNOWN_TAGS = [None, -1, 2.5, [], True, "bogus"]
+
+
+@pytest.mark.parametrize("tag", UNKNOWN_TAGS)
+def test_verify_refuses_an_unknown_instance_tag(tmp_path, capsys, tag):
+    out_file = tmp_path / "fac.json"
+    code, _ = run(capsys, "factor", fx("chainf2.json"), "p", "--mode", "L1",
+                  "--out", str(out_file))
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    doc["instance"] = tag
+    out_file.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    code, out = run(capsys, "verify", str(out_file))
+    assert code == 2
+    assert out.count("\n") == 1 and "unknown instance" in out
+
+
 def test_unreadable_file_exit2(capsys):
     code, out = run(capsys, "hom", "/nonexistent/xx.json", "X", "Y")
     assert code == 2

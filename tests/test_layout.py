@@ -1,0 +1,95 @@
+"""The layering of ``src/promc``.
+
+Only the two instance modules know which instances exist: the tags
+``SET_BIJ``/``CHAIN_F2`` ("set-bij"/"chain-f2") appear nowhere else,
+except where ``base`` re-exports them beside ``SHIPPED`` (the table
+``instance_of`` reads) and where ``__init__`` re-exports them from
+``base``.  Only ``gf2``, ``chainf2`` and ``suites`` (its ``Rng``) import
+numpy or ``gf2``.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "promc"
+TAG_NAMES = {"SET_BIJ", "CHAIN_F2"}
+TAG_VALUES = {"set-bij", "chain-f2"}
+INSTANCE_MODULES = {"setbij", "chainf2"}
+NUMERIC_MODULES = {"gf2", "chainf2", "suites"}
+
+
+def _is_tag(node):
+    return ((isinstance(node, ast.Name) and node.id in TAG_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in TAG_NAMES)
+            or (isinstance(node, ast.alias) and node.name in TAG_NAMES)
+            or (isinstance(node, ast.Constant) and node.value in TAG_VALUES))
+
+
+def _re_export(module, stmt):
+    """An import statement that may name a tag: base importing from an
+    instance module, __init__ importing from base."""
+    if not isinstance(stmt, ast.ImportFrom) or stmt.level != 1:
+        return False
+    return ((module == "base" and stmt.module in INSTANCE_MODULES)
+            or (module == "__init__" and stmt.module == "base"))
+
+
+def tag_uses(module, source):
+    """(line, text) of every tag use outside the allowed places."""
+    if module in INSTANCE_MODULES:
+        return []
+    out = []
+    for stmt in ast.parse(source).body:
+        if _re_export(module, stmt):
+            continue
+        out += [(node.lineno, ast.unparse(node)) for node in ast.walk(stmt)
+                if _is_tag(node)]
+    return out
+
+
+def numeric_imports(module, source):
+    """(line, module) of every numpy or gf2 import outside the numeric
+    modules."""
+    if module in NUMERIC_MODULES:
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name.split(".")[0] == "numpy" or a.name == "promc.gf2"]
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            names = {a.name for a in node.names}
+            if (mod.split(".")[0] == "numpy" and node.level == 0) \
+                    or mod in ("gf2", "promc.gf2") \
+                    or (mod in ("", "promc") and "gf2" in names):
+                out.append((node.lineno, mod or "gf2"))
+    return out
+
+
+def _modules():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_tags_stay_in_the_instance_modules():
+    bad = {m: uses for m, src in _modules().items() if (uses := tag_uses(m, src))}
+    assert not bad
+
+
+def test_numpy_and_gf2_stay_in_the_numeric_modules():
+    bad = {m: imps for m, src in _modules().items()
+           if (imps := numeric_imports(m, src))}
+    assert not bad
+
+
+def test_the_checks_see_what_they_forbid():
+    src = ('import numpy as np\nfrom . import gf2\nfrom .gf2 import rank\n'
+           'from .base import SET_BIJ\nX = "chain-f2"\n'
+           'def f(x):\n    return x.instance == base.CHAIN_F2\n')
+    assert len(tag_uses("strict", src)) == 3
+    assert len(numeric_imports("strict", src)) == 3
+    assert tag_uses("chainf2", src) == []
+    assert numeric_imports("suites", src) == []
+    assert tag_uses("__init__", "from .base import SET_BIJ\n") == []
+    assert tag_uses("base", "from .setbij import SET_BIJ\n") == []
+    assert len(tag_uses("base", "from .proobj import SET_BIJ\n")) == 1
