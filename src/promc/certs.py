@@ -14,7 +14,7 @@ from .docio import (CERT_SCHEMA, hfamily_to_doc, map_to_doc, obj_to_doc,
                     poset_to_doc, promap_to_doc, proobj_to_doc)
 
 
-def _classes_doc(cls):
+def classes_doc(cls):
     return {"we": cls.is_we, "cof": cls.is_cof, "fib": cls.is_fib}
 
 
@@ -48,7 +48,7 @@ def detect_special_cert(f, result):
     doc["mode"] = result.mode
     doc["ok"] = result.ok
     doc["map"] = _promap_payload(f)
-    doc["verdicts"] = {str(s): _classes_doc(c) for s, c in result.verdicts.items()}
+    doc["verdicts"] = {str(s): classes_doc(c) for s, c in result.verdicts.items()}
     if result.failing is not None:
         doc["failing"] = str(result.failing)
     if result.depth is not None:
@@ -63,9 +63,9 @@ def factorization_cert(fs):
     doc["middle"] = proobj_to_doc(fs.middle)
     doc["left"] = promap_to_doc(fs.left, "src", "mid")
     doc["right"] = promap_to_doc(fs.right, "mid", "tgt")
-    doc["left_verdicts"] = {str(s): _classes_doc(c)
+    doc["left_verdicts"] = {str(s): classes_doc(c)
                             for s, c in fs.left_classes.items()}
-    doc["matching_verdicts"] = {str(s): _classes_doc(c)
+    doc["matching_verdicts"] = {str(s): classes_doc(c)
                                 for s, c in fs.special.verdicts.items()}
     if fs.depth is not None:
         doc["depth"] = fs.depth
@@ -93,9 +93,9 @@ def pro_factor_iso_cert(out, witnesses):
     doc["witnesses"] = hfamily_to_doc(witnesses)
     doc["left_family"] = hfamily_to_doc(out.left_cert.hfamily)
     doc["right_family"] = hfamily_to_doc(out.right_cert.hfamily)
-    doc["left_verdicts"] = {str(s): _classes_doc(c)
+    doc["left_verdicts"] = {str(s): classes_doc(c)
                             for s, c in out.left_classes.items()}
-    doc["right_verdicts"] = {str(s): _classes_doc(c)
+    doc["right_verdicts"] = {str(s): classes_doc(c)
                              for s, c in out.right_classes.items()}
     return doc
 
@@ -104,7 +104,7 @@ def levelwise_we_cert(construction, m, classes, iso_certs):
     doc = _base(m.source.instance, "levelwise-we")
     doc["construction"] = construction
     doc["map"] = _promap_payload(m)
-    doc["verdicts"] = {str(s): _classes_doc(c) for s, c in classes.items()}
+    doc["verdicts"] = {str(s): classes_doc(c) for s, c in classes.items()}
     doc["isos"] = [_iso_payload(c) for c in iso_certs]
     return doc
 
@@ -153,7 +153,7 @@ def matching_cert(f, t, data):
     doc["matching_map"] = map_to_doc(data.map)
     doc["matching_source"] = obj_to_doc(data.map.source)
     doc["matching_target"] = obj_to_doc(data.map.target)
-    doc["classes"] = _classes_doc(classify_map(data.map))
+    doc["classes"] = classes_doc(classify_map(data.map))
     return doc
 
 
@@ -168,7 +168,7 @@ def cocell_cert(tower):
             "attach": {"source": obj_to_doc(st.attach.source),
                        "target": obj_to_doc(st.attach.target),
                        "payload": map_to_doc(st.attach)},
-            "attach_classes": _classes_doc(st.attach_class),
+            "attach_classes": classes_doc(st.attach_class),
             "cone_map": map_to_doc(st.cone_map),
             "bonding": map_to_doc(st.bonding),
             "new_leg": map_to_doc(st.new_leg),

@@ -5,7 +5,9 @@ Subcommands parse a document file (JSON), dispatch the construction,
 print a human-readable report, and optionally write a machine-checkable
 certificate file (sorted-key JSON, byte-identical for identical inputs
 and seeds).  Exit codes: 0 success/verified, 1 property violation or
-failed verification (with a named witness), 2 parse/validation errors.
+failed verification (with a named witness), 2 parse/validation errors,
+3 any other error inside promc, reported on one line as
+``internal error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ def run_command(argv):
     except OSError as e:
         print(f"error: {e}")
         return 2
+    except Exception as e:  # noqa: BLE001 - the last resort: one line, exit 3
+        print(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}")
+        return 3
 
 
 def _dispatch(args, depth):

@@ -27,3 +27,13 @@ class VerificationFailure(PromcError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def fail_on(bad, error=VerificationFailure):
+    """Raise *error* for the failure (where, why) that a claim predicate
+    returned, and nothing for None; a VerificationFailure carries the
+    where as its witness."""
+    if bad is not None:
+        where, why = bad
+        raise error(why, witness=where) if error is VerificationFailure \
+            else error(why)

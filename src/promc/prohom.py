@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .base import BaseObject, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
-                     UnsupportedRegimeError, VerificationFailure)
+                     UnsupportedRegimeError, VerificationFailure, fail_on)
 from .indexing import FINITE, OMEGA, IndexPoset, chain_poset, point_poset
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, constant_over,
                      general_map, identity_pro, level_map, omega_pro_object)
@@ -185,40 +185,37 @@ class IsoCertificate:
     hfamily: HFamily | None = None
     depth: int | None = None
 
-    def replay(self):
-        f = self.forward
+    def failure(self):
+        """The first failed check as (where, why); None when the witnesses
+        prove *forward* a pro-isomorphism."""
+        f, g = self.forward, self.backward
         X, Y = f.source, f.target
-        checked = False
-        if self.backward is not None:
-            g = self.backward
+        if g is None and self.hfamily is None:
+            return None, "certificate has no witness data"
+        if g is not None:
             if g.source is not Y and g.source != Y:
-                raise VerificationFailure("backward source mismatch")
+                return "backward", "backward source mismatch"
             if g.target is not X and g.target != X:
-                raise VerificationFailure("backward target mismatch")
-            gf_ = compose_pro(g, f)
-            if not gf_.equals(identity_pro(X), depth=self.depth):
-                raise VerificationFailure("backward ∘ forward is not the identity",
-                                          witness="backward∘forward")
-            fg = compose_pro(f, g)
-            if not fg.equals(identity_pro(Y), depth=self.depth):
-                raise VerificationFailure("forward ∘ backward is not the identity",
-                                          witness="forward∘backward")
-            checked = True
+                return "backward", "backward target mismatch"
+            if not compose_pro(g, f).equals(identity_pro(X), depth=self.depth):
+                return "backward∘forward", "backward ∘ forward is not the identity"
+            if not compose_pro(f, g).equals(identity_pro(Y), depth=self.depth):
+                return "forward∘backward", "forward ∘ backward is not the identity"
         if self.hfamily is not None:
             if f.kind != LEVEL:
-                raise VerificationFailure("h-family witnesses need a LEVEL map")
-            idx = f.source.index
-            if idx.regime != FINITE:
-                raise VerificationFailure("h-family replay is finite-regime only")
+                return None, "h-family witnesses need a LEVEL map"
+            if f.source.index.regime != FINITE:
+                return None, "h-family replay is finite-regime only"
             bad = hfamily_failure(f, self.hfamily)
             if bad is not None:
                 t, s, what = bad
-                raise VerificationFailure(
-                    f"missing witness for {t}>{s}" if what == "missing"
-                    else f"{what} triangle fails at {t}>{s}", witness=(t, s))
-            checked = True
-        if not checked:
-            raise VerificationFailure("certificate has no witness data")
+                side = {"left": "struct", "right": "target"}.get(what)
+                return (t, s), (f"missing witness for {t}>{s}" if side is None
+                                else f"{what} triangle ({side}) fails at {t}>{s}")
+        return None
+
+    def replay(self):
+        fail_on(self.failure())
 
 
 def is_pro_iso(f, candidate_inverse=None, depth=None):
@@ -434,6 +431,7 @@ class LevelwiseCone:
     apex: ProObject
     legs: dict
     level_cones: dict
+    colimit: bool = False
 
 
 def _induced_structs(pd, cones, colimit=False):
@@ -498,7 +496,7 @@ def pro_colimit_levelwise(pd):
     legs = {v: level_map(pd.nodes[v], apex,
                          {s: cones[s].legs[v] for s in pd.index.elements})
             for v in pd.nodes}
-    return LevelwiseCone(apex=apex, legs=legs, level_cones=cones)
+    return LevelwiseCone(apex=apex, legs=legs, level_cones=cones, colimit=True)
 
 
 # ------------------------------------------------- constants and limits

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base import ACOF_FIB, COF_ACF, classify_map, compose
+from .base import ACOF_FIB, COF_ACF, compose, factor_map
 from .baselim import Cone
-from .errors import PreconditionError, VerificationFailure
+from .errors import PreconditionError, VerificationFailure, fail_on
 from .indexing import FINITE
-from .prohom import (HFamily, IsoCertificate, ProDiagram, hfamily_failure,
-                     pro_colimit_levelwise, pro_limit_levelwise)
-from .proobj import (LEVEL, ProObject, compose_pro, identity_pro, level_map)
-from .strict import MODE_L1, MODE_L2, detect_special, factor_strict, lift_strict
-from .base import factor_map
+from .prohom import (HFamily, IsoCertificate, ProDiagram, pro_colimit_levelwise,
+                     pro_limit_levelwise)
+from .proobj import LEVEL, ProObject, compose_pro, identity_pro, level_map
+from .strict import (ACYCLIC_COF, ACYCLIC_FIB, COF, FIB, MODE_L1, MODE_L2, WE,
+                     class_failure, composite_failure, detect_special,
+                     factor_strict, lift_strict)
 
 
 def _require_level_shared(maps):
@@ -42,13 +43,7 @@ def _require_level_shared(maps):
 
 def verify_witnesses(f, fam):
     """Both triangle identities for a complete family over f's index."""
-    bad = hfamily_failure(f, fam)
-    if bad is not None:
-        t, s, what = bad
-        if what == "missing":
-            raise PreconditionError(f"missing witness for {t}>{s}")
-        side = "struct" if what == "left" else "target"
-        raise PreconditionError(f"witness triangle ({side}) fails at {t}>{s}")
+    fail_on(IsoCertificate(forward=f, hfamily=fam).failure(), PreconditionError)
 
 
 @dataclass
@@ -63,6 +58,19 @@ class ProIsoFactorization:
     right_cert: IsoCertificate = None
     left_classes: dict = field(default_factory=dict)
     right_classes: dict = field(default_factory=dict)
+
+    def failure(self):
+        """The first failed claim as (where, why), None when all hold: the
+        composite is the input, left is a levelwise cofibration and right a
+        levelwise fibration, and both certificates replay.  Records the
+        fresh class verdicts in left_classes and right_classes."""
+        levels = self.input.source.index.elements
+        return (class_failure("left factor", self.left.level_component, COF,
+                              levels, self.left_classes)
+                or class_failure("right factor", self.right.level_component,
+                                 FIB, levels, self.right_classes)
+                or self.left_cert.failure() or self.right_cert.failure()
+                or composite_failure(self.input, self.left, self.right, levels))
 
 
 def pro_factor_iso(f, witnesses, base_mode=COF_ACF):
@@ -101,67 +109,56 @@ def pro_factor_iso(f, witnesses, base_mode=COF_ACF):
                   structs=structs)
     left = level_map(X, Z, c)
     right = level_map(Z, Y, q)
-    left_classes = {s: classify_map(c[s]) for s in idx.elements}
-    right_classes = {s: classify_map(q[s]) for s in idx.elements}
-    for s in idx.elements:
-        if not left_classes[s].is_cof:
-            raise VerificationFailure(f"left factor not a cofibration at {s}")
-        if not right_classes[s].is_fib:
-            raise VerificationFailure(f"right factor not a fibration at {s}")
     left_fam = HFamily({(t, s): compose(witnesses.get(t, s), q[t])
                         for t in idx.elements for s in idx.elements
                         if idx.lt(s, t)})
     right_fam = HFamily({(t, s): compose(c[s], witnesses.get(t, s))
                          for t in idx.elements for s in idx.elements
                          if idx.lt(s, t)})
-    left_cert = IsoCertificate(forward=left, hfamily=left_fam)
-    left_cert.replay()
-    right_cert = IsoCertificate(forward=right, hfamily=right_fam)
-    right_cert.replay()
-    out = ProIsoFactorization(middle=Z, left=left, right=right,
-                              left_cert=left_cert, right_cert=right_cert,
-                              left_classes=left_classes,
-                              right_classes=right_classes)
-    out.input = f
-    for s in idx.elements:
-        if compose(q[s], c[s]) != f.level_component(s):
-            raise VerificationFailure(f"composite differs at level {s}")
+    out = ProIsoFactorization(
+        input=f, middle=Z, left=left, right=right,
+        left_cert=IsoCertificate(forward=left, hfamily=left_fam),
+        right_cert=IsoCertificate(forward=right, hfamily=right_fam))
+    fail_on(out.failure())
     return out
 
 
-def _mediate_level_map(cone_result, source_pro, legs):
-    """LEVEL map into a levelwise-limit apex from per-node LEVEL maps."""
-    idx = source_pro.index
+def _mediate(cone, other, legs):
+    """The LEVEL map between *other* and the apex of the levelwise (co)limit
+    *cone* that mediates the per-node LEVEL maps *legs*: into the apex for
+    a limit, out of it for a colimit."""
     comps = {}
-    for s in idx.elements:
-        lc = cone_result.level_cones[s]
-        comps[s] = lc.mediate(Cone(lc.diagram, source_pro.value(s),
+    for s in other.index.elements:
+        lc = cone.level_cones[s]
+        comps[s] = lc.mediate(Cone(lc.diagram, other.value(s),
                                    {v: m.level_component(s)
                                     for v, m in legs.items()}))
-    return level_map(source_pro, cone_result.apex, comps)
+    if cone.colimit:
+        return level_map(cone.apex, other, comps)
+    return level_map(other, cone.apex, comps)
 
 
-def _mediate_level_comap(cone_result, target_pro, legs):
-    """LEVEL map out of a levelwise-colimit apex from per-node LEVEL maps."""
-    idx = target_pro.index
-    comps = {}
-    for s in idx.elements:
-        lc = cone_result.level_cones[s]
-        comps[s] = lc.mediate(Cone(lc.diagram, target_pro.value(s),
-                                   {v: m.level_component(s)
-                                    for v, m in legs.items()}))
-    return level_map(cone_result.apex, target_pro, comps)
+def _mediated_family(cone, other, legs):
+    """The h-family {h_ts, t > s} between *other* and the apex of the
+    levelwise (co)limit *cone*, each h_ts mediating the cone legs(t, s):
+    from other_t into the limit at s, or out of the colimit at t into
+    other_s."""
+    idx = other.index
+    pairs = {}
+    for t in idx.elements:
+        for s in idx.elements:
+            if idx.lt(s, t):
+                lc = cone.level_cones[t if cone.colimit else s]
+                pairs[(t, s)] = lc.mediate(Cone(
+                    lc.diagram, other.value(s if cone.colimit else t),
+                    legs(t, s)))
+    return HFamily(pairs)
 
 
 def _level_classes_we(m):
     out = {}
-    for s in m.source.index.elements:
-        cls = classify_map(m.level_component(s))
-        out[s] = cls
-        if not cls.is_we:
-            raise VerificationFailure(
-                f"expected a levelwise weak equivalence; fails at {s}",
-                witness=s)
+    fail_on(class_failure("map", m.level_component, WE,
+                          m.source.index.elements, out))
     return out
 
 
@@ -218,20 +215,16 @@ def compose_zigzag_we(f, h, g, witnesses):
     _level_classes_we(push.legs["a"])
     composite = compose_pro(push.legs["a"], pull.legs["a"])
     classes = _level_classes_we(composite)
-    eta = HFamily({(t, s): pull.level_cones[s].mediate(Cone(
-        pull.level_cones[s].diagram, X.value(t),
-        {"x": X.struct(t, s),
-         "a": compose(pf.right_cert.hfamily.get(t, s), f.level_component(t)),
-         "y": compose(f.level_component(s), X.struct(t, s))}))
-        for t in idx.elements for s in idx.elements if idx.lt(s, t)})
+    eta = _mediated_family(pull, X, lambda t, s: {
+        "x": X.struct(t, s),
+        "a": compose(pf.right_cert.hfamily.get(t, s), f.level_component(t)),
+        "y": compose(f.level_component(s), X.struct(t, s))})
     cert_src = IsoCertificate(forward=pull.legs["x"], hfamily=eta)
     cert_src.replay()
-    kappa = HFamily({(t, s): push.level_cones[t].mediate(Cone(
-        push.level_cones[t].diagram, W.value(s),
-        {"a": compose(g.level_component(s), pf.left_cert.hfamily.get(t, s)),
-         "w": W.struct(t, s),
-         "z": compose(g.level_component(s), Z.struct(t, s))}))
-        for t in idx.elements for s in idx.elements if idx.lt(s, t)})
+    kappa = _mediated_family(push, W, lambda t, s: {
+        "a": compose(g.level_component(s), pf.left_cert.hfamily.get(t, s)),
+        "w": W.struct(t, s),
+        "z": compose(g.level_component(s), Z.struct(t, s))})
     cert_tgt = IsoCertificate(forward=push.legs["w"], hfamily=kappa)
     cert_tgt.replay()
     out = ZigzagWeResult(map=composite, level_classes=classes,
@@ -261,79 +254,53 @@ def two_of_three(side, top, left, right, bottom, witnesses):
     u: X->Y, right v: W->Z levelwise we; bottom g: Y->Z the subject.
     Returns B -> Z levelwise we with B ≅ Y.
     """
+    if side not in ("left-cancel", "right-cancel"):
+        raise PreconditionError(f"unknown side {side!r}")
     idx = _require_level_shared([("top", top), ("left", left),
                                  ("right", right), ("bottom", bottom)])
+    _level_classes_we(left)
+    _level_classes_we(right)
+    for s in idx.elements:
+        if compose(bottom.level_component(s), left.level_component(s)) != \
+                compose(right.level_component(s), top.level_component(s)):
+            raise PreconditionError(f"square does not commute at level {s}")
     if side == "left-cancel":
-        _level_classes_we(left)
-        _level_classes_we(right)
-        for s in idx.elements:
-            if compose(bottom.level_component(s), left.level_component(s)) != \
-                    compose(right.level_component(s), top.level_component(s)):
-                raise PreconditionError(f"square does not commute at level {s}")
         pf = pro_factor_iso(bottom, witnesses, base_mode=ACOF_FIB)
-        for s in idx.elements:
-            if not (pf.left_classes[s].is_cof and
-                    classify_map(pf.left.level_component(s)).is_we):
-                raise VerificationFailure(
-                    f"refined left factor not an acyclic cofibration at {s}")
-        X, Y, Z, W, A = (top.source, top.target, bottom.target,
-                         bottom.source, pf.middle)
+        fail_on(class_failure("refined left factor", pf.left.level_component,
+                              ACYCLIC_COF, idx.elements))
+        X, Y, Z, A = top.source, top.target, bottom.target, pf.middle
         pull = pro_limit_levelwise(ProDiagram(
             idx, {"a": A, "y": Y, "z": Z},
             [("a", "z", pf.right), ("y", "z", right)]))
-        B = pull.apex
-        fprime = _mediate_level_map(pull, X, {
-            "a": compose_pro(pf.left, left),
-            "y": top,
-            "z": compose_pro(right, top)})
-        classes = _level_classes_we(fprime)
-        fam = HFamily({(t, s): pull.level_cones[s].mediate(Cone(
-            pull.level_cones[s].diagram, Y.value(t),
-            {"y": Y.struct(t, s),
-             "a": compose(pf.right_cert.hfamily.get(t, s),
-                          right.level_component(t)),
-             "z": compose(right.level_component(s), Y.struct(t, s))}))
-            for t in idx.elements for s in idx.elements if idx.lt(s, t)})
+        out = _mediate(pull, X, {"a": compose_pro(pf.left, left), "y": top,
+                                 "z": compose_pro(right, top)})
+        classes = _level_classes_we(out)
+        fam = _mediated_family(pull, Y, lambda t, s: {
+            "y": Y.struct(t, s),
+            "a": compose(pf.right_cert.hfamily.get(t, s),
+                         right.level_component(t)),
+            "z": compose(right.level_component(s), Y.struct(t, s))})
         cert = IsoCertificate(forward=pull.legs["y"], hfamily=fam)
-        cert.replay()
-        return TwoOfThreeResult(map=fprime, level_classes=classes,
-                                cancel_cert=cert, factorization=pf)
-    if side == "right-cancel":
-        _level_classes_we(left)
-        _level_classes_we(right)
-        for s in idx.elements:
-            if compose(right.level_component(s), top.level_component(s)) != \
-                    compose(bottom.level_component(s), left.level_component(s)):
-                raise PreconditionError(f"square does not commute at level {s}")
+    else:
         pf = pro_factor_iso(top, witnesses, base_mode=COF_ACF)
-        for s in idx.elements:
-            if not (pf.right_classes[s].is_fib and
-                    classify_map(pf.right.level_component(s)).is_we):
-                raise VerificationFailure(
-                    f"refined right factor not an acyclic fibration at {s}")
-        X, W, Y, Z, A = (top.source, top.target, bottom.source,
-                         bottom.target, pf.middle)
+        fail_on(class_failure("refined right factor", pf.right.level_component,
+                              ACYCLIC_FIB, idx.elements))
+        X, Y, Z, A = top.source, bottom.source, bottom.target, pf.middle
         push = pro_colimit_levelwise(ProDiagram(
             idx, {"a": A, "y": Y, "x": X},
             [("x", "a", pf.left), ("x", "y", left)]))
-        B = push.apex
-        gprime = _mediate_level_comap(push, Z, {
-            "a": compose_pro(right, pf.right),
-            "y": bottom,
-            "x": compose_pro(bottom, left)})
-        classes = _level_classes_we(gprime)
-        fam = HFamily({(t, s): push.level_cones[t].mediate(Cone(
-            push.level_cones[t].diagram, Y.value(s),
-            {"a": compose(left.level_component(s),
-                          pf.left_cert.hfamily.get(t, s)),
-             "y": Y.struct(t, s),
-             "x": compose(left.level_component(s), X.struct(t, s))}))
-            for t in idx.elements for s in idx.elements if idx.lt(s, t)})
+        out = _mediate(push, Z, {"a": compose_pro(right, pf.right),
+                                 "y": bottom, "x": compose_pro(bottom, left)})
+        classes = _level_classes_we(out)
+        fam = _mediated_family(push, Y, lambda t, s: {
+            "a": compose(left.level_component(s),
+                         pf.left_cert.hfamily.get(t, s)),
+            "y": Y.struct(t, s),
+            "x": compose(left.level_component(s), X.struct(t, s))})
         cert = IsoCertificate(forward=push.legs["y"], hfamily=fam)
-        cert.replay()
-        return TwoOfThreeResult(map=gprime, level_classes=classes,
-                                cancel_cert=cert, factorization=pf)
-    raise PreconditionError(f"unknown side {side!r}")
+    cert.replay()
+    return TwoOfThreeResult(map=out, level_classes=classes, cancel_cert=cert,
+                            factorization=pf)
 
 
 # --------------------------------------------------------------- retracts
@@ -380,17 +347,12 @@ def retract_exhibit(f, kind, special=None):
     the retract grid.  kind "acyclic-fib": dual; f must carry a
     special-fibration certificate (supplied or detected)."""
     idx = _require_level_shared([("f", f)])
-    classes = {s: classify_map(f.level_component(s)) for s in idx.elements}
     if kind == "acyclic-cof":
-        for s in idx.elements:
-            if not (classes[s].is_we and classes[s].is_cof):
-                raise PreconditionError(
-                    f"need levelwise we + cof presentations; fails at {s}")
+        fail_on(class_failure("f", f.level_component, ACYCLIC_COF,
+                              idx.elements), PreconditionError)
         fs = factor_strict(f, MODE_L1)
-        for s in idx.elements:
-            if not classify_map(fs.left.level_component(s)).is_we:
-                raise VerificationFailure(
-                    f"factor left side not acyclic at {s}")
+        fail_on(class_failure("factor left side", fs.left.level_component, WE,
+                              idx.elements))
         lift = lift_strict(f, fs.right, fs.left, identity_pro(f.target),
                            mode=MODE_L1, special=fs.special)
         grid = RetractDiagram(f=f, g=fs.left,
@@ -400,21 +362,12 @@ def retract_exhibit(f, kind, special=None):
         grid.replay()
         return grid
     if kind == "acyclic-fib":
-        for s in idx.elements:
-            if not classes[s].is_we:
-                raise PreconditionError(
-                    f"need a levelwise we presentation; fails at {s}")
-        from .strict import FIB
-        if special is None:
-            special = detect_special(f, FIB)
-        if special.mode != FIB:
-            raise PreconditionError("certificate must be for special fibrations")
-        special.require()
+        fail_on(class_failure("f", f.level_component, WE, idx.elements),
+                PreconditionError)
+        special = (special or detect_special(f, FIB)).require()
         fs = factor_strict(f, MODE_L1)
-        for s in idx.elements:
-            if not classify_map(fs.left.level_component(s)).is_we:
-                raise VerificationFailure(
-                    f"factor left side not acyclic at {s}")
+        fail_on(class_failure("factor left side", fs.left.level_component, WE,
+                              idx.elements))
         lift = lift_strict(fs.left, f, identity_pro(f.source), fs.right,
                            mode=MODE_L2, special=special)
         grid = RetractDiagram(f=f, g=fs.right,
@@ -447,9 +400,8 @@ def proper_pullback(p, f, g, witnesses):
     levelwise-we certificate and the pro-iso W×_Y X ≅ X."""
     idx = _require_level_shared([("p", p), ("f", f), ("g", g)])
     _level_classes_we(f)
-    for s in idx.elements:
-        if not classify_map(p.level_component(s)).is_fib:
-            raise PreconditionError(f"p not a levelwise fibration at {s}")
+    fail_on(class_failure("p", p.level_component, FIB, idx.elements),
+            PreconditionError)
     verify_witnesses(g, witnesses)
     Z, W, Y, X = f.source, f.target, p.target, p.source
     gf = compose_pro(g, f)
@@ -457,20 +409,17 @@ def proper_pullback(p, f, g, witnesses):
                                         [("w", "y", g), ("x", "y", p)]))
     zx = pro_limit_levelwise(ProDiagram(idx, {"z": Z, "x": X, "y": Y},
                                         [("z", "y", gf), ("x", "y", p)]))
-    fprime = _mediate_level_map(wx, zx.apex, {
+    fprime = _mediate(wx, zx.apex, {
         "w": compose_pro(f, zx.legs["z"]),
         "x": zx.legs["x"],
         "y": compose_pro(gf, zx.legs["z"])})
     classes = _level_classes_we(fprime)
-    for s in idx.elements:
-        if not classify_map(wx.legs["w"].level_component(s)).is_fib:
-            raise VerificationFailure(f"pulled-back fibration fails at {s}")
-    fam = HFamily({(t, s): wx.level_cones[s].mediate(Cone(
-        wx.level_cones[s].diagram, X.value(t),
-        {"w": compose(witnesses.get(t, s), p.level_component(t)),
-         "x": X.struct(t, s),
-         "y": compose(p.level_component(s), X.struct(t, s))}))
-        for t in idx.elements for s in idx.elements if idx.lt(s, t)})
+    fail_on(class_failure("pulled-back fibration", wx.legs["w"].level_component,
+                          FIB, idx.elements))
+    fam = _mediated_family(wx, X, lambda t, s: {
+        "w": compose(witnesses.get(t, s), p.level_component(t)),
+        "x": X.struct(t, s),
+        "y": compose(p.level_component(s), X.struct(t, s))})
     cert = IsoCertificate(forward=wx.legs["x"], hfamily=fam)
     cert.replay()
     return ProperPullbackResult(map=fprime, level_classes=classes,

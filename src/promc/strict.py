@@ -7,6 +7,13 @@ order (ω levels in numeric order), so certificates are reproducible.
 The matching object at level t is the limit of the diagram holding all
 X_s, Y_s for s < t together with Y_t; at a minimal t it degenerates to
 Y_t and the matching map is the component itself.
+
+The mode table ``MODES`` and the class table ``CLASSES`` are the only
+place that reads a mode or class tag.  Each certified claim has one
+predicate that returns its first failure as (where, why), or None:
+``class_failure``, ``composite_failure``, ``StrictFactorization.failure``,
+``square_failure`` and ``triangle_failure``.  The constructions raise on
+them, and ``verify`` replays certificates through the same ones.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 from .base import (ACOF_FIB, COF_ACF, BaseMap, classify_map, compose,
                    factor_map, solve_lift)
 from .baselim import Cone, Diagram, finite_limit
-from .errors import (PreconditionError, UnsupportedRegimeError,
-                     VerificationFailure)
+from .errors import (MalformedError, PreconditionError, UnsupportedRegimeError,
+                     VerificationFailure, fail_on)
 from .indexing import FINITE, OMEGA, linear_extension
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, general_map,
                      level_map, omega_pro_object)
@@ -27,6 +34,67 @@ MODE_L2 = "L2"  # levelwise acyclic cofibration then special fibration
 
 FIB = "fib"
 ACYCLIC_FIB = "acyclic-fib"
+COF = "cof"
+ACYCLIC_COF = "acyclic-cof"
+WE = "we"
+
+# Each class a construction certifies, as a test of a map's class flags.
+CLASSES = {
+    COF: lambda c: c.is_cof,
+    ACYCLIC_COF: lambda c: c.is_cof and c.is_we,
+    FIB: lambda c: c.is_fib,
+    ACYCLIC_FIB: lambda c: c.is_fib and c.is_we,
+    WE: lambda c: c.is_we,
+}
+
+# mode -> (base factorization mode, class of the left factor, class of
+# the relative matching maps of the right factor)
+MODES = {MODE_L1: (COF_ACF, COF, ACYCLIC_FIB),
+         MODE_L2: (ACOF_FIB, ACYCLIC_COF, FIB)}
+
+
+def _lookup(table, key, what):
+    row = table.get(key) if isinstance(key, str) else None
+    if row is None:
+        raise MalformedError(f"unknown {what} {key!r}")
+    return row
+
+
+def mode_classes(mode):
+    """(base factorization mode, left class, special class) of mode L1 or
+    L2; MalformedError for any other mode."""
+    return _lookup(MODES, mode, "mode")
+
+
+def class_test(tag):
+    """The test of class flags for the class named *tag*; MalformedError
+    for an unknown tag."""
+    return _lookup(CLASSES, tag, "class")
+
+
+def class_failure(what, component, tag, levels, classes=None):
+    """The first of *levels* at which the base map component(level) is
+    not in class *tag*, as (level, why), naming the map *what*; None when
+    every one is.  Each level's class flags go into the dict *classes*
+    when one is given."""
+    test = class_test(tag)
+    for s in levels:
+        cls = classify_map(component(s))
+        if classes is not None:
+            classes[s] = cls
+        if not test(cls):
+            return s, f"{what} not in class {tag} at level {s}"
+    return None
+
+
+def composite_failure(f, left, right, levels):
+    """The first of *levels* at which right ∘ left differs from f, as
+    (level, why); None when the composite is f at every level."""
+    for s in levels:
+        if compose(right.level_component(s), left.level_component(s)) != \
+                f.level_component(s):
+            return s, f"composite differs at level {s}"
+    return None
 
 
 @dataclass
@@ -110,18 +178,14 @@ def detect_special(f, mode, depth=None):
     (mode "fib") or acyclic fibration (mode "acyclic-fib"), or the first
     failing level."""
     if mode not in (FIB, ACYCLIC_FIB):
-        raise PreconditionError(f"unknown special mode {mode!r}")
+        raise MalformedError(f"unknown special mode {mode!r}")
     verdicts = {}
     idx = f.source.index
     d = (depth if depth is not None else idx.depth) if idx.regime == OMEGA else None
-    for t in _levels_in_order(f, depth):
-        cls = classify_map(matching_map(f, t).map)
-        verdicts[t] = cls
-        good = cls.is_fib if mode == FIB else (cls.is_fib and cls.is_we)
-        if not good:
-            return SpecialResult(mode=mode, ok=False, verdicts=verdicts,
-                                 failing=t, depth=d)
-    return SpecialResult(mode=mode, ok=True, verdicts=verdicts, depth=d)
+    bad = class_failure("matching map", lambda t: matching_map(f, t).map, mode,
+                        _levels_in_order(f, depth), verdicts)
+    return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
+                         failing=None if bad is None else bad[0], depth=d)
 
 
 # ------------------------------------------------------------ factor_strict
@@ -136,18 +200,33 @@ class StrictFactorization:
     middle: ProObject
     left: ProMap
     right: ProMap
-    matching: dict
-    left_classes: dict
-    special: SpecialResult
+    matching: dict = None
+    left_classes: dict = None
+    special: SpecialResult = None
     depth: int | None = None
 
     def replay_composite(self):
-        for s in self.input.target.index.carrier(self.depth):
-            lhs = compose(self.right.level_component(s),
-                          self.left.level_component(s))
-            if lhs != self.input.level_component(s):
-                raise VerificationFailure(f"composite differs at level {s}",
-                                          witness=s)
+        fail_on(composite_failure(self.input, self.left, self.right,
+                                  self.input.target.index.carrier(self.depth)))
+
+    def failure(self):
+        """The first failed postcondition as (level, why), None when all
+        hold: right ∘ left is the input, left is in the mode's class at
+        every level and right is special.  Records the fresh verdicts in
+        left_classes and special."""
+        _, left_class, special_class = mode_classes(self.mode)
+        levels = self.input.target.index.carrier(self.depth)
+        self.left_classes = {}
+        bad = (composite_failure(self.input, self.left, self.right, levels)
+               or class_failure("left factor", self.left.level_component,
+                                left_class, levels, self.left_classes))
+        if bad is not None:
+            return bad
+        self.special = detect_special(self.right, special_class, self.depth)
+        t = self.special.failing
+        if not self.special.ok:
+            return t, f"right factor not a special {special_class} at level {t}"
+        return None
 
 
 class _FactorState:
@@ -156,7 +235,7 @@ class _FactorState:
     def __init__(self, f, mode):
         self.f = f
         self.mode = mode
-        self.base_mode = COF_ACF if mode == MODE_L1 else ACOF_FIB
+        self.base_mode = mode_classes(mode)[0]
         self.X, self.Y = f.source, f.target
         self.idx = self.X.index
         self.done = []
@@ -200,8 +279,6 @@ def factor_strict(f, mode, depth=None):
     if f.kind != LEVEL:
         raise PreconditionError("factor_strict needs a LEVEL presentation; "
                                 "levelize first")
-    if mode not in (MODE_L1, MODE_L2):
-        raise PreconditionError(f"unknown mode {mode!r}")
     state = _FactorState(f, mode)
     idx = f.source.index
     if idx.regime == OMEGA:
@@ -215,22 +292,10 @@ def factor_strict(f, mode, depth=None):
 
 
 def _finish_factorization(f, mode, Z, left, right, state, depth):
-    left_classes = {}
-    for s in Z.index.carrier(depth):
-        cls = classify_map(left.level_component(s))
-        left_classes[s] = cls
-        want = cls.is_cof if mode == MODE_L1 else (cls.is_cof and cls.is_we)
-        if not want:
-            raise VerificationFailure(
-                f"left factor fails its class at level {s}", witness=s)
-    special = detect_special(right, ACYCLIC_FIB if mode == MODE_L1 else FIB,
-                             depth=depth)
-    special.require()
     out = StrictFactorization(input=f, mode=mode, middle=Z, left=left,
                               right=right, matching=dict(state.matching),
-                              left_classes=left_classes, special=special,
                               depth=depth)
-    out.replay_composite()
+    fail_on(out.failure())
     return out
 
 
@@ -278,17 +343,43 @@ class LiftResult:
     components: dict    # s -> base map B_{a(s)} -> X_s
 
 
-def _check_pro_square(i, p, top, bottom):
-    if top.source is not i.source and top.source != i.source:
-        raise PreconditionError("top/left corner mismatch")
-    if bottom.source is not i.target and bottom.source != i.target:
-        raise PreconditionError("bottom/left corner mismatch")
-    if top.target is not p.source and top.target != p.source:
-        raise PreconditionError("top/right corner mismatch")
-    if bottom.target is not p.target and bottom.target != p.target:
-        raise PreconditionError("bottom/right corner mismatch")
+def square_failure(i, p, top, bottom, mode, special=None):
+    """Why (i, p, top, bottom) is not a square that lift_strict solves in
+    *mode*, as (where, why): its corners do not line up, it does not
+    commute in pro-hom, i is not in the mode's left class at some level,
+    or p is not special.  None when it is one.  *special* is p's
+    detect_special result, computed here when None."""
+    for corner, a, b in (("top/left", top.source, i.source),
+                         ("bottom/left", bottom.source, i.target),
+                         ("top/right", top.target, p.source),
+                         ("bottom/right", bottom.target, p.target)):
+        if a is not b and a != b:
+            return corner, f"{corner} corner mismatch"
     if not compose_pro(p, top).equals(compose_pro(bottom, i)):
-        raise PreconditionError("square does not commute in pro-hom")
+        return None, "square does not commute in pro-hom"
+    _, left_class, special_class = mode_classes(mode)
+    bad = class_failure("left map", i.level_component, left_class,
+                        i.source.index.elements)
+    if bad is not None:
+        return bad
+    if special is None:
+        special = detect_special(p, special_class)
+    if special.mode != special_class:
+        return None, "special certificate has the wrong mode"
+    if not special.ok:
+        return special.failing, \
+            f"right map not special at level {special.failing}"
+    return None
+
+
+def triangle_failure(i, p, top, bottom, lift):
+    """The triangle of a lift that fails, as (where, why); None when
+    lift ∘ i = top and p ∘ lift = bottom in pro-hom."""
+    if not compose_pro(lift, i).equals(top):
+        return "top", "lift fails the top triangle"
+    if not compose_pro(p, lift).equals(bottom):
+        return "bottom", "lift fails the bottom triangle"
+    return None
 
 
 def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
@@ -310,17 +401,7 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
         raise UnsupportedRegimeError("lift_strict runs in the finite regime")
     if p.source.index != idx:
         raise PreconditionError("square must share one index; levelize first")
-    _check_pro_square(i, p, top, bottom)
-    for s in idx.elements:
-        cls = classify_map(i.level_component(s))
-        need = cls.is_cof if mode == MODE_L1 else (cls.is_cof and cls.is_we)
-        if not need:
-            raise PreconditionError(f"left map fails its class at level {s}")
-    if special is None:
-        special = detect_special(p, ACYCLIC_FIB if mode == MODE_L1 else FIB)
-    if special.mode != (ACYCLIC_FIB if mode == MODE_L1 else FIB):
-        raise PreconditionError("special certificate has the wrong mode")
-    special.require()
+    fail_on(square_failure(i, p, top, bottom, mode, special), PreconditionError)
 
     A, B = i.source, i.target
     X = p.source
@@ -372,10 +453,7 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
                 f"no refinement level admits a lift at {s}", witness=s)
 
     lift = general_map(B, X, {s: (a_of[s], comps[s]) for s in idx.elements})
-    if not compose_pro(lift, i).equals(top):
-        raise VerificationFailure("lift fails the top triangle")
-    if not compose_pro(p, lift).equals(bottom):
-        raise VerificationFailure("lift fails the bottom triangle")
+    fail_on(triangle_failure(i, p, top, bottom, lift))
     return LiftResult(lift=lift, level_index=a_of, components=comps)
 
 

@@ -297,8 +297,8 @@ def suite_factorization(instance, trials, seed, max_elems=5):
 
 def suite_lifting(instance, trials, seed, max_elems=4):
     """Squares assembled from factorization outputs; both pairings."""
-    from .proobj import identity_pro
-    from .strict import MODE_L1, MODE_L2, factor_strict, lift_strict
+    from .strict import (MODE_L1, MODE_L2, factor_strict, lift_strict,
+                         triangle_failure)
     instance = instance_of(instance)
     rep = SuiteReport(name=f"lifting[{instance.tag}]", trials=trials)
     for k, rng in _gen_instances(seed, trials):
@@ -308,23 +308,15 @@ def suite_lifting(instance, trials, seed, max_elems=4):
         try:
             fs = factor_strict(q, mode)
             j, p = fs.left, fs.right
+            i, bottom = j, p
             if k % 3 == 2:
                 # nested square: refactor the cofibration side again
                 fs2 = factor_strict(j, mode)
-                i2 = fs2.left
-                bottom = compose_pro(p, fs2.right)
-                res = lift_strict(i2, p, j, bottom, mode=mode,
-                                  special=fs.special)
-                if not compose_pro(res.lift, i2).equals(j):
-                    rep.failures.append((k, mode, "nested top triangle"))
-                if not compose_pro(p, res.lift).equals(bottom):
-                    rep.failures.append((k, mode, "nested bottom triangle"))
-            else:
-                res = lift_strict(j, p, j, p, mode=mode, special=fs.special)
-                if not compose_pro(res.lift, j).equals(j):
-                    rep.failures.append((k, mode, "top triangle"))
-                if not compose_pro(p, res.lift).equals(p):
-                    rep.failures.append((k, mode, "bottom triangle"))
+                i, bottom = fs2.left, compose_pro(p, fs2.right)
+            res = lift_strict(i, p, j, bottom, mode=mode, special=fs.special)
+            bad = triangle_failure(i, p, j, bottom, res.lift)
+            if bad is not None:
+                rep.failures.append((k, mode, bad[1]))
         except Exception as e:  # noqa: BLE001
             rep.failures.append((k, mode, repr(e)))
     return rep
@@ -338,12 +330,9 @@ def suite_pro_factor_iso(instance, trials, seed, length=2):
     for k, rng in _gen_instances(seed, trials):
         try:
             f, wit = gen_shift_iso(rng, instance, length=length, **instance.small_sizes)
-            out = pro_factor_iso(f, wit)
-            out.left_cert.replay()
-            out.right_cert.replay()
-            for s in f.source.index.elements:
-                if not out.left_classes[s].is_cof or not out.right_classes[s].is_fib:
-                    rep.failures.append((k, s, "classes"))
+            bad = pro_factor_iso(f, wit).failure()
+            if bad is not None:
+                rep.failures.append((k, *bad))
         except Exception as e:  # noqa: BLE001
             rep.failures.append((k, repr(e)))
     return rep

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from .base import BaseMap, BaseObject, classify_map, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_limit
 from .errors import (PreconditionError, UnsupportedRegimeError,
-                     VerificationFailure)
+                     VerificationFailure, fail_on)
 from .indexing import FINITE, OMEGA, linear_extension
 from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
 from .proobj import (LEVEL, ProObject, compose_pro, general_map,
                      identity_pro, level_map, omega_pro_object)
-from .strict import FIB, detect_special, matching_map
+from .strict import FIB, class_test, detect_special, matching_map
 
 
 @dataclass
@@ -61,16 +61,26 @@ class Tower:
     def replay_base_changes(self):
         """Re-check every bonding square: it commutes, the stage embeds in
         the honest pullback, and the attach map has its declared class."""
-        for k, st in enumerate(self.stages):
-            cls = classify_map(st.attach)
-            ok = cls.is_fib if self.class_tag == FIB else (cls.is_fib and cls.is_we)
-            if not ok:
-                raise VerificationFailure(
-                    f"attach map at stage {k} is not in class {self.class_tag}",
-                    witness=st.level)
-            bad = stage_failure(st.attach, st.cone_map, st.bonding, st.new_leg)
-            if bad is not None:
-                raise VerificationFailure(f"stage {k}: {bad}", witness=st.level)
+        fail_on(tower_failure(self.class_tag, self.stages))
+
+
+def tower_failure(class_tag, stages, classes=None):
+    """The first stage that is not a base change of a map of class
+    *class_tag*, as (level, why): its attach map is not in the class, or
+    the stage is not the pullback along it.  None when every stage is.
+    Each attach map's class flags are appended to the list *classes* when
+    one is given."""
+    test = class_test(class_tag)
+    for k, st in enumerate(stages):
+        cls = classify_map(st.attach)
+        if classes is not None:
+            classes.append(cls)
+        if not test(cls):
+            return st.level, f"attach map at stage {k} is not in class {class_tag}"
+        bad = stage_failure(st.attach, st.cone_map, st.bonding, st.new_leg)
+        if bad is not None:
+            return st.level, f"stage {k}: {bad}"
+    return None
 
 
 def stage_failure(attach, cone_map, bonding, new_leg):

@@ -1,34 +1,38 @@
 """
-Independent certificate replay.
+Certificate replay.
 
-Rebuilds every object and map from the certificate document and
-re-derives every claim.  Replay shares with the construction side only
-operations whose results the construction cannot choose: base
-classification, composition, finite limits, the relative matching limit
-(``strict.matching_map``), the h-family triangle check
-(``prohom.hfamily_failure``) and the cocell pullback check
-(``towers.stage_failure``).
+Rebuilds every object and map from the certificate document and checks
+each claim with the predicate its construction checks itself with: the
+strict-factorization postconditions (``StrictFactorization.failure``),
+the lift's square and triangles (``strict.square_failure``,
+``strict.triangle_failure``), special detection (``detect_special``),
+pro-isomorphisms (``IsoCertificate.failure``), the pro-iso
+factorization (``ProIsoFactorization.failure``), levelwise classes
+(``strict.class_failure``), the relative matching map
+(``strict.matching_map``) and cocell towers (``towers.tower_failure``).
+Replay keeps no check of its own for any of these claims.
 
-It never takes what the construction chose from the certificate
-unchecked: the lift components, with the refinement levels a(s) they
-carry, are accepted only through the two lift triangles, and the
-separate ``level_index`` record must name the same a(s) at every level;
-middle objects only through the composite, the class verdicts of the
-factors and the matching maps recomputed over them; and every recorded
-verdict is compared with a fresh classification.
+It takes nothing recorded unchecked: every claim is re-derived from the
+rebuilt maps, every recorded class verdict must equal the fresh one, the
+separate ``level_index`` record of a lift must name the refinement level
+a(s) its components carry, and a mode, class tag or ``ok`` flag that
+names nothing known is refused as malformed.
 """
 
 from __future__ import annotations
 
-from .base import classify_map, compose, instance_of
+from .base import classify_map, instance_of
+from .certs import classes_doc
 from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
                     poset_from_doc, promap_from_doc, proobj_from_doc)
-from .errors import MalformedError, VerificationFailure
-from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
-from .prohom import hfamily_failure
-from .proobj import LEVEL, compose_pro, identity_pro
-from .strict import matching_map
-from .towers import stage_failure
+from .errors import MalformedError, VerificationFailure, fail_on
+from .indexing import DEFAULT_DEPTH, FINITE
+from .prohom import IsoCertificate
+from .proiso import ProIsoFactorization
+from .proobj import LEVEL, compose_pro
+from .strict import (WE, StrictFactorization, class_failure, detect_special,
+                     matching_map, square_failure, triangle_failure)
+from .towers import TowerStage, tower_failure
 
 
 def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
@@ -39,60 +43,33 @@ def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
     return promap_from_doc(instance, payload, src, tgt)
 
 
-def _check_classes(cls, doc, where):
-    if (cls.is_we, cls.is_cof, cls.is_fib) != (doc["we"], doc["cof"], doc["fib"]):
+def _verdict(cls, recorded, where):
+    if recorded != classes_doc(cls):
         raise VerificationFailure(f"recorded classes differ at {where}",
                                   witness=where)
 
 
-def _special_levels(f, mode, verdicts, ok, failing, depth):
-    idx = f.source.index
-    levels = (list(linear_extension(idx)) if idx.regime == FINITE
-              else list(range(depth if depth else DEFAULT_DEPTH)))
-    for t in levels:
-        key = str(t)
-        cls = classify_map(matching_map(f, t).map)
-        if key in verdicts:
-            _check_classes(cls, verdicts[key], f"matching level {t}")
-        good = cls.is_fib if mode == "fib" else (cls.is_fib and cls.is_we)
-        if not good:
-            if ok:
-                raise VerificationFailure(
-                    f"certified special {mode} fails at level {t}", witness=t)
-            if failing is not None and str(failing) == key:
-                return  # the recorded failure reproduces
-            raise VerificationFailure(
-                f"failure at unexpected level {t}", witness=t)
-    if not ok:
-        raise VerificationFailure("recorded failure did not reproduce",
-                                  witness=failing)
+def _verdicts(fresh, recorded, what):
+    """Every recorded verdict of the table *recorded* against the fresh
+    class flags of the same level."""
+    if not isinstance(recorded, dict):
+        raise MalformedError(f"{what} verdicts are not an object")
+    if set(recorded) != {str(s) for s in fresh}:
+        raise VerificationFailure(f"recorded {what} verdicts name other levels")
+    for s, cls in fresh.items():
+        _verdict(cls, recorded[str(s)], f"{what} level {s}")
 
 
 def _iso_replay(instance, payload, depth=DEFAULT_DEPTH):
+    """Replay an iso payload as an IsoCertificate; returns its forward map."""
     fwd = _load_promap(instance, payload["forward"], depth)
-    X, Y = fwd.source, fwd.target
-    d = payload.get("depth")
-    checked = False
-    if payload.get("backward") is not None:
-        back = promap_from_doc(instance, payload["backward"], Y, X)
-        if not compose_pro(back, fwd).equals(identity_pro(X), depth=d):
-            raise VerificationFailure("backward ∘ forward is not the identity")
-        if not compose_pro(fwd, back).equals(identity_pro(Y), depth=d):
-            raise VerificationFailure("forward ∘ backward is not the identity")
-        checked = True
-    if payload.get("hfamily") is not None:
-        if fwd.kind != LEVEL:
-            raise VerificationFailure("h-family on a non-LEVEL forward map")
-        fam = hfamily_from_doc(instance, payload["hfamily"], fwd)
-        bad = hfamily_failure(fwd, fam)
-        if bad is not None:
-            t, s, what = bad
-            raise VerificationFailure(
-                f"missing witness {t}>{s}" if what == "missing"
-                else f"{what} triangle fails {t}>{s}", witness=(t, s))
-        checked = True
-    if not checked:
-        raise VerificationFailure("iso payload carries no witness")
+    back, fam = payload.get("backward"), payload.get("hfamily")
+    IsoCertificate(
+        forward=fwd,
+        backward=(None if back is None
+                  else promap_from_doc(instance, back, fwd.target, fwd.source)),
+        hfamily=None if fam is None else hfamily_from_doc(instance, fam, fwd),
+        depth=payload.get("depth")).replay()
     return fwd
 
 
@@ -112,34 +89,34 @@ def _verify_detect_special(instance, doc, depth):
     f = _load_promap(instance, doc["map"], depth)
     if f.kind != LEVEL:
         raise MalformedError("detect-special needs a LEVEL map")
-    _special_levels(f, doc["mode"], doc.get("verdicts", {}), doc["ok"],
-                    doc.get("failing"), doc.get("depth"))
-    return {"kind": "detect-special", "levels": len(doc.get("verdicts", {})),
-            "ok": doc["ok"]}
+    ok = doc.get("ok")
+    if not isinstance(ok, bool):
+        raise MalformedError(f"ok must be true or false, not {ok!r}")
+    res = detect_special(f, doc.get("mode"), doc.get("depth") or DEFAULT_DEPTH)
+    _verdicts(res.verdicts, doc.get("verdicts", {}), "matching")
+    if res.ok and not ok:
+        raise VerificationFailure("recorded failure did not reproduce",
+                                  witness=doc.get("failing"))
+    if not res.ok and (ok or str(res.failing) != str(doc.get("failing"))):
+        raise VerificationFailure(
+            f"special {res.mode} fails at level {res.failing}",
+            witness=res.failing)
+    return {"kind": "detect-special", "levels": len(res.verdicts), "ok": ok}
 
 
 def _verify_factorization(instance, doc, depth):
     f = _load_promap(instance, doc["input"], depth)
-    idx = f.source.index
-    Z = proobj_from_doc(instance, doc["middle"], idx)
-    left = promap_from_doc(instance, doc["left"], f.source, Z)
-    right = promap_from_doc(instance, doc["right"], Z, f.target)
-    mode = doc["mode"]
-    carrier = idx.carrier(doc.get("depth"))
-    for s in carrier:
-        if compose(right.level_component(s), left.level_component(s)) != \
-                f.level_component(s):
-            raise VerificationFailure(f"composite differs at level {s}",
-                                      witness=s)
-        cls = classify_map(left.level_component(s))
-        _check_classes(cls, doc["left_verdicts"][str(s)], f"left level {s}")
-        need = cls.is_cof if mode == "L1" else (cls.is_cof and cls.is_we)
-        if not need:
-            raise VerificationFailure(f"left factor class fails at {s}",
-                                      witness=s)
-    _special_levels(right, "acyclic-fib" if mode == "L1" else "fib",
-                    doc["matching_verdicts"], True, None, doc.get("depth"))
-    return {"kind": "factorization", "mode": mode, "levels": len(list(carrier))}
+    Z = proobj_from_doc(instance, doc["middle"], f.source.index)
+    fs = StrictFactorization(
+        input=f, mode=doc.get("mode"), middle=Z,
+        left=promap_from_doc(instance, doc["left"], f.source, Z),
+        right=promap_from_doc(instance, doc["right"], Z, f.target),
+        depth=doc.get("depth") or DEFAULT_DEPTH)
+    fail_on(fs.failure())
+    _verdicts(fs.left_classes, doc["left_verdicts"], "left")
+    _verdicts(fs.special.verdicts, doc["matching_verdicts"], "matching")
+    return {"kind": "factorization", "mode": fs.mode,
+            "levels": len(fs.left_classes)}
 
 
 def _verify_lift(instance, doc, depth):
@@ -148,77 +125,50 @@ def _verify_lift(instance, doc, depth):
     top = promap_from_doc(instance, doc["top"], i.source, p.source)
     bottom = promap_from_doc(instance, doc["bottom"], i.target, p.target)
     lift = promap_from_doc(instance, doc["lift"], i.target, p.source)
-    mode = doc["mode"]
-    if not compose_pro(p, top).equals(compose_pro(bottom, i)):
-        raise VerificationFailure("square does not commute")
-    idx = i.source.index
-    for s in idx.elements:
-        cls = classify_map(i.level_component(s))
-        need = cls.is_cof if mode == "L1" else (cls.is_cof and cls.is_we)
-        if not need:
-            raise VerificationFailure(f"left map class fails at {s}", witness=s)
-        mcls = classify_map(matching_map(p, s).map)
-        good = (mcls.is_fib and mcls.is_we) if mode == "L1" else mcls.is_fib
-        if not good:
-            raise VerificationFailure(f"right map not special at {s}", witness=s)
-    if not compose_pro(lift, i).equals(top):
-        raise VerificationFailure("lift fails the top triangle")
-    if not compose_pro(p, lift).equals(bottom):
-        raise VerificationFailure("lift fails the bottom triangle")
+    fail_on(square_failure(i, p, top, bottom, doc.get("mode"))
+            or triangle_failure(i, p, top, bottom, lift))
     recorded = doc.get("level_index")
     if not isinstance(recorded, dict):
         raise MalformedError("level_index is missing or not an object")
+    idx = i.source.index
     for s in idx.elements:
         if recorded.get(str(s)) != str(lift.component(s)[0]):
             raise VerificationFailure(
                 f"level_index differs from the lift's a(s) at {s}", witness=s)
-    return {"kind": "lift", "mode": mode, "levels": len(idx.elements)}
+    return {"kind": "lift", "mode": doc["mode"], "levels": len(idx.elements)}
 
 
 def _verify_pro_factor_iso(instance, doc, depth):
     f = _load_promap(instance, doc["input"], depth)
-    idx = f.source.index
     X, Y = f.source, f.target
-    Z = proobj_from_doc(instance, doc["middle"], idx)
+    Z = proobj_from_doc(instance, doc["middle"], X.index)
     left = promap_from_doc(instance, doc["left"], X, Z)
     right = promap_from_doc(instance, doc["right"], Z, Y)
-    bad = hfamily_failure(f, hfamily_from_doc(instance, doc["witnesses"], f))
-    if bad is not None:
-        t, s, _ = bad
-        raise VerificationFailure(f"input witness fails at {t}>{s}",
-                                  witness=(t, s))
-    for s in idx.elements:
-        if compose(right.level_component(s), left.level_component(s)) != \
-                f.level_component(s):
-            raise VerificationFailure(f"composite differs at {s}", witness=s)
-        lcls = classify_map(left.level_component(s))
-        rcls = classify_map(right.level_component(s))
-        _check_classes(lcls, doc["left_verdicts"][str(s)], f"left {s}")
-        _check_classes(rcls, doc["right_verdicts"][str(s)], f"right {s}")
-        if not lcls.is_cof or not rcls.is_fib:
-            raise VerificationFailure(f"factor classes fail at {s}", witness=s)
-    for fam_doc, fwd in ((doc["left_family"], left), (doc["right_family"], right)):
-        bad = hfamily_failure(fwd, hfamily_from_doc(instance, fam_doc, fwd))
-        if bad is not None:
-            t, s, _ = bad
-            raise VerificationFailure(f"factor iso witness fails at {t}>{s}",
-                                      witness=(t, s))
-    return {"kind": "pro-factor-iso", "levels": len(idx.elements)}
+    witnessed = IsoCertificate(
+        forward=f, hfamily=hfamily_from_doc(instance, doc["witnesses"], f))
+    out = ProIsoFactorization(
+        input=f, middle=Z, left=left, right=right,
+        left_cert=IsoCertificate(forward=left, hfamily=hfamily_from_doc(
+            instance, doc["left_family"], left)),
+        right_cert=IsoCertificate(forward=right, hfamily=hfamily_from_doc(
+            instance, doc["right_family"], right)))
+    fail_on(witnessed.failure() or out.failure())
+    _verdicts(out.left_classes, doc["left_verdicts"], "left")
+    _verdicts(out.right_classes, doc["right_verdicts"], "right")
+    return {"kind": "pro-factor-iso", "levels": len(X.index.elements)}
 
 
 def _verify_levelwise_we(instance, doc, depth):
     m = _load_promap(instance, doc["map"], depth)
-    idx = m.source.index
-    for s in idx.elements:
-        cls = classify_map(m.level_component(s))
-        _check_classes(cls, doc["verdicts"][str(s)], f"level {s}")
-        if not cls.is_we:
-            raise VerificationFailure(f"not a weak equivalence at {s}",
-                                      witness=s)
-    for iso in doc.get("isos", []):
+    fresh = {}
+    fail_on(class_failure("map", m.level_component, WE,
+                          m.source.index.elements, fresh))
+    _verdicts(fresh, doc["verdicts"], "level")
+    isos = doc.get("isos", [])
+    for iso in isos:
         _iso_replay(instance, iso, depth)
     return {"kind": "levelwise-we", "construction": doc.get("construction"),
-            "levels": len(idx.elements), "isos": len(doc.get("isos", []))}
+            "levels": len(fresh), "isos": len(isos)}
 
 
 def _verify_iso(instance, doc, depth):
@@ -248,33 +198,29 @@ def _verify_matching(instance, doc, depth):
     recorded = map_from_doc(instance, doc["matching_map"], src, tgt)
     if rebuilt.source != recorded.source or rebuilt != recorded:
         raise VerificationFailure("matching map does not reproduce")
-    _check_classes(classify_map(rebuilt), doc["classes"], "matching map")
+    _verdict(classify_map(rebuilt), doc["classes"], "matching map")
     return {"kind": "matching", "level": doc["level"]}
 
 
 def _verify_cocell(instance, doc, depth):
-    base = obj_from_doc(instance, doc["base_value"])
-    tag = doc["class_tag"]
-    prev = base
+    prev = obj_from_doc(instance, doc["base_value"])
+    stages = []
     for k, st in enumerate(doc["stages"]):
         a_src = obj_from_doc(instance, st["attach"]["source"])
         a_tgt = obj_from_doc(instance, st["attach"]["target"])
-        attach = map_from_doc(instance, st["attach"]["payload"], a_src, a_tgt)
-        cls = classify_map(attach)
-        _check_classes(cls, st["attach_classes"], f"stage {k} attach")
-        ok = cls.is_fib if tag == "fib" else (cls.is_fib and cls.is_we)
-        if not ok:
-            raise VerificationFailure(
-                f"attach map not in class {tag} at stage {k}", witness=k)
-        stage_val = obj_from_doc(instance, st["stage_value"])
-        cone_map = map_from_doc(instance, st["cone_map"], prev, a_tgt)
-        bonding = map_from_doc(instance, st["bonding"], stage_val, prev)
-        new_leg = map_from_doc(instance, st["new_leg"], stage_val, a_src)
-        bad = stage_failure(attach, cone_map, bonding, new_leg)
-        if bad is not None:
-            raise VerificationFailure(f"stage {k}: {bad}", witness=k)
-        prev = stage_val
-    report = {"kind": doc["kind"], "stages": len(doc["stages"])}
+        value = obj_from_doc(instance, st["stage_value"])
+        stages.append(TowerStage(
+            level=k, attach_class=None, square=None, new_stage_value=value,
+            attach=map_from_doc(instance, st["attach"]["payload"], a_src, a_tgt),
+            cone_map=map_from_doc(instance, st["cone_map"], prev, a_tgt),
+            bonding=map_from_doc(instance, st["bonding"], value, prev),
+            new_leg=map_from_doc(instance, st["new_leg"], value, a_src)))
+        prev = value
+    fresh = []
+    fail_on(tower_failure(doc.get("class_tag"), stages, fresh))
+    for k, cls in enumerate(fresh):
+        _verdict(cls, doc["stages"][k]["attach_classes"], f"stage {k} attach")
+    report = {"kind": doc["kind"], "stages": len(stages)}
     if doc.get("iso") is not None:
         _iso_replay(instance, doc["iso"], depth)
         report["iso"] = True

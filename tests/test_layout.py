@@ -5,7 +5,8 @@ Only the two instance modules know which instances exist: the tags
 except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``instance_of`` reads) and where ``__init__`` re-exports them from
 ``base``.  Only ``gf2``, ``chainf2`` and ``suites`` (its ``Rng``) import
-numpy or ``gf2``.
+numpy or ``gf2``.  Only ``strict``, whose one table maps each mode to its
+classes, compares anything with a mode or class tag.
 """
 
 import ast
@@ -16,6 +17,9 @@ TAG_NAMES = {"SET_BIJ", "CHAIN_F2"}
 TAG_VALUES = {"set-bij", "chain-f2"}
 INSTANCE_MODULES = {"setbij", "chainf2"}
 NUMERIC_MODULES = {"gf2", "chainf2", "suites"}
+MODE_NAMES = {"MODE_L1", "MODE_L2", "FIB", "ACYCLIC_FIB"}
+MODE_VALUES = {"L1", "L2", "fib", "acyclic-fib"}
+COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 
 
 def _is_tag(node):
@@ -67,6 +71,36 @@ def numeric_imports(module, source):
     return out
 
 
+def _is_mode(node):
+    return ((isinstance(node, ast.Name) and node.id in MODE_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in MODE_NAMES)
+            or (isinstance(node, ast.Constant) and node.value in MODE_VALUES))
+
+
+def _retract_kind(tree):
+    """The comparisons of ``kind`` in ``retract_exhibit``: its kind names
+    a retract, "acyclic-fib" among them, not a class."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "retract_exhibit"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id == "kind"}
+
+
+def mode_comparisons(module, source):
+    """(line, text) of every comparison (==, !=, in, not in) with a mode
+    or class tag outside strict."""
+    if module == "strict":
+        return []
+    tree = ast.parse(source)
+    exempt = _retract_kind(tree)
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in exempt
+            and any(isinstance(op, COMPARISONS) for op in node.ops)
+            and any(_is_mode(n) for side in (node.left, *node.comparators)
+                    for n in ast.walk(side))]
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -82,6 +116,12 @@ def test_numpy_and_gf2_stay_in_the_numeric_modules():
     assert not bad
 
 
+def test_modes_are_compared_only_in_strict():
+    bad = {m: uses for m, src in _modules().items()
+           if (uses := mode_comparisons(m, src))}
+    assert not bad
+
+
 def test_the_checks_see_what_they_forbid():
     src = ('import numpy as np\nfrom . import gf2\nfrom .gf2 import rank\n'
            'from .base import SET_BIJ\nX = "chain-f2"\n'
@@ -93,3 +133,11 @@ def test_the_checks_see_what_they_forbid():
     assert tag_uses("__init__", "from .base import SET_BIJ\n") == []
     assert tag_uses("base", "from .setbij import SET_BIJ\n") == []
     assert len(tag_uses("base", "from .proobj import SET_BIJ\n")) == 1
+    modes = ('def f(mode, cls, kind):\n'
+             '    if mode == "L1" or kind == "acyclic-fib":\n        pass\n'
+             '    if mode in (FIB, strict.ACYCLIC_FIB):\n        pass\n'
+             '    return cls.tag != MODE_L2, {"fib": 1}, mode < "L2"\n'
+             'def retract_exhibit(f, kind):\n'
+             '    return kind == "acyclic-fib", kind != MODE_L1\n')
+    assert len(mode_comparisons("verify", modes)) == 4
+    assert mode_comparisons("strict", modes) == []

@@ -1,0 +1,238 @@
+"""Certificate replay against tampered and malformed certificates.
+
+A certificate with one recorded claim or one witness map changed must
+fail replay (exit 1, one ``FAIL:`` line); a certificate whose data are
+not well formed, an unknown mode or class tag included, must be refused
+as malformed (exit 2, one line), never read as some other claim.
+"""
+
+import json
+import os
+
+import pytest
+
+from promc import cli
+from promc.cli import run_command
+from test_cert_bytes import CLI_RUNS
+
+FIX = os.path.join(os.path.dirname(__file__), "fixtures")
+RUNS = dict(CLI_RUNS, **{
+    "factor-chainf2-L2": ("factor", "chainf2.json", "p", "--mode", "L2")})
+
+# The fixtures' pro-isos have singleton targets, so an h-family map there
+# has no well-formed alternative; this document widens level 0.
+WIDE = {
+    "schema": "promc.doc/1", "instance": "set-bij",
+    "posets": {"I": {"elements": ["0", "1"], "covers": [["0", "1"]]}},
+    "objects": {
+        "X": {"index": "I", "values": {"1": ["a", "b"], "0": ["x", "z"]},
+              "structure": {"1>0": {"a": "x", "b": "x"}}},
+        "Y": {"index": "I", "values": {"1": ["u"], "0": ["y", "w"]},
+              "structure": {"1>0": {"u": "y"}}}},
+    "maps": {
+        "f": {"source": "X", "target": "Y",
+              "level": {"1": {"a": "u", "b": "u"}, "0": {"x": "y", "z": "w"}}},
+        "idX": {"source": "X", "target": "X",
+                "level": {"1": {"a": "a", "b": "b"}, "0": {"x": "x", "z": "z"}}},
+        "idY": {"source": "Y", "target": "Y",
+                "level": {"1": {"u": "u"}, "0": {"y": "y", "w": "w"}}}},
+    "witnesses": {"h": {"map": "f", "pairs": {"1>0": {"u": "x"}}}},
+}
+
+WIDE_RUNS = {
+    "pro-factor-iso": ("pro-factor-iso", "f", "--witnesses", "h"),
+    "zigzag-we": ("zigzag-we", "--f", "idY", "--h", "f", "--g", "idX",
+                  "--witnesses", "h"),
+    "two-of-three": ("two-of-three", "--side", "left", "--top", "f",
+                     "--left", "idX", "--right", "idY", "--bottom", "f",
+                     "--witnesses", "h"),
+    "proper-pullback": ("proper-pullback", "--p", "idY", "--f", "idX",
+                        "--g", "f", "--witnesses", "h"),
+}
+
+
+def certificate(tmp_path, capsys, name, wide=False):
+    """The certificate document of one fixture run (RUNS, or WIDE_RUNS on
+    the WIDE document)."""
+    if wide:
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE))
+        command, *rest = WIDE_RUNS[name]
+    else:
+        command, fixture, *rest = RUNS[name]
+        path = os.path.join(FIX, fixture)
+    out_file = tmp_path / "cert.json"
+    code = run_command([command, str(path), *rest, "--out", str(out_file)])
+    capsys.readouterr()
+    assert code == 0
+    return json.loads(out_file.read_text())
+
+
+def replay(tmp_path, capsys, doc):
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    code = run_command(["verify", str(path)])
+    return code, capsys.readouterr().out
+
+
+def other_map(mapping, codomain):
+    """A SetBij map with the same domain as *mapping* but another image
+    for its first element."""
+    key = sorted(mapping)[0]
+    new = dict(mapping)
+    new[key] = next(y for y in codomain if y != mapping[key])
+    assert new != mapping
+    return new
+
+
+def flip(flags, name="we"):
+    flags[name] = not flags[name]
+
+
+def first(table):
+    return table[sorted(table)[0]]
+
+
+def _left_family(doc):
+    fam = doc["left_family"]
+    fam["1>0"] = other_map(fam["1>0"],
+                           doc["input"]["source_object"]["values"]["0"])
+
+
+def _iso_family(doc, k=0):
+    iso = doc["isos"][k]
+    fam = iso["hfamily"]
+    fam["1>0"] = other_map(fam["1>0"],
+                           iso["forward"]["source_object"]["values"]["0"])
+
+
+def _backward(doc):
+    back = doc["source_cert"]["backward"]["level"]
+    back["1"] = other_map(back["1"], sorted(back["1"].values()))
+
+
+def _bonding(doc):
+    stage = doc["stages"][0]
+    stage["bonding"] = other_map(stage["bonding"], doc["base_value"])
+
+
+def _right_size(doc):
+    doc["right_size"] += 1
+
+
+# (fixture run, on the WIDE document, change)
+TAMPER = {
+    "factorization-left-verdict": (
+        "factor-special-L1", False,
+        lambda d: flip(first(d["left_verdicts"]), "cof")),
+    "factorization-matching-verdict": (
+        "factor-special-L2", False,
+        lambda d: flip(first(d["matching_verdicts"]), "fib")),
+    "detect-special-verdict": (
+        "detect-special", False, lambda d: flip(first(d["verdicts"]))),
+    "pro-factor-iso-right-verdict": (
+        "pro-factor-iso", True, lambda d: flip(first(d["right_verdicts"]))),
+    "pro-factor-iso-left-family": ("pro-factor-iso", True, _left_family),
+    "zigzag-we-verdict": (
+        "zigzag-we", True, lambda d: flip(first(d["verdicts"]))),
+    "zigzag-we-iso-family": ("zigzag-we", True, _iso_family),
+    "zigzag-we-second-iso-family": (
+        "zigzag-we", True, lambda d: _iso_family(d, 1)),
+    "two-of-three-verdict": (
+        "two-of-three", True, lambda d: flip(first(d["verdicts"]))),
+    "two-of-three-iso-family": ("two-of-three", True, _iso_family),
+    "proper-pullback-verdict": (
+        "proper-pullback", True, lambda d: flip(first(d["verdicts"]))),
+    "proper-pullback-iso-family": ("proper-pullback", True, _iso_family),
+    "levelize-backward": ("levelize-collapse", False, _backward),
+    "cocell-attach-classes": (
+        "cocell-special-fib", False,
+        lambda d: flip(d["stages"][0]["attach_classes"], "cof")),
+    "cocell-bonding": ("cocell-special-fib", False, _bonding),
+    "tower-limit-attach-classes": (
+        "tower-special-acyclic", False,
+        lambda d: flip(d["stages"][1]["attach_classes"])),
+    "tower-limit-bonding": ("tower-special-acyclic", False, _bonding),
+    "adjunction-right-size": ("adjunction-collapse-X", False, _right_size),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPER))
+def test_tampered_certificate_fails_replay(tmp_path, capsys, case):
+    name, wide, change = TAMPER[case]
+    doc = certificate(tmp_path, capsys, name, wide)
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 0, out  # the untouched certificate verifies
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 1, out
+    assert out.count("\n") == 1 and out.startswith("FAIL:"), out
+
+
+# (fixture run, field, value): a mode, class tag or verdict that is not
+# one of the known ones
+MALFORMED_TAGS = [
+    ("factor-chainf2-L2", "mode", "bogus"),
+    ("factor-chainf2-L2", "mode", None),
+    ("factor-chainf2-L2", "mode", 7),
+    ("factor-special-L2", "mode", "bogus"),
+    ("factor-collapse-L1", "mode", "bogus"),
+    ("detect-special", "mode", "bogus"),
+    ("detect-special", "ok", None),
+    ("cocell-special-fib", "class_tag", "bogus"),
+    ("tower-special-acyclic", "class_tag", "bogus"),
+    ("lift-special", "mode", "bogus"),
+]
+
+
+@pytest.mark.parametrize("name,field,value", MALFORMED_TAGS)
+def test_unknown_mode_or_tag_is_malformed(tmp_path, capsys, name, field, value):
+    doc = certificate(tmp_path, capsys, name)
+    doc[field] = value
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 2, out
+    assert out.count("\n") == 1 and out.startswith("error:"), out
+
+
+OMEGA_T = {"index": "omega", "values": [["0", "1"]], "steps": []}
+
+
+def test_omega_iso_with_an_empty_hfamily_fails(tmp_path, capsys):
+    # the ω level map T -> T collapsing {0, 1} onto 0 is no pro-iso, and
+    # an empty h-family over ω tests nothing
+    doc = {"schema": "promc.cert/1", "kind": "iso", "instance": "set-bij",
+           "forward": {"source": "src", "target": "tgt",
+                       "level": [{"0": "0", "1": "0"}],
+                       "poset": "omega", "target_poset": "omega",
+                       "source_object": OMEGA_T, "target_object": OMEGA_T},
+           "backward": None, "hfamily": {}}
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 1, out
+    assert out.count("\n") == 1 and out.startswith("FAIL:"), out
+
+
+# Malformed data that used to escape replay as a raw exception
+CRASHES = [
+    lambda d: d.__setitem__("left_verdicts", []),
+    lambda d: d["input"].__setitem__("level", True),
+]
+
+
+@pytest.mark.parametrize("change", CRASHES, ids=["left_verdicts", "level"])
+def test_malformed_certificate_gets_one_line(tmp_path, capsys, change):
+    doc = certificate(tmp_path, capsys, "factor-chainf2-L2")
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert code in (2, 3), out
+    assert out.count("\n") == 1 and "Traceback" not in out, out
+
+
+def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(args, depth):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "_dispatch", boom)
+    code = run_command(["verify", "whatever.json"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == "internal error: RuntimeError: something broke\n"
