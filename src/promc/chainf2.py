@@ -6,17 +6,22 @@ degreewise injection has projective cokernel over a field).
 
 Differentials raise degree by one: d_n maps degree n to degree n+1 and
 d_{n+1} ∘ d_n = 0.  Degrees run over a finite range [lo, hi].  A map is
-one matrix per degree, a numpy uint8 array of 0s and 1s, stored only
-where it is nonzero.  All linear algebra is exact, through ``gf2``;
-limits and colimits work degreewise with kernels and cokernels.
+one matrix per degree, stored only where it is nonzero.  Every matrix,
+boundary or map degree, is a ``gf2.Mat``: an immutable tuple of int
+rows (bit c = column c) with its column count, so composing is XORing
+rows and comparing or hashing maps compares or hashes tuples; a degree
+with no stored matrix reads as the shared zero matrix of its shape.
+All linear algebra is exact, through ``gf2``; limits and colimits work
+degreewise with kernels and cokernels, assembling their block matrices
+by shifting rows.  Chain-map systems (lifts, hom spaces) are emitted as
+int rows straight from the Kronecker structure of L·h·R, so no dense
+system is built.  Documents carry the same row-major 0/1 lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-
-import numpy as np
 
 from . import gf2
 from .base import (ACOF_FIB, COF_ACF, BaseMap, BaseObject, FactorizationPair,
@@ -49,14 +54,10 @@ class ChainObject(BaseObject):
         diff = dict(diff or {})
         self._diff = {}
         for n in range(lo, hi):
-            M = gf2.asmat(diff.get(n, []), dims[n + 1], dims[n])
-            if M.shape != (dims[n + 1], dims[n]):
-                raise MalformedError(
-                    f"boundary out of degree {n} has shape {M.shape}, "
-                    f"expected {(dims[n + 1], dims[n])}")
-            self._diff[n] = M
+            self._diff[n] = _read(diff.get(n, []), dims[n + 1], dims[n],
+                                  f"boundary out of degree {n}")
         for n in range(lo, hi - 1):
-            if gf2.matmul(self._diff[n + 1], self._diff[n]).any():
+            if any(gf2.matmul(self._diff[n + 1], self._diff[n]).rows):
                 raise MalformedError(f"d∘d nonzero out of degree {n}")
 
     def dim(self, n):
@@ -80,11 +81,11 @@ class ChainObject(BaseObject):
 class ChainMap(BaseMap):
     """One matrix per degree, commuting with the boundaries.
 
-    With check=True every matrix is read mod 2, its shape and the
-    commutation are checked: every document input takes this path.
-    With check=False a uint8 array of the expected shape is kept as
-    given, so the caller hands over a fresh array of 0s and 1s (a
-    ``gf2`` result, for one) and does not change it afterwards.
+    With check=True every matrix is read mod 2 into a fresh ``gf2.Mat``,
+    its shape and the commutation are checked: every document input
+    takes this path.  With check=False a ``gf2.Mat`` of the expected
+    shape is kept as given (values are immutable, so nothing is copied);
+    anything else is read as with check=True.
     """
 
     __slots__ = ("_mats",)
@@ -98,25 +99,23 @@ class ChainMap(BaseMap):
         self.target = target
         mats = mats or {}
         self._mats = {}
-        degs = set(source.degrees) | set(target.degrees)
-        for n in degs:
-            M = mats.get(n)
+        if check:  # a document may name degrees outside both ranges: ignored
+            degs = set(source.degrees) | set(target.degrees)
+            mats = {n: mats[n] for n in degs if n in mats}
+        for n, M in mats.items():
             if M is None:
                 continue
-            shape = (target.dim(n), source.dim(n))
-            if check or not (isinstance(M, np.ndarray) and M.dtype == np.uint8
-                             and M.shape == shape):
-                M = gf2.asmat(M, *shape)
-                if M.shape != shape:
-                    raise MalformedError(
-                        f"matrix in degree {n} has shape {M.shape}, expected {shape}")
-            if M.any():
+            rows, cols = target.dim(n), source.dim(n)
+            if check or not (isinstance(M, gf2.Mat) and M.ncols == cols
+                             and len(M.rows) == rows):
+                M = _read(M, rows, cols, f"matrix in degree {n}")
+            if any(M.rows):
                 self._mats[n] = M
         if check:
             for n in degs:
                 lhs = gf2.matmul(target.d(n), self.mat(n))
                 rhs = gf2.matmul(self.mat(n + 1), source.d(n))
-                if not gf2.mat_eq(lhs, rhs):
+                if lhs != rhs:
                     raise MalformedError(f"does not commute with boundaries at degree {n}")
 
     def mat(self, n):
@@ -127,6 +126,18 @@ class ChainMap(BaseMap):
 
     def __repr__(self):
         return f"ChainMap({self.source!r}->{self.target!r})"
+
+
+def _read(M, rows, cols, what):
+    """*M* read mod 2 as a fresh rows x cols ``gf2.Mat``; MalformedError,
+    naming *what*, for anything else."""
+    try:
+        M = gf2.asmat(M, rows, cols)
+    except ValueError as e:
+        raise MalformedError(f"{what}: {e}") from None
+    if M.shape != (rows, cols):
+        raise MalformedError(f"{what} has shape {M.shape}, expected {(rows, cols)}")
+    return M
 
 
 def chain_obj(lo, hi, dims, diff=None):
@@ -161,7 +172,7 @@ class ChainF2:
             return False
         degs = _degrees(X, other)
         return all(X.dim(n) == other.dim(n) for n in degs) and all(
-            gf2.mat_eq(X.d(n), other.d(n)) for n in degs)
+            X.d(n) == other.d(n) for n in degs)
 
     def obj_hash(self, X):
         return hash((CHAIN_F2, tuple(sorted((n, d) for n, d in X._dims.items() if d))))
@@ -171,20 +182,19 @@ class ChainF2:
             return False
         if f.source != other.source or f.target != other.target:
             return False
-        return all(gf2.mat_eq(f.mat(n), other.mat(n))
-                   for n in _degrees(f.source, f.target))
+        # zero degrees are never stored, and equal ends fix the shapes
+        return f._mats == other._mats
 
     def map_hash(self, f):
-        return hash((CHAIN_F2, f.source, f.target,
-                     tuple(sorted((n, M.tobytes()) for n, M in f._mats.items()))))
+        return hash((CHAIN_F2, f.source, f.target, tuple(sorted(f._mats.items()))))
 
     def identity(self, X):
         return ChainMap(X, X, {n: gf2.eye(X.dim(n)) for n in X.degrees}, check=False)
 
     def compose(self, g, f):
-        degs = _degrees(f.source, g.target, f.target)
+        gm = g._mats  # a degree where either map is zero composes to zero
         return ChainMap(f.source, g.target,
-                        {n: gf2.matmul(g.mat(n), f.mat(n)) for n in degs},
+                        {n: gf2.matmul(gm[n], M) for n, M in f._mats.items() if n in gm},
                         check=False)
 
     def inverse(self, f):
@@ -227,35 +237,34 @@ class ChainF2:
         return None if sol is None else map_from_vector(B, X, sol, offs)
 
     def limit(self, diagram):
-        nodes, degs, span = _layout(diagram)
+        nodes, degs, span, width = _layout(diagram)
         basis = {}
         for n in degs:
-            width = sum(diagram.nodes[v].dim(n) for v in nodes)
+            # one row per target coordinate of an edge: f(x_src) + x_tgt = 0
             rows = []
             for src, tgt, f in diagram.edges:
-                blk = gf2.zeros(diagram.nodes[tgt].dim(n), width)
-                blk[:, span[n][src]] ^= f.mat(n)
-                blk[:, span[n][tgt]] ^= gf2.eye(diagram.nodes[tgt].dim(n))
-                rows.append(blk)
-            A = np.concatenate(rows, axis=0) if rows else gf2.zeros(0, width)
-            basis[n] = gf2.null_space(A)
+                a, b = span[n][src].start, span[n][tgt].start
+                rows += [(r << a) ^ (1 << (b + k)) for k, r in enumerate(f.mat(n).rows)]
+            basis[n] = gf2.null_space(gf2.Mat(tuple(rows), width[n]))
         lo, hi = degs[0], degs[-1]
         diff = {}
         for n in range(lo, hi):
             sol = gf2.solve(basis[n + 1],
-                            gf2.matmul(_block_diff(diagram, nodes, span, n), basis[n]))
+                            gf2.matmul(_block_diff(diagram, nodes, n), basis[n]))
             if sol is None:
                 raise AssertionError("product differential does not preserve the limit")
             diff[n] = sol
         apex = ChainObject(lo, hi, {n: basis[n].shape[1] for n in degs}, diff)
         legs = {v: ChainMap(apex, diagram.nodes[v],
-                            {n: basis[n][span[n][v], :] for n in degs})
+                            {n: gf2.Mat(basis[n].rows[span[n][v]], basis[n].ncols)
+                             for n in degs})
                 for v in nodes}
 
         def factor(cone):
             mats = {}
             for n in degs:
-                stacked = np.concatenate([cone.legs[v].mat(n) for v in nodes], axis=0)
+                stacked = gf2.Mat(tuple(r for v in nodes for r in cone.legs[v].mat(n).rows),
+                                  cone.apex.dim(n))
                 sol = gf2.solve(basis[n], stacked)
                 if sol is None:
                     raise PreconditionError("cone does not factor through the limit")
@@ -265,36 +274,37 @@ class ChainF2:
         return LimitCone(diagram, apex, legs, factor)
 
     def colimit(self, diagram):
-        nodes, degs, span = _layout(diagram)
+        nodes, degs, span, width = _layout(diagram)
         quotients, sections = {}, {}
         for n in degs:
-            width = sum(diagram.nodes[v].dim(n) for v in nodes)
+            # U's columns, one per source coordinate of an edge: x_src + f(x_src)
             cols = []
             for src, tgt, f in diagram.edges:
-                blk = gf2.zeros(width, diagram.nodes[src].dim(n))
-                blk[span[n][src], :] ^= gf2.eye(diagram.nodes[src].dim(n))
-                blk[span[n][tgt], :] ^= f.mat(n)
-                cols.append(blk)
-            U = np.concatenate(cols, axis=1) if cols else gf2.zeros(width, 0)
-            Q, k = gf2.quotient_map(gf2.image_basis(U), width)
+                a, b = span[n][src].start, span[n][tgt].start
+                cols += [(1 << (a + k)) ^ (c << b)
+                         for k, c in enumerate(gf2.transpose(f.mat(n)).rows)]
+            U = gf2.transpose(gf2.Mat(tuple(cols), width[n]))
+            Q, k = gf2.quotient_map(gf2.image_basis(U), width[n])
             quotients[n] = Q
-            sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width, 0)  # Q R = I
+            sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width[n], 0)  # Q R = I
         lo, hi = degs[0], degs[-1]
         diff = {n: gf2.matmul(gf2.matmul(quotients[n + 1],
-                                         _block_diff(diagram, nodes, span, n)),
+                                         _block_diff(diagram, nodes, n)),
                               sections[n])
                 for n in range(lo, hi)}
         apex = ChainObject(lo, hi, {n: quotients[n].shape[0] for n in degs}, diff)
         legs = {v: ChainMap(diagram.nodes[v], apex,
-                            {n: quotients[n][:, span[n][v]] for n in degs})
+                            {n: _columns(quotients[n], span[n][v]) for n in degs})
                 for v in nodes}
 
         def factor(cocone):
             mats = {}
             for n in degs:
-                stacked = np.concatenate([cocone.legs[v].mat(n) for v in nodes], axis=1)
+                stacked = _blocks([cocone.apex.dim(n)],
+                                  [diagram.nodes[v].dim(n) for v in nodes],
+                                  {(0, k): cocone.legs[v].mat(n) for k, v in enumerate(nodes)})
                 m = gf2.matmul(stacked, sections[n])
-                if not gf2.mat_eq(gf2.matmul(m, quotients[n]), stacked):
+                if gf2.matmul(m, quotients[n]) != stacked:
                     raise PreconditionError("cocone does not factor through the colimit")
                 mats[n] = m
             return ChainMap(apex, cocone.apex, mats)
@@ -304,16 +314,18 @@ class ChainF2:
     def hom(self, X, Y):
         """Every chain map X -> Y, when the chain-map space has dimension
         at most ENUMERATION_CAP; refused above that."""
-        N, offs = hom_space(X, Y)
-        k = N.shape[1]
+        vecs, offs = hom_space(X, Y)
+        k = len(vecs)
         if k > ENUMERATION_CAP:
             raise PreconditionError(
                 f"chain hom space has dimension {k} > {ENUMERATION_CAP}; "
                 "enumeration refused")
         out = []
         for bits in itertools.product((0, 1), repeat=k):
-            vec = gf2.matmul(N, np.array(bits, dtype=np.uint8).reshape(-1, 1)).ravel() \
-                if k else np.zeros(N.shape[0], dtype=np.uint8)
+            vec = 0
+            for bit, v in zip(bits, vecs):
+                if bit:
+                    vec ^= v
             out.append(map_from_vector(X, Y, vec, offs, check=False))
         return out
 
@@ -349,7 +361,7 @@ class ChainF2:
         return {"lo": X.lo, "hi": X.hi,
                 "dims": [X.dim(n) for n in X.degrees],
                 "d": {str(n): X.d(n).tolist()
-                      for n in range(X.lo, X.hi) if X.d(n).size}}
+                      for n in range(X.lo, X.hi) if X.dim(n) and X.dim(n + 1)}}
 
     def obj_from_doc(self, doc):
         try:
@@ -362,7 +374,8 @@ class ChainF2:
 
     def map_to_doc(self, f):
         return {str(n): f.mat(n).tolist()
-                for n in _degrees(f.source, f.target) if f.mat(n).size}
+                for n in _degrees(f.source, f.target)
+                if f.source.dim(n) and f.target.dim(n)}
 
     def map_from_doc(self, doc, source, target):
         return ChainMap(source, target, {int(k): v for k, v in doc.items()})
@@ -377,12 +390,8 @@ class ChainF2:
 
     def gen_map(self, rng, X, Y):
         """A random combination of a basis of the chain maps X -> Y."""
-        N, offs = hom_space(X, Y)
-        vec = np.zeros(N.shape[0], dtype=np.uint8)
-        if N.shape[1]:
-            coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
-            vec = gf2.matmul(N, coeff).ravel()
-        return map_from_vector(X, Y, vec, offs)
+        vecs, offs = hom_space(X, Y)
+        return map_from_vector(X, Y, rng.combination(vecs), offs)
 
     def gen_square(self, rng, v_up, v_dn, tries):
         for _ in range(tries):
@@ -513,34 +522,39 @@ def _path_factor(f):
 def _blocks(rows, cols, parts):
     """The 0/1 matrix with row blocks of sizes *rows* and column blocks
     of sizes *cols*, block (i, j) being parts[i, j] or zero."""
-    r = [0, *itertools.accumulate(rows)]
     c = [0, *itertools.accumulate(cols)]
-    M = gf2.zeros(r[-1], c[-1])
+    grid = [[0] * h for h in rows]
     for (i, j), B in parts.items():
-        M[r[i]:r[i + 1], c[j]:c[j + 1]] = B
-    return M
+        grid[i] = [a | b << c[j] for a, b in zip(grid[i], B.rows)]
+    return gf2.Mat(tuple(itertools.chain.from_iterable(grid)), c[-1])
+
+
+def _columns(M, span):
+    """The columns of *M* in the slice *span*."""
+    mask = (1 << (span.stop - span.start)) - 1
+    return gf2.Mat(tuple(r >> span.start & mask for r in M.rows), span.stop - span.start)
 
 
 def _layout(diagram):
-    """(nodes, degrees, span): the coordinates of the product of the node
-    objects, span[n][v] the slice of node v in degree n."""
+    """(nodes, degrees, span, width): the coordinates of the product of
+    the node objects, span[n][v] the slice of node v in degree n and
+    width[n] the dimension of the product there."""
     nodes = sorted(diagram.nodes)
     degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
-    span = {}
+    span, width = {}, {}
     for n in degs:
         ends = [0, *itertools.accumulate(diagram.nodes[v].dim(n) for v in nodes)]
         span[n] = {v: slice(ends[k], ends[k + 1]) for k, v in enumerate(nodes)}
-    return nodes, degs, span
+        width[n] = ends[-1]
+    return nodes, degs, span, width
 
 
-def _block_diff(diagram, nodes, span, n):
+def _block_diff(diagram, nodes, n):
     """The block-diagonal boundary degree n -> n+1 of the product of the
     node objects."""
-    D = gf2.zeros(sum(diagram.nodes[v].dim(n + 1) for v in nodes),
-                  sum(diagram.nodes[v].dim(n) for v in nodes))
-    for v in nodes:
-        D[span[n + 1][v], span[n][v]] = diagram.nodes[v].d(n)
-    return D
+    objs = [diagram.nodes[v] for v in nodes]
+    return _blocks([X.dim(n + 1) for X in objs], [X.dim(n) for X in objs],
+                   {(k, k): X.d(n) for k, X in enumerate(objs)})
 
 
 # ------------------------------------------------- chain-map linear systems
@@ -548,13 +562,13 @@ def _block_diff(diagram, nodes, span, n):
 
 def chain_map_system(S, T, blocks=()):
     """The GF(2) linear system A·x = b in the entries x of a chain map
-    h: S -> T, as (A, b, offs).
+    h: S -> T, as (A, b, offs): A a ``gf2.Mat``, b and x vectors (ints).
 
     x holds each h_n (T.dim(n) x S.dim(n)) flattened row-major, degrees
     ascending; h_n starts at offs[n].  The rows say d_T·h_n + h_{n+1}·d_S
     = 0 in every degree, then L·h_n·R = out for each (n, L, R, out) in
     *blocks*, through vec(L·h·R) = (L ⊗ Rᵀ)·vec(h).  Row order does not
-    matter to callers: ``gf2.solve`` and ``gf2.null_space`` depend only
+    matter to callers: ``gf2.solve`` and ``gf2.null_vectors`` depend only
     on the row space.
     """
     degs = sorted(_degrees(S, T) | {blk[0] for blk in blocks})
@@ -562,47 +576,55 @@ def chain_map_system(S, T, blocks=()):
     for n in degs:
         offs[n] = total
         total += T.dim(n) * S.dim(n)
-    nat = [n for n in degs if T.dim(n + 1) and S.dim(n)]
-    height = (sum(T.dim(n + 1) * S.dim(n) for n in nat)
-              + sum(out.size for *_, out in blocks))
-    A = gf2.zeros(height, total)
-    b = np.zeros(height, dtype=np.uint8)
 
-    def put(r, n, L, R):  # rows r.. of L·h_n·R; returns their number
-        blk = _kron(L, R.T)
-        A[r:r + blk.shape[0], offs[n]:offs[n] + blk.shape[1]] = blk
-        return blk.shape[0]
+    def kron(n, L, R):
+        """The rows of L·h_n·R, in the entries of x: row (p, q) XORs, over
+        the set bits i of row p of L, column q of R placed at row i of h_n."""
+        s, o = S.dim(n), offs[n]
+        rcols = gf2.transpose(R).rows
+        out = []
+        for a in L.rows:
+            at = []
+            while a:
+                low = a & -a
+                at.append(o + (low.bit_length() - 1) * s)
+                a ^= low
+            for q in rcols:
+                acc = 0
+                for shift in at:
+                    acc ^= q << shift
+                out.append(acc)
+        return out
 
-    r = 0
-    for n in nat:
-        put(r, n, T.d(n), gf2.eye(S.dim(n)))
-        r += put(r, n + 1, gf2.eye(T.dim(n + 1)), S.d(n))
+    rows = []
+    for n in degs:
+        if T.dim(n + 1) and S.dim(n):
+            rows += [x ^ y for x, y in zip(kron(n, T.d(n), gf2.eye(S.dim(n))),
+                                           kron(n + 1, gf2.eye(T.dim(n + 1)), S.d(n)))]
+    b = 0
     for n, L, R, out in blocks:
-        b[r:r + out.size] = out.ravel()
-        r += put(r, n, L, R)
-    return A, b, offs
-
-
-def _kron(L, M):
-    """L ⊗ M by broadcasting; on the blocks of a few rows that the
-    generators and the strict factorizations build, ``np.kron`` costs
-    several times more per call."""
-    return (L[:, None, :, None] * M[None, :, None, :]).reshape(
-        L.shape[0] * M.shape[0], L.shape[1] * M.shape[1])
+        for p, r in enumerate(out.rows):
+            b |= r << (len(rows) + p * out.ncols)
+        rows += kron(n, L, R)
+    return gf2.Mat(tuple(rows), total), b, offs
 
 
 def map_from_vector(S, T, x, offs, check=True):
     """The chain map S -> T whose entries, laid out as in
-    ``chain_map_system``, are the vector *x* (a fresh 0/1 uint8 vector)."""
-    return ChainMap(S, T, {n: x[o:o + T.dim(n) * S.dim(n)].reshape(
-        T.dim(n), S.dim(n)) for n, o in offs.items()}, check=check)
+    ``chain_map_system``, are the bits of the vector *x*."""
+    mats = {}
+    for n, o in offs.items():
+        s = S.dim(n)
+        mask, h = (1 << s) - 1, x >> o
+        mats[n] = gf2.Mat(tuple(h >> (i * s) & mask for i in range(T.dim(n))), s)
+    return ChainMap(S, T, mats, check=check)
 
 
 def hom_space(X, Y):
-    """(N, offs): the columns of N are a basis of Hom(X, Y), laid out as
-    in ``chain_map_system``."""
+    """(vecs, offs): the vectors *vecs* are a basis of Hom(X, Y), laid out
+    as in ``chain_map_system``."""
     A, _, offs = chain_map_system(X, Y)
-    return gf2.null_space(A), offs
+    return gf2.null_vectors(A), offs
 
 
 # ------------------------------------------------------------ generators
@@ -614,7 +636,7 @@ def gen_complex(rng, max_deg=2, max_dim=3):
     diff, prev = {}, None
     for n in range(0, hi):
         rows, cols = dims[n + 1], dims[n]
-        if prev is None or not prev.any():
+        if prev is None or not any(prev.rows):
             D = rng.mat(rows, cols)
         else:
             Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
@@ -633,10 +655,7 @@ def _solve_b(rng, v_up, want):
     b_vec = gf2.solve(A, rhs)
     if b_vec is None:
         return None
-    N = gf2.null_space(A)
-    if N.shape[1]:
-        coeff = rng.np.integers(0, 2, size=(N.shape[1], 1)).astype(np.uint8)
-        b_vec = (b_vec + gf2.matmul(N, coeff).ravel()) % 2
+    b_vec ^= rng.combination(gf2.null_vectors(A))
     return map_from_vector(U, V, b_vec, offs)
 
 
@@ -649,13 +668,10 @@ def _path_middle(V):
 def _path_functor_map(w):
     """The induced map on path middles E(V_t) -> E(V_s) of w: V_t -> V_s."""
     src, tgt = _path_middle(w.source), _path_middle(w.target)
-    mats = {}
-    for n in _degrees(src, tgt):
-        a = w.source.dim(n)
-        M = gf2.zeros(tgt.dim(n), src.dim(n))
-        M[:w.target.dim(n), :a] = w.mat(n)
-        M[w.target.dim(n):, a:] = w.mat(n - 1)
-        mats[n] = M
+    V, W = w.source, w.target
+    mats = {n: _blocks([W.dim(n), W.dim(n - 1)], [V.dim(n), V.dim(n - 1)],
+                       {(0, 0): w.mat(n), (1, 1): w.mat(n - 1)})
+            for n in _degrees(src, tgt)}
     return ChainMap(src, tgt, mats)
 
 

@@ -151,12 +151,15 @@ def matching_map(f, t):
 
 @dataclass
 class SpecialResult:
-    """Per-level classification of the matching maps of a presentation."""
+    """Per-level classification of the matching maps of a presentation;
+    *matching* keeps the MatchingData of every level classified, for the
+    cocell tower built from the same map."""
     mode: str
     ok: bool
     verdicts: dict
     failing: object = None
     depth: int | None = None
+    matching: dict = None
 
     def require(self):
         if not self.ok:
@@ -179,13 +182,19 @@ def detect_special(f, mode, depth=None):
     failing level."""
     if mode not in (FIB, ACYCLIC_FIB):
         raise MalformedError(f"unknown special mode {mode!r}")
-    verdicts = {}
+    verdicts, matching = {}, {}
     idx = f.source.index
     d = (depth if depth is not None else idx.depth) if idx.regime == OMEGA else None
-    bad = class_failure("matching map", lambda t: matching_map(f, t).map, mode,
+
+    def component(t):
+        matching[t] = matching_map(f, t)
+        return matching[t].map
+
+    bad = class_failure("matching map", component, mode,
                         _levels_in_order(f, depth), verdicts)
     return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
-                         failing=None if bad is None else bad[0], depth=d)
+                         failing=None if bad is None else bad[0], depth=d,
+                         matching=matching)
 
 
 # ------------------------------------------------------------ factor_strict

@@ -105,8 +105,10 @@ def build_cocell_tower(f, special=None, class_tag=None):
     """Present a special (acyclic) fibration as a cocell tower.
 
     Needs a detect_special certificate on every matching map (supplied
-    or recomputed here).  Stages follow the linear extension; stage 0 is
-    the value of the target at the maximum."""
+    or recomputed here).  A supplied certificate must be one of *f*: the
+    matching maps and classes it kept are reused, and only the levels it
+    lacks are recomputed.  Stages follow the linear extension; stage 0
+    is the value of the target at the maximum."""
     if f.kind != LEVEL:
         raise PreconditionError("build_cocell_tower needs a LEVEL presentation")
     idx = f.source.index
@@ -126,8 +128,13 @@ def build_cocell_tower(f, special=None, class_tag=None):
     cur = Y.value(M)
     mu = identity(cur)
     lam = {}
+    kept = special.matching or {}
     for s in linear_extension(idx):
-        m = matching_map(f, s)
+        if s in kept:
+            m, attach_class = kept[s], special.verdicts[s]
+        else:
+            m = matching_map(f, s)
+            attach_class = classify_map(m.map)
         if m.cone is None:
             psi = compose(Y.struct(M, s), mu)
         else:
@@ -140,7 +147,7 @@ def build_cocell_tower(f, special=None, class_tag=None):
                       [("a", "c", psi), ("b", "c", m.map)])
         lim = finite_limit(dia)
         stage = TowerStage(level=s, attach=m.map,
-                           attach_class=classify_map(m.map),
+                           attach_class=attach_class,
                            cone_map=psi, bonding=lim.legs["a"],
                            new_leg=lim.legs["b"], square=lim,
                            new_stage_value=lim.apex)

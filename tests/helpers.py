@@ -11,6 +11,17 @@ import numpy as np
 from promc import gf2
 from promc.base import chain_map, chain_obj, set_map, set_obj
 
+
+def to_np(M):
+    """A ``gf2.Mat`` as a uint8 numpy array of its shape."""
+    return np.array(M.tolist(), dtype=np.uint8).reshape(M.shape)
+
+
+def mat(A):
+    """A 2-D numpy array as a ``gf2.Mat``."""
+    return gf2.asmat(A, *A.shape)
+
+
 # ---------------------------------------------------------------- fixtures
 
 def disk1():
@@ -40,10 +51,10 @@ def cone_of(f):
     for n in range(lo, hi):
         a, b = X.dim(n + 1), Y.dim(n)
         ra, rb = X.dim(n + 2), Y.dim(n + 1)
-        D = gf2.zeros(ra + rb, a + b)
-        D[:ra, :a] = X.d(n + 1)
-        D[ra:, :a] = f.mat(n + 1)
-        D[ra:, a:] = Y.d(n)
+        D = np.zeros((ra + rb, a + b), dtype=np.uint8)
+        D[:ra, :a] = to_np(X.d(n + 1))
+        D[ra:, :a] = to_np(f.mat(n + 1))
+        D[ra:, a:] = to_np(Y.d(n))
         diff[n] = D
     return chain_obj(lo, hi, [dims[n] for n in range(lo, hi + 1)], diff)
 
@@ -71,11 +82,11 @@ def random_complex(rng, max_deg=2, max_dim=3):
     prev = None  # d_{n-1}, to force d_n ∘ d_{n-1} = 0
     for n in range(lo, hi):
         rows, cols = dims[n + 1 - lo], dims[n - lo]
-        if prev is None or not prev.any():
-            D = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        if prev is None or not any(prev.rows):
+            D = mat(rng.integers(0, 2, size=(rows, cols)).astype(np.uint8))
         else:
             Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
-            R = rng.integers(0, 2, size=(rows, k)).astype(np.uint8)
+            R = mat(rng.integers(0, 2, size=(rows, k)).astype(np.uint8))
             D = gf2.matmul(R, Q)
         diff[n] = D
         prev = D
@@ -98,7 +109,7 @@ def random_chain_map(rng, X, Y):
         for r in range(Y.dim(n + 1)):
             for c in range(X.dim(n)):
                 row = np.zeros(total, dtype=np.uint8)
-                dY, dX = Y.d(n), X.d(n)
+                dY, dX = to_np(Y.d(n)), to_np(X.d(n))
                 for k in range(Y.dim(n)):
                     if dY[r, k] and X.dim(n):
                         row[offs[n] + k * X.dim(n) + c] ^= 1
@@ -106,10 +117,11 @@ def random_chain_map(rng, X, Y):
                     if dX[k, c] and X.dim(n + 1):
                         row[offs[n + 1] + r * X.dim(n + 1) + k] ^= 1
                 rows.append(row)
-    A = np.array(rows, dtype=np.uint8) if rows else gf2.zeros(0, total)
+    A = gf2.asmat(rows, len(rows), total)
     N = gf2.null_space(A) if total else gf2.zeros(0, 0)
     coeffs = rng.integers(0, 2, size=N.shape[1]).astype(np.uint8)
-    sol = gf2.matmul(N, coeffs.reshape(-1, 1)).ravel() if N.shape[1] else np.zeros(total, np.uint8)
+    sol = to_np(gf2.matmul(N, mat(coeffs.reshape(-1, 1)))).ravel() if N.shape[1] \
+        else np.zeros(total, np.uint8)
     mats = {}
     for n in degs:
         if Y.dim(n) and X.dim(n):

@@ -13,7 +13,7 @@ from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso,
                           suite_factorization)
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
-                     random_set_map, random_set_obj, sphere0, we_by_cone)
+                     random_set_map, random_set_obj, sphere0, to_np, we_by_cone)
 
 
 # ----------------------------------------------------------- construction
@@ -259,7 +259,7 @@ def _shifted(obj, k):
 
 def _brute_force_chain_maps(X, Y):
     """Every tuple of degreewise 0/1 matrices that commutes with the
-    boundaries, checked with plain numpy; keys are per-degree bytes."""
+    boundaries, checked with plain numpy; keys are per-degree entry tuples."""
     import itertools
     degs = range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2)
     shapes = [(n, Y.dim(n), X.dim(n)) for n in degs]
@@ -269,11 +269,16 @@ def _brute_force_chain_maps(X, Y):
         flat, mats = np.array(bits, dtype=np.int64), {}
         for n, r, c in shapes:
             mats[n], flat = flat[:r * c].reshape(r, c), flat[r * c:]
-        if all(not ((Y.d(n).astype(np.int64) @ mats[n]
-                     + mats[n + 1] @ X.d(n).astype(np.int64)) % 2).any()
+        if all(not ((to_np(Y.d(n)).astype(np.int64) @ mats[n]
+                     + mats[n + 1] @ to_np(X.d(n)).astype(np.int64)) % 2).any()
                for n in degs[:-1]):
-            found.add(tuple(mats[n].astype(np.uint8).tobytes() for n in degs))
+            found.add(tuple(_entries(mats[n]) for n in degs))
     return found
+
+
+def _entries(M):
+    """A 0/1 matrix (numpy or ``gf2.Mat``) as a tuple of row tuples."""
+    return tuple(map(tuple, M.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -288,7 +293,7 @@ def test_enumerate_chain_maps_matches_brute_force(seed):
             break
     degs = range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2)
     maps = enumerate_base_maps(X, Y)
-    keys = [tuple(m.mat(n).tobytes() for n in degs) for m in maps]
+    keys = [tuple(_entries(m.mat(n)) for n in degs) for m in maps]
     assert len(set(keys)) == len(keys)
     assert set(keys) == _brute_force_chain_maps(X, Y)
 
@@ -310,12 +315,12 @@ def _seeded_chain_maps(seed):
 def test_unchecked_chain_map_equals_checked(seed):
     for m in _seeded_chain_maps(seed):
         degs = sorted(set(m.source.degrees) | set(m.target.degrees))
-        arrays = {n: m.mat(n).copy() for n in degs}
+        arrays = {n: m.mat(n) for n in degs}  # immutable values: nothing to copy
         fast = BaseMap(m.source, m.target, mats=arrays, check=False)
         slow = BaseMap(m.source, m.target, mats=dict(arrays), check=True)
         assert fast == slow == m
         assert hash(fast) == hash(slow) == hash(m)
-        # check=False keeps the given arrays; check=True reduces a copy
+        # check=False keeps the given values; check=True reduces a copy
         assert all(fast._mats[n] is arrays[n] for n in fast._mats)
         assert not any(slow._mats[n] is arrays[n] for n in slow._mats)
 

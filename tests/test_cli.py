@@ -258,6 +258,24 @@ def test_verify_refuses_an_unknown_instance_tag(tmp_path, capsys, tag):
     assert out.count("\n") == 1 and "unknown instance" in out
 
 
+@pytest.mark.parametrize("where", ["map", "boundary"])
+@pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[[1]]], [["x"]], [[None]], [1]])
+def test_a_malformed_chainf2_matrix_exits_2(tmp_path, capsys, where, matrix):
+    doc = json.loads(open(fx("chainf2.json")).read())
+    if where == "map":
+        doc["maps"]["p"]["level"]["pt"]["0"] = matrix
+    else:
+        doc["objects"]["cD"]["values"]["pt"]["d"]["0"] = matrix
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code = run_command(["factor", str(f), "p", "--mode", "L1",
+                        "--out", str(tmp_path / "out.json")])
+    text = "".join(capsys.readouterr())
+    assert code == 2
+    assert text.count("\n") == 1
+    assert ("matrix in degree 0" if where == "map" else "boundary out of degree 0") in text
+
+
 def test_unreadable_file_exit2(capsys):
     code, out = run(capsys, "hom", "/nonexistent/xx.json", "X", "Y")
     assert code == 2

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from helpers import mat, to_np
 
 from promc import gf2
 
 
 def M(rows):
-    return np.array(rows, dtype=np.uint8)
+    return gf2.asmat(rows)
+
+
+def vec(b):
+    """A 0/1 vector (a list or numpy array) as a ``gf2`` vector, an int."""
+    return sum((int(x) & 1) << i for i, x in enumerate(b))
+
+
+def unvec(x, n):
+    return np.array([x >> i & 1 for i in range(n)], dtype=np.uint8)
 
 
 def test_rank_and_echelon():
@@ -20,32 +30,32 @@ def test_rank_and_echelon():
 def test_solve_consistent_and_inconsistent():
     A = M([[1, 1], [0, 1]])
     b = np.array([1, 1], dtype=np.uint8)
-    x = gf2.solve(A, b)
-    assert np.array_equal(gf2.matmul(A, x.reshape(-1, 1)).ravel(), b)
+    x = gf2.solve(A, vec(b))
+    assert np.array_equal(to_np(gf2.matmul(A, mat(unvec(x, 2).reshape(-1, 1)))).ravel(), b)
     A2 = M([[1, 1], [1, 1]])
-    assert gf2.solve(A2, np.array([0, 1], dtype=np.uint8)) is None
+    assert gf2.solve(A2, vec(np.array([0, 1], dtype=np.uint8))) is None
 
 
 def test_solve_underdetermined_is_deterministic():
     A = M([[1, 1, 0]])
     b = np.array([1], dtype=np.uint8)
-    x = gf2.solve(A, b)
+    x = gf2.solve(A, vec(b))
     # free variables are zeroed: lowest pivot carries the value
-    assert list(x) == [1, 0, 0]
+    assert list(unvec(x, 3)) == [1, 0, 0]
 
 
 def test_null_space():
     A = M([[1, 1, 0], [0, 0, 1]])
     N = gf2.null_space(A)
     assert N.shape == (3, 1)
-    assert not gf2.matmul(A, N).any()
+    assert not any(gf2.matmul(A, N).rows)
     assert gf2.null_space(gf2.eye(3)).shape == (3, 0)
 
 
 def test_inverse():
     A = M([[1, 1], [0, 1]])
     Ainv = gf2.inverse(A)
-    assert gf2.mat_eq(gf2.matmul(A, Ainv), gf2.eye(2))
+    assert gf2.matmul(A, Ainv) == gf2.eye(2)
     assert gf2.inverse(M([[1, 1], [1, 1]])) is None
 
 
@@ -60,22 +70,22 @@ def test_quotient_map():
     U = M([[1], [1], [0]])  # span{(1,1,0)}
     Q, k = gf2.quotient_map(U, 3)
     assert k == 2
-    assert not gf2.matmul(Q, U).any()
+    assert not any(gf2.matmul(Q, U).rows)
     assert gf2.rank(Q) == 2
     # kernel of Q is exactly the span
     N = gf2.null_space(Q)
     assert N.shape[1] == 1
-    assert gf2.solve(U, N[:, 0]) is not None
+    assert gf2.solve(U, vec(to_np(N)[:, 0])) is not None
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_quotient_map_random(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
-    U = rng.integers(0, 2, size=(dim, int(rng.integers(0, 4)))).astype(np.uint8)
+    U = mat(rng.integers(0, 2, size=(dim, int(rng.integers(0, 4)))).astype(np.uint8))
     Q, k = gf2.quotient_map(U, dim)
     assert k == dim - gf2.rank(U)
-    assert not gf2.matmul(Q, U).any()
+    assert not any(gf2.matmul(Q, U).rows)
     assert gf2.rank(Q) == k
 
 
@@ -120,7 +130,7 @@ def ref_matrix(rows, cols, rank, seed):
         return rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
     L = rng.integers(0, 2, size=(rows, rank)).astype(np.uint8)
     Rt = rng.integers(0, 2, size=(rank, cols)).astype(np.uint8)
-    return gf2.matmul(L, Rt)
+    return to_np(gf2.matmul(mat(L), mat(Rt)))
 
 
 @pytest.mark.parametrize("reduce", [True, False])
@@ -128,9 +138,9 @@ def ref_matrix(rows, cols, rank, seed):
 @pytest.mark.parametrize("rows,cols,rank", REF_SHAPES)
 def test_row_echelon_matches_reference(rows, cols, rank, seed, reduce):
     A = ref_matrix(rows, cols, rank, seed)
-    R, piv = gf2.row_echelon(A, reduce=reduce)
+    R, piv = gf2.row_echelon(mat(A), reduce=reduce)
     ref, ref_piv = ref_row_echelon(A, reduce)
-    assert R.dtype == np.uint8 and R.shape == A.shape
+    assert isinstance(R, gf2.Mat) and R.shape == A.shape
     assert R.tolist() == ref
     assert piv == ref_piv
     if rank is not None:
@@ -144,14 +154,15 @@ def test_solve_and_null_space_on_reference_shapes(rows, cols, rank, seed):
     r = len(ref_row_echelon(A, False)[1])
     rng = np.random.default_rng(100 + seed)
     X0 = rng.integers(0, 2, size=(cols, 3)).astype(np.uint8)
-    B = gf2.matmul(A, X0)
+    A = mat(A)
+    B = gf2.matmul(A, mat(X0))
     X = gf2.solve(A, B)
     assert X is not None and X.shape == (cols, 3)
-    assert gf2.mat_eq(gf2.matmul(A, X), B)
+    assert gf2.matmul(A, X) == B
     if cols:
         N = gf2.null_space(A)
         assert N.shape == (cols, cols - r)
-        assert not gf2.matmul(A, N).any()
+        assert not any(gf2.matmul(A, N).rows)
         assert gf2.rank(N) == cols - r
 
 
@@ -187,21 +198,22 @@ def assert_matches_reference(A, B):
     """row_echelon (both forms), solve, null_space, rank and image_basis
     on A (and B), entries read mod 2, equal the pure-Python reference."""
     A2 = A % 2
+    Am, Bm = mat(A), mat(B)
     for reduce in (True, False):
-        R, piv = gf2.row_echelon(A, reduce=reduce)
+        R, piv = gf2.row_echelon(Am, reduce=reduce)
         ref, ref_piv = ref_row_echelon(A2, reduce)
-        assert R.dtype == np.uint8 and R.shape == A.shape
+        assert isinstance(R, gf2.Mat) and R.shape == A.shape
         assert R.tolist() == ref and piv == ref_piv
-    assert gf2.rank(A) == len(ref_piv)
-    assert gf2.mat_eq(gf2.image_basis(A), A2[:, ref_piv])
+    assert gf2.rank(Am) == len(ref_piv)
+    assert gf2.image_basis(Am) == mat(A2[:, ref_piv])
     if A.shape[1]:
-        assert gf2.mat_eq(gf2.null_space(A), ref_null_space(A))
-    X, ref_X = gf2.solve(A, B), ref_solve(A, B)
+        assert gf2.null_space(Am) == mat(ref_null_space(A))
+    X, ref_X = gf2.solve(Am, Bm), ref_solve(A, B)
     if ref_X is None:
         assert X is None
     else:
-        assert X is not None and gf2.mat_eq(X, ref_X)
-        assert gf2.mat_eq(gf2.matmul(A2, X), B % 2)
+        assert X is not None and X == mat(ref_X)
+        assert gf2.matmul(mat(A2), X) == mat(B % 2)
     return ref_X
 
 
@@ -218,7 +230,7 @@ def test_sparse_shapes_above_64(rows, cols, density, seed):
     A = sparse_matrix(rows, cols, density, seed)
     rng = np.random.default_rng(50 + seed)
     X0 = rng.integers(0, 2, size=(cols, 2)).astype(np.uint8)
-    assert assert_matches_reference(A, gf2.matmul(A, X0)) is not None
+    assert assert_matches_reference(A, to_np(gf2.matmul(mat(A), mat(X0)))) is not None
     assert_matches_reference(A, rng.integers(0, 2, size=(rows, 1)).astype(np.uint8))
 
 
@@ -229,10 +241,10 @@ def test_sparse_shapes_above_64(rows, cols, density, seed):
 def test_sparse_rank_deficient_shapes_above_64(rows, cols, rank, seed):
     L = sparse_matrix(rows, rank, 0.05, seed)
     Rt = sparse_matrix(rank, cols, 0.05, 10 + seed)
-    A = gf2.matmul(L, Rt)
-    B = gf2.matmul(A, sparse_matrix(cols, 3, 0.1, 20 + seed))
+    A = to_np(gf2.matmul(mat(L), mat(Rt)))
+    B = to_np(gf2.matmul(mat(A), mat(sparse_matrix(cols, 3, 0.1, 20 + seed))))
     assert_matches_reference(A, B)
-    assert gf2.rank(A) <= rank
+    assert gf2.rank(mat(A)) <= rank
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -242,7 +254,7 @@ def test_sparse_rank_deficient_shapes_above_64(rows, cols, rank, seed):
 def test_dense_shapes_above_64(rows, cols, rank, seed):
     A = ref_matrix(rows, cols, rank, seed)
     rng = np.random.default_rng(70 + seed)
-    B = gf2.matmul(A, rng.integers(0, 2, size=(cols, 4)).astype(np.uint8))
+    B = to_np(gf2.matmul(mat(A), mat(rng.integers(0, 2, size=(cols, 4)).astype(np.uint8))))
     assert assert_matches_reference(A, B) is not None
     assert_matches_reference(A, rng.integers(0, 2, size=(rows, 70)).astype(np.uint8))
 
@@ -258,13 +270,13 @@ def test_zero_right_hand_side_columns(rows, cols):
 def test_inconsistent_system_pivots_in_the_b_block(rows, cols):
     A = ref_matrix(rows, cols, 20 if min(rows, cols) > 20 else 4, 3)
     A[5] = 0
-    b = gf2.matmul(A, ref_matrix(cols, 1, None, 4))[:, 0]
+    b = to_np(gf2.matmul(mat(A), mat(ref_matrix(cols, 1, None, 4))))[:, 0]
     b[5] = 1  # row 5 reads 0 = 1
     aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
     _, piv = ref_row_echelon(aug, True)
     _, piv_A = ref_row_echelon(A, True)
     assert piv == piv_A + [cols]  # the only extra pivot is b's column
-    assert gf2.solve(A, b) is None
+    assert gf2.solve(mat(A), vec(b)) is None
     assert assert_matches_reference(A, b.reshape(-1, 1)) is None
 
 
@@ -272,9 +284,9 @@ def test_inconsistent_system_pivots_in_the_b_block(rows, cols):
 def test_entries_two_and_three_act_as_zero_and_one(rows, cols):
     rng = np.random.default_rng(rows * cols)
     A = ref_matrix(rows, cols, None, 5)
-    B = gf2.matmul(A, ref_matrix(cols, 2, None, 6))
+    B = to_np(gf2.matmul(mat(A), mat(ref_matrix(cols, 2, None, 6))))
     A23 = A + 2 * rng.integers(0, 2, size=A.shape).astype(np.uint8)
     B23 = B + 2 * rng.integers(0, 2, size=B.shape).astype(np.uint8)
     assert set(np.unique(A23)) == {0, 1, 2, 3}
     assert assert_matches_reference(A23, B23) is not None
-    assert gf2.mat_eq(gf2.solve(A23, B23[:, 0]), gf2.solve(A, B[:, 0]))
+    assert gf2.solve(mat(A23), mat(B23[:, :1])) == gf2.solve(mat(A), mat(B[:, :1]))

@@ -4,19 +4,24 @@ Only the two instance modules know which instances exist: the tags
 ``SET_BIJ``/``CHAIN_F2`` ("set-bij"/"chain-f2") appear nowhere else,
 except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``instance_of`` reads) and where ``__init__`` re-exports them from
-``base``.  Only ``gf2``, ``chainf2`` and ``suites`` (its ``Rng``) import
-numpy or ``gf2``.  Only ``strict``, whose one table maps each mode to its
+``base``.  Only ``suites`` (its seeded ``Rng``) imports numpy, so
+importing the CLI does not load it; only ``chainf2`` and ``suites``
+import ``gf2``.  Only ``strict``, whose one table maps each mode to its
 classes, compares anything with a mode or class tag.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "promc"
 TAG_NAMES = {"SET_BIJ", "CHAIN_F2"}
 TAG_VALUES = {"set-bij", "chain-f2"}
 INSTANCE_MODULES = {"setbij", "chainf2"}
-NUMERIC_MODULES = {"gf2", "chainf2", "suites"}
+NUMPY_MODULES = {"suites"}
+GF2_MODULES = {"gf2", "chainf2", "suites"}
 MODE_NAMES = {"MODE_L1", "MODE_L2", "FIB", "ACYCLIC_FIB"}
 MODE_VALUES = {"L1", "L2", "fib", "acyclic-fib"}
 COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
@@ -51,24 +56,28 @@ def tag_uses(module, source):
     return out
 
 
+def _imports(node):
+    """(line, "numpy" | "gf2") for an import statement of either."""
+    if isinstance(node, ast.Import):
+        return [(node.lineno, "numpy" if a.name.split(".")[0] == "numpy" else "gf2")
+                for a in node.names
+                if a.name.split(".")[0] == "numpy" or a.name == "promc.gf2"]
+    if isinstance(node, ast.ImportFrom):
+        mod = node.module or ""
+        if mod.split(".")[0] == "numpy" and node.level == 0:
+            return [(node.lineno, "numpy")]
+        if mod in ("gf2", "promc.gf2") \
+                or (mod in ("", "promc") and "gf2" in {a.name for a in node.names}):
+            return [(node.lineno, "gf2")]
+    return []
+
+
 def numeric_imports(module, source):
-    """(line, module) of every numpy or gf2 import outside the numeric
-    modules."""
-    if module in NUMERIC_MODULES:
-        return []
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            out += [(node.lineno, a.name) for a in node.names
-                    if a.name.split(".")[0] == "numpy" or a.name == "promc.gf2"]
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            names = {a.name for a in node.names}
-            if (mod.split(".")[0] == "numpy" and node.level == 0) \
-                    or mod in ("gf2", "promc.gf2") \
-                    or (mod in ("", "promc") and "gf2" in names):
-                out.append((node.lineno, mod or "gf2"))
-    return out
+    """(line, "numpy" | "gf2") of every numpy import outside
+    NUMPY_MODULES and every gf2 import outside GF2_MODULES."""
+    allowed = {"numpy": module in NUMPY_MODULES, "gf2": module in GF2_MODULES}
+    return [(line, what) for node in ast.walk(ast.parse(source))
+            for line, what in _imports(node) if not allowed[what]]
 
 
 def _is_mode(node):
@@ -130,6 +139,10 @@ def test_the_checks_see_what_they_forbid():
     assert len(numeric_imports("strict", src)) == 3
     assert tag_uses("chainf2", src) == []
     assert numeric_imports("suites", src) == []
+    assert numeric_imports("chainf2", src) == [(1, "numpy")]
+    assert numeric_imports("gf2", src) == [(1, "numpy")]
+    assert numeric_imports("verify", "import numpy.linalg\nimport promc.gf2\n") \
+        == [(1, "numpy"), (2, "gf2")]
     assert tag_uses("__init__", "from .base import SET_BIJ\n") == []
     assert tag_uses("base", "from .setbij import SET_BIJ\n") == []
     assert len(tag_uses("base", "from .proobj import SET_BIJ\n")) == 1
@@ -141,3 +154,11 @@ def test_the_checks_see_what_they_forbid():
              '    return kind == "acyclic-fib", kind != MODE_L1\n')
     assert len(mode_comparisons("verify", modes)) == 4
     assert mode_comparisons("strict", modes) == []
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = "import sys, promc.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
-from promc.base import classify_map, compose, identity, set_map, set_obj
+from promc import proiso
+from promc.base import SET_BIJ, classify_map, compose, identity, set_map, set_obj
 from promc.errors import PreconditionError, VerificationFailure
 from promc.indexing import chain_poset
 from promc.prohom import HFamily, IsoCertificate, hfamily_failure, is_pro_iso
@@ -10,7 +13,8 @@ from promc.proiso import (ProperPullbackResult, RetractDiagram,
                           compose_zigzag_we, pro_factor_iso, proper_pullback,
                           retract_exhibit, two_of_three, verify_witnesses)
 from promc.strict import MODE_L1, MODE_L2, detect_special, factor_strict
-from promc.suites import Rng, gen_level_map, gen_pro_object, gen_shift_iso, gen_we_level_map
+from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso, gen_we_level_map,
+                          suite_properness, suite_two_of_three)
 
 from helpers import collapse_triple
 
@@ -286,3 +290,36 @@ def test_proper_pullback_chainf2_constant():
     out = proper_pullback(p, fwe, identity_pro(cS), identity_family(cS))
     for s, cls in out.level_classes.items():
         assert cls.is_we
+
+
+# ------------------------------------------- suites classify what they get
+
+
+def _not_we_at_level_1(real, *kept, **stubs):
+    """A stand-in for the construction *real*: its own result, but with a
+    map that is not a weak equivalence at level "1" (the collapse of
+    ``collapse_triple``) while level_classes still say every level is
+    one.  The attributes named in *kept* come from the real result, the
+    ones in *stubs* are given."""
+    bad = collapse_triple()[2]
+
+    def fake(*args):
+        out = real(*args)
+        return SimpleNamespace(map=bad, level_classes=out.level_classes,
+                               **{k: getattr(out, k) for k in kept}, **stubs)
+    return fake
+
+
+def test_two_of_three_suite_reports_a_level_that_is_not_a_we(monkeypatch):
+    monkeypatch.setattr(proiso, "compose_zigzag_we", _not_we_at_level_1(
+        proiso.compose_zigzag_we, "source_cert", "target_cert",
+        replay_composite_identity=lambda *args: None))
+    rep = suite_two_of_three(SET_BIJ, 2, 0)
+    assert rep.failures == [(0, "zigzag", "1"), (1, "zigzag", "1")]
+
+
+def test_properness_suite_reports_a_level_that_is_not_a_we(monkeypatch):
+    monkeypatch.setattr(proiso, "proper_pullback", _not_we_at_level_1(
+        proiso.proper_pullback, "glue_cert"))
+    rep = suite_properness(SET_BIJ, 2, 0)
+    assert rep.failures == [(0, "1"), (1, "1")]

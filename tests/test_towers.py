@@ -1,5 +1,10 @@
+import dataclasses
+import os
+import sys
+
 import pytest
 
+from promc import base, cli, strict
 from promc.base import chain_map, classify_map, identity, set_map, set_obj, zero_complex
 from promc.errors import PreconditionError, VerificationFailure
 from promc.indexing import chain_poset, point_poset
@@ -138,3 +143,52 @@ def test_adjunction_naturality_probe():
     probe = set_map(set_obj(["q"]), base, {"q": "*"})
     w = adjunction_check(base, X, naturality_probes=[probe])
     assert w.verified()
+
+
+# ------------------------------------------- one matching map per level
+
+
+def _counted(monkeypatch, fn):
+    """Rebind *fn* in every loaded promc module that holds it to a wrapper
+    that counts its calls; returns the list the calls are appended to."""
+    calls = []
+
+    def wrapper(*args, **kw):
+        calls.append(args)
+        return fn(*args, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "promc" or name.startswith("promc.")):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("cmd", ["cocell", "tower-limit"])
+def test_tower_commands_compute_each_matching_map_once(cmd, tmp_path, monkeypatch):
+    # detect_special computes and classifies each matching map, the tower
+    # reuses both, and Tower.replay_base_changes classifies once more as
+    # its check: 2 matching maps and 4 classifications for 2 levels
+    classified = _counted(monkeypatch, base.classify_map)
+    matched = _counted(monkeypatch, strict.matching_map)
+    doc = os.path.join(os.path.dirname(__file__), "fixtures", "special.json")
+    code = cli.run_command([cmd, doc, "p", "--class", "acyclic-fib",
+                            "--out", str(tmp_path / "cert.json")])
+    assert code == 0
+    assert (len(matched), len(classified)) == (2, 4)
+
+
+@pytest.mark.parametrize("which", ["set-bij", "chain-f2"])
+def test_a_tower_without_kept_matching_maps_recomputes_them(which):
+    if which == "set-bij":
+        f = special_acyclic_example()[2]
+    else:
+        f = factor_strict(gen_level_map(Rng(1), chain_poset(3), which), MODE_L1).right
+    sp = detect_special(f, ACYCLIC_FIB)
+    assert sorted(sp.matching) == sorted(f.source.index.elements)
+    kept = build_cocell_tower(f, special=sp)
+    fresh = build_cocell_tower(f, special=dataclasses.replace(sp, matching=None))
+    for a, b in zip(kept.stages, fresh.stages, strict=True):
+        assert (a.level, a.attach, a.attach_class) == (b.level, b.attach, b.attach_class)
+    fresh.replay_base_changes()
