@@ -22,6 +22,16 @@ def mat(A):
     return gf2.asmat(A, *A.shape)
 
 
+def vec(b):
+    """A 0/1 vector (a list or numpy array) as a ``gf2`` vector, an int."""
+    return sum((int(x) & 1) << i for i, x in enumerate(b))
+
+
+def unvec(x, n):
+    """The ``gf2`` vector *x* of length *n* as a uint8 numpy array."""
+    return np.array([x >> i & 1 for i in range(n)], dtype=np.uint8)
+
+
 # ---------------------------------------------------------------- fixtures
 
 def disk1():
@@ -91,6 +101,12 @@ def random_complex(rng, max_deg=2, max_dim=3):
         diff[n] = D
         prev = D
     return chain_obj(lo, hi, dims, diff)
+
+
+def shifted(obj, k):
+    """The complex *obj* with every degree raised by k."""
+    return chain_obj(obj.lo + k, obj.hi + k, [obj.dim(n) for n in obj.degrees],
+                     {n + k: obj.d(n) for n in range(obj.lo, obj.hi)})
 
 
 def random_chain_map(rng, X, Y):

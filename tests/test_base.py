@@ -13,7 +13,8 @@ from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso,
                           suite_factorization)
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
-                     random_set_map, random_set_obj, sphere0, to_np, we_by_cone)
+                     random_set_map, random_set_obj, shifted, sphere0, to_np,
+                     we_by_cone)
 
 
 # ----------------------------------------------------------- construction
@@ -252,11 +253,6 @@ def test_lift_random_acof_vs_fib(seed):
 
 # ------------------------------------------------ chain-map system oracle
 
-def _shifted(obj, k):
-    return chain_obj(obj.lo + k, obj.hi + k, [obj.dim(n) for n in obj.degrees],
-                     {n + k: obj.d(n) for n in range(obj.lo, obj.hi)})
-
-
 def _brute_force_chain_maps(X, Y):
     """Every tuple of degreewise 0/1 matrices that commutes with the
     boundaries, checked with plain numpy; keys are per-degree entry tuples."""
@@ -286,7 +282,7 @@ def test_enumerate_chain_maps_matches_brute_force(seed):
     rng = np.random.default_rng(900 + seed)
     while True:
         X = random_complex(rng, max_deg=2, max_dim=3)
-        Y = _shifted(random_complex(rng, max_deg=2, max_dim=3),
+        Y = shifted(random_complex(rng, max_deg=2, max_dim=3),
                      int(rng.integers(0, 2)))
         unknowns = sum(X.dim(n) * Y.dim(n) for n in range(-1, 5))
         if 4 <= unknowns <= 10:

@@ -1,21 +1,12 @@
 import numpy as np
 import pytest
-from helpers import mat, to_np
+from helpers import mat, to_np, unvec, vec
 
 from promc import gf2
 
 
 def M(rows):
     return gf2.asmat(rows)
-
-
-def vec(b):
-    """A 0/1 vector (a list or numpy array) as a ``gf2`` vector, an int."""
-    return sum((int(x) & 1) << i for i, x in enumerate(b))
-
-
-def unvec(x, n):
-    return np.array([x >> i & 1 for i in range(n)], dtype=np.uint8)
 
 
 def test_rank_and_echelon():

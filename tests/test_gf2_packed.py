@@ -8,10 +8,9 @@ from uint8 arrays, and the packed values are compared through
 
 import numpy as np
 import pytest
-from helpers import mat, random_complex, to_np
+from helpers import mat, random_complex, shifted, to_np, unvec, vec
 
 from promc import gf2
-from promc.base import chain_obj
 from promc.chainf2 import chain_map_system
 
 SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3), (16, 16),
@@ -51,14 +50,6 @@ def np_pivots(A):
 
 def np_rank(A):
     return len(np_pivots(A))
-
-
-def vec(b):
-    return sum((int(x) & 1) << i for i, x in enumerate(b))
-
-
-def unvec(x, n):
-    return np.array([x >> i & 1 for i in range(n)], dtype=np.uint8)
 
 
 def matrices(seed):
@@ -161,11 +152,6 @@ def test_quotient_map(seed):
 # ----------------------------------------------- chain-map linear systems
 
 
-def _shifted(obj, k):
-    return chain_obj(obj.lo + k, obj.hi + k, [obj.dim(n) for n in obj.degrees],
-                     {n + k: obj.d(n) for n in range(obj.lo, obj.hi)})
-
-
 def dense_system(S, T, blocks):
     """The system of ``chain_map_system`` built densely with np.kron:
     naturality d_T·h_n + h_{n+1}·d_S = 0, then (L ⊗ Rᵀ)·vec(h_n) = vec(out)."""
@@ -199,7 +185,7 @@ def dense_system(S, T, blocks):
 def test_chain_map_system_has_the_row_space_of_the_dense_build(seed):
     rng = np.random.default_rng(400 + seed)
     S = random_complex(rng, max_deg=3, max_dim=4)
-    T = _shifted(random_complex(rng, max_deg=3, max_dim=4), int(rng.integers(-1, 2)))
+    T = shifted(random_complex(rng, max_deg=3, max_dim=4), int(rng.integers(-1, 2)))
     blocks = []
     for _ in range(int(rng.integers(0, 4))):
         n = int(rng.integers(-1, 5))
