@@ -81,7 +81,7 @@ class ChainObject(BaseObject):
 class ChainMap(BaseMap):
     """One matrix per degree, commuting with the boundaries.
 
-    With check=True every matrix is read mod 2 into a fresh ``gf2.Mat``,
+    With check=True every matrix is read into a fresh ``gf2.Mat`` by ``_read``,
     its shape and the commutation are checked: every document input
     takes this path.  With check=False a ``gf2.Mat`` of the expected
     shape is kept as given (values are immutable, so nothing is copied);
@@ -129,8 +129,14 @@ class ChainMap(BaseMap):
 
 
 def _read(M, rows, cols, what):
-    """*M* read mod 2 as a fresh rows x cols ``gf2.Mat``; MalformedError,
-    naming *what*, for anything else."""
+    """*M* as a fresh rows x cols ``gf2.Mat``; MalformedError, naming
+    *what*, for anything else.  A list (document input) may hold only the
+    integers 0 and 1; other inputs are read mod 2."""
+    if isinstance(M, list):
+        bad = [x for r in M if isinstance(r, list) for x in r
+               if type(x) is not int or x not in (0, 1)]
+        if bad:
+            raise MalformedError(f"{what}: not a 0/1 entry: {bad[0]!r}")
     try:
         M = gf2.asmat(M, rows, cols)
     except ValueError as e:
@@ -423,8 +429,7 @@ class ChainF2:
         idx = X.index
         V = gen_pro_object(rng, idx, self, max_deg=1, max_dim=2)
         evals = {s: _path_middle(V.value(s)) for s in idx.elements}
-        estructs = {(t, s): _path_functor_map(V.struct(t, s))
-                    for t in idx.elements for s in idx.elements if idx.lt(s, t)}
+        estructs = {(t, s): _path_functor_map(V.struct(t, s)) for s, t in idx.covers()}
         E = ProObject(idx, values=evals, structs=estructs)
         big = pro_colimit_levelwise(ProDiagram(idx, {"x": X, "e": E}, []))
         proj = {}

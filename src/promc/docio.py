@@ -96,8 +96,8 @@ def proobj_from_doc(instance, doc, index):
     structs = {}
     for key, payload in doc.get("structure", {}).items():
         t, _, s = key.partition(">")
-        if not index.leq(s, t):
-            raise MalformedError(f"structure key {key} not a related pair")
+        if t not in values or s not in values:
+            raise MalformedError(f"structure key {key} names an unknown element")
         structs[(t, s)] = map_from_doc(instance, payload, values[t], values[s])
     return ProObject(index, values=values, structs=structs)
 

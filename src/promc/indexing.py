@@ -11,6 +11,7 @@ the initial object of the index category.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedError, PreconditionError, UnsupportedRegimeError
 
@@ -34,10 +35,10 @@ class IndexPoset:
 
     Finite regime stores element names and the full ≤ relation; the ω
     regime is the natural numbers with the usual order and a truncation
-    depth used only for enumeration.
+    depth used only for enumeration.  The order facts of a finite poset
+    (its related pairs, covers, maximum and linear extension) are derived
+    on first use and kept, since the value is immutable.
     """
-
-    __slots__ = ("regime", "elements", "_leq", "depth")
 
     def __init__(self, regime, elements=(), leq=(), depth=DEFAULT_DEPTH):
         self.regime = regime
@@ -66,32 +67,64 @@ class IndexPoset:
             return tuple(range(depth if depth is not None else self.depth))
         return self.elements
 
+    def _finite(self, what):
+        if self.regime == OMEGA:
+            raise UnsupportedRegimeError(f"{what} of ω are infinite")
+
+    @cached_property
+    def _below(self):
+        """Each element's strictly smaller elements, in element order."""
+        return {t: tuple(s for s in self.elements if self.lt(s, t))
+                for t in self.elements}
+
+    @cached_property
+    def pairs(self):
+        """Related pairs (t, s) with s < t, t-major in element order."""
+        self._finite("related pairs")
+        return tuple((t, s) for t in self.elements for s in self._below[t])
+
     def predecessors(self, t):
         """Strictly smaller elements, sorted."""
         if self.regime == OMEGA:
             return tuple(range(int(t)))
-        return tuple(s for s in self.elements if self.lt(s, t))
+        return self._below.get(t, ())
 
     def max_element(self):
         """The maximum; exists in every finite directed poset."""
         if self.regime == OMEGA:
             raise UnsupportedRegimeError("the ω-tower has no maximum")
+        return self._max
+
+    @cached_property
+    def _max(self):
         for m in self.elements:
-            if all(self.leq(s, m) for s in self.elements):
+            if len(self._below[m]) == len(self.elements) - 1:
                 return m
         raise AssertionError("validated directed finite poset lost its maximum")
 
     def covers(self):
         """Covering pairs (s, t) with s < t and nothing in between."""
-        if self.regime == OMEGA:
-            raise UnsupportedRegimeError("covers of ω are infinite")
-        out = []
-        for s in self.elements:
-            for t in self.elements:
-                if self.lt(s, t) and not any(
-                        self.lt(s, u) and self.lt(u, t) for u in self.elements):
-                    out.append((s, t))
-        return out
+        self._finite("covers")
+        return self._covers
+
+    @cached_property
+    def _covers(self):
+        below = self._below
+        return tuple((s, t) for s in self.elements for t in self.elements
+                     if s in below[t] and not any(s in below[u] for u in below[t]))
+
+    @cached_property
+    def _well_ordering(self):
+        remaining = set(self.elements)
+        order = []
+        while remaining:
+            ready = [s for s in remaining
+                     if not any(t in remaining for t in self._below[s])]
+            if not ready:
+                raise AssertionError("cycle in a validated poset")
+            order.append(min(ready))
+            remaining.remove(order[-1])
+        return WellOrdering(self, tuple(order))
 
     def __eq__(self, other):
         if not isinstance(other, IndexPoset):
@@ -202,17 +235,7 @@ def linear_extension(poset):
     by lexicographic element identifier."""
     if poset.regime != FINITE:
         raise UnsupportedRegimeError("linear_extension needs the finite regime")
-    remaining = set(poset.elements)
-    order = []
-    while remaining:
-        ready = sorted(s for s in remaining
-                       if not any(poset.lt(t, s) for t in remaining if t != s))
-        if not ready:
-            raise AssertionError("cycle in a validated poset")
-        pick = ready[0]
-        order.append(pick)
-        remaining.remove(pick)
-    return WellOrdering(poset, tuple(order))
+    return poset._well_ordering
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,7 @@ def _omega_hom(X, Y, d):
         reps = []
         for g in germs_top:
             comps = {n: (top, compose(Y.struct(top, n), g)) for n in range(d)}
-            reps.append(general_map(X, Y, lambda n, _c=comps: _c[n],
-                                    check=False, depth=d))
+            reps.append(general_map(X, Y, comps, check=False, depth=d))
         return HomSet(maps=reps, depth=d, stabilized_at=None)
     # threads through the stable system, one per stable germ at level 0
     reps = []
@@ -124,8 +123,7 @@ def _omega_hom(X, Y, d):
                      if compose(Y.struct(s, 0), g) == psi0]
             thread[s] = lifts[0]  # unique below the pinned range
         comps = {n: (top, thread[n]) for n in range(d)}
-        reps.append(general_map(X, Y, lambda n, _c=comps: _c[n],
-                                check=False, depth=d))
+        reps.append(general_map(X, Y, comps, check=False, depth=d))
     stab_at = pinned
     for k in range(1, pinned + 1):
         if all({compose(Y.struct(k, s), g)
@@ -153,14 +151,11 @@ def hfamily_failure(f, fam):
     for the LEVEL map f: X -> Y fails, as (t, s, what): *what* is
     "missing" (no h_ts), "left" (h_ts ∘ f_t ≠ X(t, s)) or "right"
     (f_s ∘ h_ts ≠ Y(t, s)).  None when every triangle commutes."""
-    idx = f.source.index
-    for t in idx.elements:
-        for s in idx.elements:
-            if idx.lt(s, t):
-                h = fam.get(t, s)
-                what = "missing" if h is None else _triangle_failure(f, t, s, h)
-                if what is not None:
-                    return t, s, what
+    for t, s in f.source.index.pairs:
+        h = fam.get(t, s)
+        what = "missing" if h is None else _triangle_failure(f, t, s, h)
+        if what is not None:
+            return t, s, what
     return None
 
 
@@ -270,18 +265,14 @@ def is_pro_iso(f, candidate_inverse=None, depth=None):
 
 
 def _search_hfamily(f):
-    idx = f.source.index
     X, Y = f.source, f.target
     pairs = {}
-    for t in idx.elements:
-        for s in idx.elements:
-            if not idx.lt(s, t):
-                continue
-            found = next((h for h in enumerate_base_maps(Y.value(t), X.value(s))
-                          if _triangle_failure(f, t, s, h) is None), None)
-            if found is None:
-                return None
-            pairs[(t, s)] = found
+    for t, s in X.index.pairs:
+        found = next((h for h in enumerate_base_maps(Y.value(t), X.value(s))
+                      if _triangle_failure(f, t, s, h) is None), None)
+        if found is None:
+            return None
+        pairs[(t, s)] = found
     return HFamily(pairs)
 
 
@@ -435,22 +426,20 @@ class LevelwiseCone:
 
 
 def _induced_structs(pd, cones, colimit=False):
-    idx = pd.index
+    """The apex structure maps on the covers of the index, each mediated
+    from the level (co)cones; the apex closes the rest."""
     structs = {}
-    for t in idx.elements:
-        for s in idx.elements:
-            if not idx.leq(s, t):
-                continue
-            if colimit:
-                legs = {v: compose(cones[s].legs[v], pd.nodes[v].struct(t, s))
-                        for v in pd.nodes}
-                structs[(t, s)] = cones[t].mediate(
-                    Cone(cones[t].diagram, cones[s].apex, legs))
-            else:
-                legs = {v: compose(pd.nodes[v].struct(t, s), cones[t].legs[v])
-                        for v in pd.nodes}
-                structs[(t, s)] = cones[s].mediate(
-                    Cone(cones[s].diagram, cones[t].apex, legs))
+    for s, t in pd.index.covers():
+        if colimit:
+            legs = {v: compose(cones[s].legs[v], pd.nodes[v].struct(t, s))
+                    for v in pd.nodes}
+            structs[(t, s)] = cones[t].mediate(
+                Cone(cones[t].diagram, cones[s].apex, legs))
+        else:
+            legs = {v: compose(pd.nodes[v].struct(t, s), cones[t].legs[v])
+                    for v in pd.nodes}
+            structs[(t, s)] = cones[s].mediate(
+                Cone(cones[s].diagram, cones[t].apex, legs))
     return structs
 
 

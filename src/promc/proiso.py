@@ -89,32 +89,27 @@ def pro_factor_iso(f, witnesses, base_mode=COF_ACF):
     c = {s: factors[s].left for s in idx.elements}
     q = {s: factors[s].right for s in idx.elements}
     structs = {}
-    for t in idx.elements:
-        for s in idx.elements:
-            if not idx.lt(s, t):
-                continue
-            realized = []
-            for u in idx.elements:
-                if idx.leq(s, u) and idx.lt(u, t):
-                    m = compose(c[s], compose(X.struct(u, s),
-                                              compose(witnesses.get(t, u), q[t])))
-                    if not any(m == r for r in realized):
-                        realized.append(m)
-            if len(realized) != 1:
-                raise PreconditionError(
-                    f"witnesses do not induce a thin chain quotient at {t}>{s}: "
-                    f"{len(realized)} distinct realized composites")
-            structs[(t, s)] = realized[0]
+    for t, s in idx.pairs:
+        realized = []
+        for u in idx.predecessors(t):
+            if idx.leq(s, u):
+                m = compose(c[s], compose(X.struct(u, s),
+                                          compose(witnesses.get(t, u), q[t])))
+                if not any(m == r for r in realized):
+                    realized.append(m)
+        if len(realized) != 1:
+            raise PreconditionError(
+                f"witnesses do not induce a thin chain quotient at {t}>{s}: "
+                f"{len(realized)} distinct realized composites")
+        structs[(t, s)] = realized[0]
     Z = ProObject(idx, values={s: factors[s].middle for s in idx.elements},
                   structs=structs)
     left = level_map(X, Z, c)
     right = level_map(Z, Y, q)
     left_fam = HFamily({(t, s): compose(witnesses.get(t, s), q[t])
-                        for t in idx.elements for s in idx.elements
-                        if idx.lt(s, t)})
+                        for t, s in idx.pairs})
     right_fam = HFamily({(t, s): compose(c[s], witnesses.get(t, s))
-                         for t in idx.elements for s in idx.elements
-                         if idx.lt(s, t)})
+                         for t, s in idx.pairs})
     out = ProIsoFactorization(
         input=f, middle=Z, left=left, right=right,
         left_cert=IsoCertificate(forward=left, hfamily=left_fam),
@@ -143,15 +138,11 @@ def _mediated_family(cone, other, legs):
     levelwise (co)limit *cone*, each h_ts mediating the cone legs(t, s):
     from other_t into the limit at s, or out of the colimit at t into
     other_s."""
-    idx = other.index
     pairs = {}
-    for t in idx.elements:
-        for s in idx.elements:
-            if idx.lt(s, t):
-                lc = cone.level_cones[t if cone.colimit else s]
-                pairs[(t, s)] = lc.mediate(Cone(
-                    lc.diagram, other.value(s if cone.colimit else t),
-                    legs(t, s)))
+    for t, s in other.index.pairs:
+        lc = cone.level_cones[t if cone.colimit else s]
+        pairs[(t, s)] = lc.mediate(Cone(
+            lc.diagram, other.value(s if cone.colimit else t), legs(t, s)))
     return HFamily(pairs)
 
 
@@ -174,22 +165,17 @@ class ZigzagWeResult:
 
     def replay_composite_identity(self, f, h_witnesses, g):
         """κ_ts ∘ composite_t = g_s ∘ h_ts ∘ f_t ∘ π_t exactly, t > s."""
-        idx = self.map.source.index
         pix = self.source_cert.forward
         kap = self.target_cert.hfamily
-        for t in idx.elements:
-            for s in idx.elements:
-                if not idx.lt(s, t):
-                    continue
-                lhs = compose(kap.get(t, s), self.map.level_component(t))
-                rhs = compose(g.level_component(s),
-                              compose(h_witnesses.get(t, s),
-                                      compose(f.level_component(t),
-                                              pix.level_component(t))))
-                if lhs != rhs:
-                    raise VerificationFailure(
-                        f"zigzag composite identity fails at {t}>{s}",
-                        witness=(t, s))
+        for t, s in self.map.source.index.pairs:
+            lhs = compose(kap.get(t, s), self.map.level_component(t))
+            rhs = compose(g.level_component(s),
+                          compose(h_witnesses.get(t, s),
+                                  compose(f.level_component(t),
+                                          pix.level_component(t))))
+            if lhs != rhs:
+                raise VerificationFailure(
+                    f"zigzag composite identity fails at {t}>{s}", witness=(t, s))
 
 
 def compose_zigzag_we(f, h, g, witnesses):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .base import BaseMap, compose, identity
 from .errors import MalformedError, PreconditionError
-from .indexing import DEFAULT_DEPTH, FINITE, OMEGA
+from .indexing import DEFAULT_DEPTH, FINITE, OMEGA, linear_extension
 
 LEVEL = "level"
 GENERAL = "general"
@@ -38,55 +38,54 @@ class ProObject:
             self._values = dict(values)
             if set(self._values) != set(index.elements):
                 raise MalformedError("values must cover the index carrier")
-            self._structs = {}
             self._value_fn = self._step_fn = None
-            self._close_structs(structs or {})
+            self._structs = self._closure(structs or {})
         else:
             self._values = {}
             self._structs = {}
             self._value_fn = value_fn
             self._step_fn = step_fn
 
-    def _close_structs(self, given):
-        idx = self.index
-        pairs = sorted((t, s) for t in idx.elements for s in idx.elements
-                       if idx.leq(s, t))
-        given = dict(given)
-        for s in idx.elements:
-            self._structs[(s, s)] = identity(self._values[s])
-        covers = set(idx.covers())
-        # interval height = number of elements strictly between, +1
-        def height(t, s):
-            return sum(1 for u in idx.elements if idx.leq(s, u) and idx.leq(u, t))
-        for (t, s) in sorted((p for p in pairs if p[0] != p[1]),
-                             key=lambda p: height(*p)):
-            if (t, s) in given:
-                m = given[(t, s)]
-                if not isinstance(m, BaseMap) or m.source != self._values[t] \
-                        or m.target != self._values[s]:
-                    raise MalformedError(f"structure map {t}->{s} has wrong endpoints")
-                self._structs[(t, s)] = m
-            elif (s, t) in covers:
-                raise MalformedError(f"missing structure map for cover {t}->{s}")
-            else:
-                u = next(u for u in idx.elements
-                         if (u, t) in covers and idx.leq(s, u))
-                self._structs[(t, s)] = compose(self._structs[(u, s)],
-                                                self._structs[(t, u)])
-        self.validate()
+    def _closure(self, given):
+        """Every structure map, from the maps *given* on related pairs
+        (every cover at least), as one dict keyed (t, s).
+
+        One pass over the strict triples t > u > s, t along the linear
+        extension and s from the top down, checks each given map, composes
+        each missing pair once and compares every other composite once."""
+        idx, values = self.index, self._values
+        structs = {(s, s): identity(values[s]) for s in idx.elements}
+        for (t, s), m in given.items():
+            if t not in values or s not in values:
+                raise MalformedError(f"structure map {t}->{s} names an unknown element")
+            if not idx.leq(s, t):
+                raise MalformedError(f"structure map {t}->{s} is not on a related pair")
+            if not isinstance(m, BaseMap) or m.source != values[t] \
+                    or m.target != values[s]:
+                raise MalformedError(f"structure map {t}->{s} has wrong endpoints")
+            if t == s and m != structs[(s, s)]:
+                raise MalformedError(
+                    f"functoriality fails: structure map {s}->{s} is not the identity")
+            structs.setdefault((t, s), m)
+        order = linear_extension(idx).order
+        rank = {s: k for k, s in enumerate(order)}
+        for t in order:
+            below = sorted(idx.predecessors(t), key=rank.get, reverse=True)
+            for k, s in enumerate(below):
+                for u in below[:k]:
+                    if idx.lt(s, u):
+                        m = compose(structs[(u, s)], structs[(t, u)])
+                        if structs.setdefault((t, s), m) != m:
+                            raise MalformedError(
+                                f"functoriality fails on {t} >= {u} >= {s}")
+                if (t, s) not in structs:
+                    raise MalformedError(f"missing structure map for cover {t}->{s}")
+        return structs
 
     def validate(self):
-        """Functoriality: all composites agree with the stored maps."""
-        idx = self.index
-        if idx.regime != FINITE:
-            return
-        for (t, u) in self._structs:
-            for s in idx.elements:
-                if idx.leq(s, u):
-                    lhs = compose(self._structs[(u, s)], self._structs[(t, u)])
-                    if lhs != self._structs[(t, s)]:
-                        raise MalformedError(
-                            f"functoriality fails on {t} >= {u} >= {s}")
+        """Functoriality: the closure pass again over the stored maps."""
+        if self.index.regime == FINITE:
+            self._closure(self._structs)
 
     @property
     def instance(self):
@@ -161,19 +160,23 @@ def omega_pro_object(value_fn, step_fn, depth=DEFAULT_DEPTH):
 
 
 class ProMap:
-    """A morphism of pro-objects in LEVEL or GENERAL presentation."""
+    """A morphism of pro-objects in LEVEL or GENERAL presentation.
 
-    __slots__ = ("source", "target", "kind", "_comps", "_comp_fn")
+    *comps* is a dict keyed by target index, or a function of the target
+    index; either way each component is computed once and kept."""
 
-    def __init__(self, source, target, kind, comps=None, comp_fn=None,
-                 check=True, depth=None):
+    __slots__ = ("source", "target", "kind", "_comps", "_fn")
+
+    def __init__(self, source, target, kind, comps, check=True, depth=None):
         if source.instance != target.instance:
             raise MalformedError("pro-map mixes instances")
         self.source = source
         self.target = target
         self.kind = kind
-        self._comps = dict(comps) if comps is not None else None
-        self._comp_fn = comp_fn
+        if callable(comps):
+            self._comps, self._fn = {}, comps
+        else:
+            self._comps, self._fn = dict(comps), None
         if kind == LEVEL and source.index != target.index:
             raise MalformedError("LEVEL presentation needs a shared index")
         if check:
@@ -181,29 +184,23 @@ class ProMap:
 
     # -- component access ------------------------------------------------
 
+    def _component(self, s):
+        if s not in self._comps:
+            if self._fn is None:
+                raise PreconditionError(f"no component at {s}")
+            self._comps[s] = self._fn(s)
+        return self._comps[s]
+
     def level_component(self, s):
         if self.kind != LEVEL:
             raise PreconditionError("not a LEVEL presentation")
-        if self._comps is not None:
-            if s not in self._comps:
-                if self._comp_fn is None:
-                    raise PreconditionError(f"no component at {s}")
-                self._comps[s] = self._comp_fn(s)
-            return self._comps[s]
-        return self._comp_fn(s)
+        return self._component(s)
 
     def component(self, s):
         """GENERAL view: (source index t, base map X_t -> Y_s)."""
         if self.kind == LEVEL:
-            return (s, self.level_component(s))
-        if self._comps is not None and s in self._comps:
-            return self._comps[s]
-        if self._comp_fn is not None:
-            pair = self._comp_fn(s)
-            if self._comps is not None:
-                self._comps[s] = pair
-            return pair
-        raise PreconditionError(f"no component at {s}")
+            return (s, self._component(s))
+        return self._component(s)
 
     # -- validation -------------------------------------------------------
 
@@ -218,7 +215,7 @@ class ProMap:
             if idx.regime == OMEGA:
                 pairs = [(n + 1, n) for n in carrier[:-1]]  # induction gives the rest
             else:
-                pairs = [(t, s) for t in carrier for s in carrier if idx.lt(s, t)]
+                pairs = idx.pairs
             for t, s in pairs:
                 lhs = compose(self.target.struct(t, s), self.level_component(t))
                 rhs = compose(self.level_component(s), self.source.struct(t, s))
@@ -234,14 +231,12 @@ class ProMap:
                 raise MalformedError(f"component at {s} has wrong endpoints")
         # compatibility up to refinement: realized maps agree under the
         # target structure maps
-        for s2 in carrier:
-            for s1 in carrier:
-                if idx.lt(s1, s2):
-                    lhs = compose(self.target.struct(s2, s1),
-                                  self.realize(s2, depth=depth))
-                    if lhs != self.realize(s1, depth=depth):
-                        raise MalformedError(
-                            f"compatibility fails from {s2} down to {s1}")
+        pairs = idx.pairs if idx.regime == FINITE else [
+            (s2, s1) for s2 in carrier for s1 in range(s2)]
+        for s2, s1 in pairs:
+            lhs = compose(self.target.struct(s2, s1), self.realize(s2, depth=depth))
+            if lhs != self.realize(s1, depth=depth):
+                raise MalformedError(f"compatibility fails from {s2} down to {s1}")
 
     # -- realization and equality ------------------------------------------
 
@@ -281,24 +276,15 @@ class ProMap:
 
 
 def level_map(source, target, comps, check=True, depth=None):
-    if callable(comps):
-        return ProMap(source, target, LEVEL, comp_fn=comps, comps={},
-                      check=check, depth=depth)
-    return ProMap(source, target, LEVEL, comps=comps, check=check, depth=depth)
+    return ProMap(source, target, LEVEL, comps, check=check, depth=depth)
 
 
 def general_map(source, target, comps, check=True, depth=None):
-    if callable(comps):
-        return ProMap(source, target, GENERAL, comp_fn=comps, comps={},
-                      check=check, depth=depth)
-    return ProMap(source, target, GENERAL, comps=comps, check=check, depth=depth)
+    return ProMap(source, target, GENERAL, comps, check=check, depth=depth)
 
 
 def identity_pro(X):
-    if X.index.regime == FINITE:
-        return level_map(X, X, {s: identity(X.value(s)) for s in X.index.elements},
-                         check=False)
-    return level_map(X, X, lambda n: identity(X.value(n)), check=False)
+    return level_map(X, X, lambda s: identity(X.value(s)), check=False)
 
 
 def compose_pro(g, f, check=False, depth=None):
@@ -306,12 +292,8 @@ def compose_pro(g, f, check=False, depth=None):
     if f.target is not g.source and f.target != g.source:
         raise PreconditionError("non-composable pro-maps")
     if f.kind == LEVEL and g.kind == LEVEL and f.source.index == g.target.index:
-        if f.source.index.regime == FINITE:
-            comps = {s: compose(g.level_component(s), f.level_component(s))
-                     for s in f.source.index.elements}
-            return level_map(f.source, g.target, comps, check=check)
         return level_map(f.source, g.target,
-                         lambda n: compose(g.level_component(n), f.level_component(n)),
+                         lambda s: compose(g.level_component(s), f.level_component(s)),
                          check=check, depth=depth)
 
     def comp(s):
@@ -319,31 +301,19 @@ def compose_pro(g, f, check=False, depth=None):
         u, phi = f.component(t)
         return (u, compose(gamma, phi))
 
-    if g.target.index.regime == FINITE:
-        return general_map(f.source, g.target,
-                           {s: comp(s) for s in g.target.index.elements},
-                           check=check)
     return general_map(f.source, g.target, comp, check=check, depth=depth)
 
 
 def to_general(f):
     if f.kind == GENERAL:
         return f
-    if f.target.index.regime == FINITE:
-        return general_map(f.source, f.target,
-                           {s: (s, f.level_component(s))
-                            for s in f.target.index.elements}, check=False)
-    return general_map(f.source, f.target,
-                       lambda n: (n, f.level_component(n)), check=False)
+    return general_map(f.source, f.target, f.component, check=False)
 
 
 def constant_over(index, obj):
     """The constant functor on *index* with value *obj*."""
     if index.regime == FINITE:
-        values = {s: obj for s in index.elements}
-        structs = {(t, s): identity(obj)
-                   for t in index.elements for s in index.elements
-                   if index.leq(s, t)}
-        return ProObject(index, values=values, structs=structs)
+        return ProObject(index, values={s: obj for s in index.elements},
+                         structs={(t, s): identity(obj) for s, t in index.covers()})
     return ProObject(index, value_fn=lambda n: obj,
                      step_fn=lambda n: identity(obj))

@@ -103,6 +103,20 @@ class MatchingData:
     map: BaseMap          # M_t f
     cone: object = None   # LimitCone; None when t is minimal
 
+    def mediate(self, apex, top, legs, f):
+        """The map from *apex* into the matching object of the LEVEL map f
+        at this level t, for the cone with legs top: apex -> Y_t and
+        legs[s]: apex -> X_s over the predecessors s (the leg to Y_s is
+        f_s ∘ legs[s]).  At a minimal t the matching object is Y_t and
+        the map is *top*.  PreconditionError when the legs are no cone."""
+        if self.cone is None:
+            return top
+        cone_legs = {f"Y.top:{self.level}": top}
+        for s, a in legs.items():
+            cone_legs[f"X:{s}"] = a
+            cone_legs[f"Y:{s}"] = compose(f.level_component(s), a)
+        return self.cone.mediate(Cone(self.cone.diagram, apex, cone_legs))
+
 
 def _matching_limit(label, Y, t, apex, top, side, struct):
     """The limit of W_s -> Y_s <- Y_t over the strict predecessors s of t,
@@ -434,22 +448,13 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
             if any(idx.lt(t, s) and not idx.leq(a_of[t], u) for t in a_of):
                 continue
             alpha = compose(top.level_component(s), A.struct(u, s))
-            if m.cone is None:
-                beta = compose(bottom.level_component(s), B.struct(u, s))
-            else:
-                preds = idx.predecessors(s)
-                legs = {f"Y.top:{s}": compose(bottom.level_component(s),
-                                              B.struct(u, s))}
-                for t in preds:
-                    legs[f"X:{t}"] = compose(comps[t], B.struct(u, a_of[t]))
-                    legs[f"Y:{t}"] = compose(p.level_component(t), legs[f"X:{t}"])
-                cone = Cone(m.cone.diagram, B.value(u), legs)
-                if cone.check_limit_cone() is not None:
-                    continue
-                try:
-                    beta = m.cone.mediate(cone)
-                except PreconditionError:
-                    continue
+            try:
+                beta = m.mediate(B.value(u),
+                                 compose(bottom.level_component(s), B.struct(u, s)),
+                                 {t: compose(comps[t], B.struct(u, a_of[t]))
+                                  for t in idx.predecessors(s)}, p)
+            except PreconditionError:
+                continue
             h = _base_lift(i.level_component(u), m.map, alpha, beta)
             if h is None:
                 continue

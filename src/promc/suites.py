@@ -96,7 +96,7 @@ def gen_poset(rng, max_elems=5):
 
 def gen_pro_object(rng, poset, instance, **kw):
     """A random functor: values assigned along the linear extension, each
-    structure map routed through every intermediate chain level."""
+    cover's structure map routed through every intermediate chain level."""
     instance = instance_of(instance)
     order = list(linear_extension(poset))
     vals = {}
@@ -107,14 +107,12 @@ def gen_pro_object(rng, poset, instance, **kw):
         chain_maps[k] = instance.gen_map(rng, vals[order[k + 1]], vals[order[k]])
     pos = {s: k for k, s in enumerate(order)}
     structs = {}
-    for t in poset.elements:
-        for s in poset.elements:
-            if poset.lt(s, t):
-                m = identity(vals[order[pos[s]]])
-                for k in range(pos[s], pos[t]):
-                    step = chain_maps[k]
-                    m = compose(m, step) if k > pos[s] else step
-                structs[(t, s)] = m
+    for s, t in poset.covers():
+        m = identity(vals[order[pos[s]]])
+        for k in range(pos[s], pos[t]):
+            step = chain_maps[k]
+            m = compose(m, step) if k > pos[s] else step
+        structs[(t, s)] = m
     return ProObject(poset, values=vals, structs=structs)
 
 
@@ -139,16 +137,11 @@ def gen_level_map(rng, poset, instance, tries=64, **kw):
             m = compose(m, steps[k]) if k > pos[s] else steps[k]
         return m
 
-    xstructs, ystructs = {}, {}
-    for t in poset.elements:
-        for s in poset.elements:
-            if poset.lt(s, t):
-                xstructs[(t, s)] = chained(asteps, A, t, s)
-                ystructs[(t, s)] = chained(bsteps, B, t, s)
+    covers = poset.covers()
     X = ProObject(poset, values={s: A[pos[s]] for s in poset.elements},
-                  structs=xstructs)
+                  structs={(t, s): chained(asteps, A, t, s) for s, t in covers})
     Y = ProObject(poset, values={s: B[pos[s]] for s in poset.elements},
-                  structs=ystructs)
+                  structs={(t, s): chained(bsteps, B, t, s) for s, t in covers})
     f = level_map(X, Y, {s: v[pos[s]] for s in poset.elements})
     return f
 
@@ -161,12 +154,8 @@ def conjugate_pro(rng, X, prefix="c"):
     vals, alphas = {}, {}
     for k, s in enumerate(X.index.elements):
         vals[s], alphas[s] = X.instance.gen_iso(rng, X.value(s), f"{prefix}{k}_")
-    structs = {}
-    for t in X.index.elements:
-        for s in X.index.elements:
-            if X.index.lt(s, t):
-                structs[(t, s)] = compose(
-                    alphas[s], compose(X.struct(t, s), inverse(alphas[t])))
+    structs = {(t, s): compose(alphas[s], compose(X.struct(t, s), inverse(alphas[t])))
+               for s, t in X.index.covers()}
     X2 = ProObject(X.index, values=vals, structs=structs)
     return X2, level_map(X, X2, alphas)
 
@@ -183,15 +172,11 @@ def gen_shift_iso(rng, instance, length=2, conjugate=True, **kw):
     up = {s: str(int(s) + 1) for s in I.elements}
     X = ProObject(I, values={s: tower.value(up[s]) for s in I.elements},
                   structs={(t, s): tower.struct(up[t], up[s])
-                           for t in I.elements for s in I.elements
-                           if I.lt(s, t)})
+                           for s, t in I.covers()})
     Y = ProObject(I, values={s: tower.value(s) for s in I.elements},
-                  structs={(t, s): tower.struct(t, s)
-                           for t in I.elements for s in I.elements
-                           if I.lt(s, t)})
+                  structs={(t, s): tower.struct(t, s) for s, t in I.covers()})
     f = level_map(X, Y, {s: tower.struct(up[s], s) for s in I.elements})
-    fam = {(t, s): tower.struct(t, up[s])
-           for t in I.elements for s in I.elements if I.lt(s, t)}
+    fam = {(t, s): tower.struct(t, up[s]) for t, s in I.pairs}
     if not conjugate:
         return f, HFamily(fam)
     X2, alpha = conjugate_pro(rng, X, prefix="x")
@@ -263,12 +248,10 @@ def brute_force_hom(X, Y):
         t, g = items_N[r]
         thread = {s: root(s, t, compose(Y.struct(N, s), g)) for s in I.elements}
         ok = True
-        for s2 in I.elements:
-            for s1 in I.elements:
-                if I.lt(s1, s2):
-                    t2, g2 = classes[s2][0][thread[s2]]
-                    if root(s1, t2, compose(Y.struct(s2, s1), g2)) != thread[s1]:
-                        ok = False
+        for s2, s1 in I.pairs:
+            t2, g2 = classes[s2][0][thread[s2]]
+            if root(s1, t2, compose(Y.struct(s2, s1), g2)) != thread[s1]:
+                ok = False
         if ok:
             threads.append(thread)
     return threads
@@ -446,14 +429,9 @@ def hom_oracle_family(max3_sizes=(1, 2)):
     """The exhaustive SetBij family: every pro-object over each directed
     poset shape with <= 3 elements; all sizes <= 3 with all structure maps
     on <= 2-element posets, sizes from *max3_sizes* on 3-element shapes."""
-    shapes = {
-        "point": (["m"], []),
-        "chain2": (["0", "1"], [("0", "1")]),
-        "chain3": (["0", "1", "2"], [("0", "1"), ("1", "2")]),
-        "vee3": (["a", "b", "m"], [("a", "m"), ("b", "m")]),
-    }
     out = []
-    for name, (els, covers) in shapes.items():
+    for name in ("point", "chain2", "chain3", "vee3"):
+        els, covers = POSET_SHAPES[name]
         poset = from_covers(els, covers)
         sizes = (1, 2, 3) if len(els) <= 2 else tuple(max3_sizes)
         out.extend(_all_pro_objects(poset, sizes))
@@ -466,8 +444,6 @@ def _all_pro_objects(poset, sizes):
     for dims in itertools.product(sizes, repeat=len(order)):
         vals = {s: set_obj([f"{s}e{i}" for i in range(dims[k])])
                 for k, s in enumerate(order)}
-        pairs = [(t, s) for t in poset.elements for s in poset.elements
-                 if poset.lt(s, t)]
         cover_pairs = [(t, s) for (s, t) in poset.covers()]
         choices = [enumerate_base_maps(vals[t], vals[s]) for t, s in cover_pairs]
         for combo in itertools.product(*choices):

@@ -19,7 +19,7 @@ from .base import BaseMap, BaseObject, classify_map, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_limit
 from .errors import (PreconditionError, UnsupportedRegimeError,
                      VerificationFailure, fail_on)
-from .indexing import FINITE, OMEGA, linear_extension
+from .indexing import DEFAULT_DEPTH, FINITE, OMEGA, linear_extension
 from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
 from .proobj import (LEVEL, ProObject, compose_pro, general_map,
@@ -52,6 +52,9 @@ class Tower:
     source_map: object = None       # the presented map, when built from one
     final_legs: dict = None         # top stage -> X_s, set by the builder
     final_mu: BaseMap = None        # top stage -> stage 0
+    value_fn: object = None         # ω towers: stage n's value
+    bonding_fn: object = None       # ω towers: stage n+1 -> stage n
+    depth: int | None = None        # ω towers: truncation depth
 
     def stage_value(self, k):
         if k == 0:
@@ -135,14 +138,8 @@ def build_cocell_tower(f, special=None, class_tag=None):
         else:
             m = matching_map(f, s)
             attach_class = classify_map(m.map)
-        if m.cone is None:
-            psi = compose(Y.struct(M, s), mu)
-        else:
-            legs = {f"Y.top:{s}": compose(Y.struct(M, s), mu)}
-            for t in idx.predecessors(s):
-                legs[f"X:{t}"] = lam[t]
-                legs[f"Y:{t}"] = compose(f.level_component(t), lam[t])
-            psi = m.cone.mediate(Cone(m.cone.diagram, cur, legs))
+        psi = m.mediate(cur, compose(Y.struct(M, s), mu),
+                        {t: lam[t] for t in idx.predecessors(s)}, f)
         dia = Diagram({"a": cur, "b": m.map.source, "c": m.map.target},
                       [("a", "c", psi), ("b", "c", m.map)])
         lim = finite_limit(dia)
@@ -163,15 +160,10 @@ def build_cocell_tower(f, special=None, class_tag=None):
     return tower
 
 
-def omega_constant_tower(value_fn, bonding_fn, attach_fn=None, class_tag=FIB,
-                         depth=None):
+def omega_constant_tower(value_fn, bonding_fn, class_tag=FIB, depth=None):
     """An ω-tower of constant stages given directly."""
-    t = Tower(class_tag=class_tag, base_value=value_fn(0), length=OMEGA)
-    t.value_fn = value_fn
-    t.bonding_fn = bonding_fn
-    t.attach_fn = attach_fn
-    t.depth = depth
-    return t
+    return Tower(class_tag=class_tag, base_value=value_fn(0), length=OMEGA,
+                 value_fn=value_fn, bonding_fn=bonding_fn, depth=depth)
 
 
 @dataclass
@@ -192,7 +184,7 @@ def tower_limit(tower, expect_source=None):
     n ↦ stage value n with the bondings."""
     if tower.length == OMEGA:
         apex = omega_pro_object(tower.value_fn, tower.bonding_fn,
-                                depth=tower.depth or 16)
+                                depth=tower.depth or DEFAULT_DEPTH)
         return TowerLimit(apex=apex, projection=None, iso_cert=None,
                           depth=tower.depth)
     if tower.length == 0:

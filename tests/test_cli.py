@@ -276,6 +276,49 @@ def test_a_malformed_chainf2_matrix_exits_2(tmp_path, capsys, where, matrix):
     assert ("matrix in degree 0" if where == "map" else "boundary out of degree 0") in text
 
 
+@pytest.mark.parametrize("entry", [-1, 10**30, 2.5, "1", True],
+                         ids=["-1", "10**30", "2.5", "string", "true"])
+def test_a_chainf2_matrix_entry_other_than_0_or_1_exits_2(tmp_path, capsys, entry):
+    doc = json.loads(open(fx("chainf2.json")).read())
+    doc["maps"]["p"]["level"]["pt"]["0"] = [[entry]]
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "factor", str(f), "p", "--mode", "L1")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:")
+    assert "matrix in degree 0" in out
+
+
+REFLEXIVE_SWAP_COMMANDS = [
+    ["hom", "{doc}", "B", "B"],
+    ["lift", "{doc}", "--i", "i", "--p", "p", "--top", "top", "--bottom", "bottom"],
+]
+
+
+@pytest.mark.parametrize("argv", REFLEXIVE_SWAP_COMMANDS, ids=["hom", "lift"])
+def test_a_reflexive_structure_map_other_than_the_identity_exits_2(tmp_path, capsys,
+                                                                   argv):
+    doc = json.loads(open(fx("special.json")).read())
+    doc["objects"]["B"]["structure"]["1>1"] = {"a": "b", "b": "a"}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, *[a.format(doc=f) for a in argv])
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:")
+    assert "functoriality" in out
+
+
+@pytest.mark.parametrize("key", ["0>1", "2>0", "1>x"])
+def test_a_structure_key_off_the_order_exits_2(tmp_path, capsys, key):
+    doc = json.loads(open(fx("special.json")).read())
+    doc["objects"]["B"]["structure"][key] = {"a": "a", "b": "b"}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "hom", str(f), "B", "B")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:")
+
+
 def test_unreadable_file_exit2(capsys):
     code, out = run(capsys, "hom", "/nonexistent/xx.json", "X", "Y")
     assert code == 2

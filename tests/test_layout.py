@@ -7,7 +7,10 @@ except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``base``.  Only ``suites`` (its seeded ``Rng``) imports numpy, so
 importing the CLI does not load it; only ``chainf2`` and ``suites``
 import ``gf2``.  Only ``strict``, whose one table maps each mode to its
-classes, compares anything with a mode or class tag.
+classes, compares anything with a mode or class tag.  Only ``indexing``
+picks related pairs out of a poset's elements; the other modules read
+its ``pairs``, ``covers()`` and ``predecessors()``.  No module imports a
+name it does not use, except re-exports marked ``# noqa``.
 """
 
 import ast
@@ -25,6 +28,8 @@ GF2_MODULES = {"gf2", "chainf2", "suites"}
 MODE_NAMES = {"MODE_L1", "MODE_L2", "FIB", "ACYCLIC_FIB"}
 MODE_VALUES = {"L1", "L2", "fib", "acyclic-fib"}
 COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+ORDER_TESTS = {"lt", "leq"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _is_tag(node):
@@ -110,6 +115,55 @@ def mode_comparisons(module, source):
                     for n in ast.walk(side))]
 
 
+def _over_elements(node):
+    """Whether the for statement or comprehension clause *node* runs over
+    some ``.elements``."""
+    return (isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Attribute) and node.iter.attr == "elements")
+
+
+def pair_picks(module, source):
+    """(line, text) of every loop or comprehension over ``.elements`` that
+    holds a second loop over ``.elements`` and an ``lt``/``leq`` test:
+    related pairs picked by hand, outside indexing."""
+    if module == "indexing":
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (_over_elements(node) or isinstance(node, COMPREHENSIONS)
+                and any(_over_elements(g) for g in node.generators)):
+            continue
+        inner = list(ast.walk(node))
+        if sum(map(_over_elements, inner)) >= 2 and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ORDER_TESTS for n in inner):
+            out.append((node.lineno, ast.unparse(node).splitlines()[0]))
+    return sorted(out)
+
+
+def unused_imports(source):
+    """(line, name) of every imported name the module never reads; names
+    listed in ``__all__`` are read, and an import with ``# noqa`` on any
+    of its lines is a re-export."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+             for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for a in node.names:
+            name = a.asname or a.name.split(".")[0]
+            if name not in read:
+                out.append((node.lineno, name))
+    return out
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -128,6 +182,16 @@ def test_numpy_and_gf2_stay_in_the_numeric_modules():
 def test_modes_are_compared_only_in_strict():
     bad = {m: uses for m, src in _modules().items()
            if (uses := mode_comparisons(m, src))}
+    assert not bad
+
+
+def test_only_indexing_picks_related_pairs():
+    bad = {m: picks for m, src in _modules().items() if (picks := pair_picks(m, src))}
+    assert not bad
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    bad = {m: names for m, src in _modules().items() if (names := unused_imports(src))}
     assert not bad
 
 
@@ -154,6 +218,21 @@ def test_the_checks_see_what_they_forbid():
              '    return kind == "acyclic-fib", kind != MODE_L1\n')
     assert len(mode_comparisons("verify", modes)) == 4
     assert mode_comparisons("strict", modes) == []
+    picks = ('def f(P, X):\n'
+             '    a = [(t, s) for t in P.elements for s in P.elements if P.lt(s, t)]\n'
+             '    for t in P.elements:\n'
+             '        for s in P.elements:\n'
+             '            if P.leq(s, t):\n                pass\n'
+             '    b = [(x, y) for x in X.elements for y in X.elements]\n'
+             '    c = [(t, s) for t, s in P.pairs if P.lt(s, t)]\n'
+             '    return [u for u in P.elements if P.lt(u, a[0][0])]\n')
+    assert [line for line, _ in pair_picks("proobj", picks)] == [2, 3]
+    assert pair_picks("indexing", picks) == []
+    imports = ('from __future__ import annotations\nimport os, sys\n'
+               'from .base import (compose,\n    identity)\n'
+               'from .x import y  # noqa: F401\nfrom .z import w as v\n'
+               '__all__ = ["v"]\nprint(sys.argv, compose)\n')
+    assert unused_imports(imports) == [(2, "os"), (3, "identity")]
 
 
 def test_importing_the_cli_loads_no_numpy():

@@ -14,7 +14,8 @@ from promc.prohom import (HFamily, IsoCertificate, Levelization, ProDiagram,
 from promc.proobj import (GENERAL, LEVEL, compose_pro, constant_over,
                           general_map, identity_pro, level_map,
                           omega_pro_object, pro_object, to_general)
-from promc.suites import brute_force_hom, hom_oracle_family
+from promc.suites import (POSET_SHAPES, Rng, brute_force_hom, gen_pro_object,
+                          hom_oracle_family)
 
 
 # --------------------------------------------------------------- fixtures
@@ -61,6 +62,33 @@ def test_missing_cover_rejected():
     V = {"0": set_obj(["x"]), "1": set_obj(["y"])}
     with pytest.raises(MalformedError):
         pro_object(I, V, {})
+
+
+@pytest.mark.parametrize("key", [("0", "1"), ("1", "z"), ("1", "1")],
+                         ids=["unrelated", "unknown", "reflexive-swap"])
+def test_structure_maps_off_the_order_rejected(key):
+    I = chain_poset(2)
+    V = {"0": set_obj(["p", "q"]), "1": set_obj(["p", "q"])}
+    swap = set_map(V["1"], V["0"], {"p": "q", "q": "p"})
+    with pytest.raises(MalformedError, match="identity" if key[0] == key[1] else key[1]):
+        pro_object(I, V, {("1", "0"): swap, key: swap})
+
+
+@pytest.mark.parametrize("shape", sorted(POSET_SHAPES))
+@pytest.mark.parametrize("given", ["covers", "pairs"])
+def test_closure_composes_once_per_strict_triple(monkeypatch, shape, given):
+    from promc import proobj
+    I = from_covers(*POSET_SHAPES[shape])
+    X = gen_pro_object(Rng(3), I, "set-bij", max_size=2)
+    keys = I.pairs if given == "pairs" else [(t, s) for s, t in I.covers()]
+    structs = {key: X.struct(*key) for key in keys}
+    calls = []
+    monkeypatch.setattr(proobj, "compose", lambda g, f: calls.append(1) or compose(g, f))
+    Y = pro_object(I, {s: X.value(s) for s in I.elements}, structs)
+    Y.validate()
+    triples = sum(1 for t, u in I.pairs for s in I.predecessors(u))
+    assert len(calls) == 2 * triples
+    assert Y == X
 
 
 def test_level_naturality_enforced():
