@@ -43,7 +43,7 @@ cert.replay()
 print("lim X =", lim_functor(X).value.elements)
 two = set_obj(["0", "1"])
 T = omega_pro_object(lambda n: two, lambda n: identity(two))
-res = lim_functor(T, depth=16)
+res = lim_functor(T)
 print("lim of the identity 2-tower:", res.value.elements,
       "stabilized at depth", res.stabilized_at)
 

@@ -41,5 +41,5 @@ print("ω tower limit at level 5:", tower_limit(wt).apex.value(5).elements)
 w = adjunction_check(set_obj(["*"]), X)
 print("hom(c*, X) <-> Hom(*, lim X):", w.left_size, "=", w.right_size)
 T = omega_pro_object(lambda n: two, lambda n: identity(two))
-w2 = adjunction_check(set_obj(["*"]), T, depth=16)
+w2 = adjunction_check(set_obj(["*"]), T)
 print("ω: both sides", w2.left_size, "- stabilized at", w2.stabilized_at)

@@ -5,9 +5,11 @@ Subcommands parse a document file (JSON), dispatch the construction,
 print a human-readable report, and optionally write a machine-checkable
 certificate file (sorted-key JSON, byte-identical for identical inputs
 and seeds).  Exit codes: 0 success/verified, 1 property violation or
-failed verification (with a named witness), 2 parse/validation errors,
-3 any other error inside promc, reported on one line as
-``internal error: <type>: <message>``.
+failed verification (with a named witness), 2 parse/validation errors
+(a bad command line on one line), 3 any other error inside promc,
+reported on one line as ``internal error: <type>: <message>``.
+``--depth`` overrides a document's own ω depth; ``verify`` uses it only
+for certificates that record none.
 """
 
 from __future__ import annotations
@@ -26,19 +28,34 @@ from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
 from .indexing import DEFAULT_DEPTH
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line on one line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _depth(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"depth must be a positive integer, not {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="promc",
         description="strict model structure constructions on pro-categories")
-    ap.add_argument("--depth", type=int, default=None,
-                    help=f"ω truncation depth (default {DEFAULT_DEPTH})")
+    ap.add_argument("--depth", type=_depth, default=None,
+                    help="ω truncation depth (default: the document's, "
+                         f"else {DEFAULT_DEPTH})")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def cmd(name, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", help="write the certificate file here")
-        p.add_argument("--depth", type=int, default=argparse.SUPPRESS,
+        p.add_argument("--depth", type=_depth, default=argparse.SUPPRESS,
                        help="ω truncation depth for this command")
         return p
 
@@ -125,7 +142,8 @@ def _parser():
 
     p = sub.add_parser("verify", help="replay a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--depth", type=_depth, default=argparse.SUPPRESS,
+                   help="ω truncation depth for certificates that record none")
     return ap
 
 
@@ -188,12 +206,12 @@ def _dispatch(args, depth):
         print(f"axiom suites: {'all passed' if not bad else f'{bad} failures'}")
         return 0 if not bad else 1
 
-    doc = load_document(args.document, depth=depth or DEFAULT_DEPTH)
+    doc = load_document(args.document, depth=depth)
 
     if cmd == "hom":
         from .prohom import hom_pro
         X, Y = doc.object_named(args.X), doc.object_named(args.Y)
-        hs = hom_pro(X, Y, depth=depth)
+        hs = hom_pro(X, Y)
         line = f"{len(hs.maps)} class" + ("es" if len(hs.maps) != 1 else "")
         if hs.depth is not None:
             line += (f", stabilized at depth {hs.stabilized_at}"
@@ -205,7 +223,7 @@ def _dispatch(args, depth):
 
     if cmd == "levelize":
         from .prohom import levelize
-        lv = levelize(doc.map_named(args.map), depth=depth)
+        lv = levelize(doc.map_named(args.map))
         idx = lv.map.source.index
         where = "ω" if idx.regime == "omega" else f"{len(idx.elements)} levels"
         print(f"levelized over {where}")
@@ -228,7 +246,7 @@ def _dispatch(args, depth):
     if cmd == "detect-special":
         from .strict import detect_special
         f = doc.map_named(args.map)
-        res = detect_special(f, args.mode, depth=depth)
+        res = detect_special(f, args.mode)
         if res.ok:
             note = (f" (verified to depth {res.depth})"
                     if res.depth is not None else "")
@@ -242,7 +260,7 @@ def _dispatch(args, depth):
     if cmd == "factor":
         from .strict import factor_strict
         f = doc.map_named(args.map)
-        fs = factor_strict(f, args.mode, depth=depth)
+        fs = factor_strict(f, args.mode)
         print(f"factored ({args.mode}); matching verdicts:")
         for s, cls in fs.special.verdicts.items():
             print(f"  level {s}: we={cls.is_we} cof={cls.is_cof} fib={cls.is_fib}")
@@ -317,7 +335,7 @@ def _dispatch(args, depth):
         from .strict import detect_special
         from .towers import build_cocell_tower, tower_limit
         f = doc.map_named(args.map)
-        sp = detect_special(f, args.class_tag, depth=depth)
+        sp = detect_special(f, args.class_tag)
         if not sp.ok:
             print(f"not a special {args.class_tag}: failing level {sp.failing}")
             return 1
@@ -338,7 +356,7 @@ def _dispatch(args, depth):
         if X is None:
             raise MalformedError(f"no base object named {args.base!r}")
         Y = doc.object_named(args.object)
-        w = adjunction_check(X, Y, depth=depth)
+        w = adjunction_check(X, Y)
         line = f"bijection verified: {w.left_size} classes on both sides"
         if w.depth is not None:
             line += (f", stabilized at depth {w.stabilized_at}"

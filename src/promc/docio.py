@@ -7,6 +7,13 @@ diagrams, and witness bundles.  Base values serialize as their instance
 writes them (SetBij sets as arrays of strings, ChainF2 matrices
 row-major as 0/1 arrays), posets as cover-pair lists (or the literal
 "omega"); ω-regime values are given as eventually-constant lists.
+
+A document has one ω depth, a positive integer: the one the reader is
+given (``promc --depth``), else the document's own ``"depth"``, else
+``DEFAULT_DEPTH``.  Every ω poset of the document takes it, so a LEVEL
+map's two ends share one index; any other depth value is refused.  An
+ω GENERAL map lists one component per level below the depth (the
+target's).  Witness keys are ``"t>s"`` with s < t in the source index.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ def proobj_from_doc(instance, doc, index):
 def promap_to_doc(f, source_name, target_name):
     out = {"source": source_name, "target": target_name}
     if f.source.index.regime == OMEGA:
-        d = f.source.index.depth
+        d = f.target.index.depth
         if f.kind == "level":
             out["level"] = [map_to_doc(f.level_component(n)) for n in range(d)]
         else:
@@ -121,33 +128,30 @@ def promap_to_doc(f, source_name, target_name):
     return out
 
 
-def promap_from_doc(instance, doc, source, target):
+def promap_from_doc(instance, doc, source, target, name="pro-map"):
+    """The pro-map of *doc* between *source* and *target*; *name* names
+    it in the refusal of an ω GENERAL map listing too few components."""
     if source.index.regime == OMEGA:
         if "level" in doc:
             comps = [map_from_doc(instance, c, source.value(n), target.value(n))
                      for n, c in enumerate(doc["level"])]
 
             def comp(n):
-                k = min(n, len(comps) - 1)
                 if n < len(comps):
                     return comps[n]
                 if source.value(n) != comps[-1].source:
                     raise MalformedError("ω level tail is not constant")
                 return comps[-1]
 
-            return level_map(source, target, comp,
-                             depth=min(len(comps), source.index.depth))
+            return level_map(source, target, comp)
         pairs = [(int(t), p) for t, p in doc["general"]]
-        comps = [(t, map_from_doc(instance, p, source.value(t), target.value(n)))
-                 for n, (t, p) in enumerate(pairs)]
-
-        def gcomp(n):
-            if n < len(comps):
-                return comps[n]
-            raise MalformedError("ω general map queried past its presentation")
-
-        return general_map(source, target, gcomp,
-                           depth=min(len(comps), source.index.depth))
+        d = target.index.depth
+        if len(pairs) < d:
+            raise MalformedError(f"ω general map {name} lists {len(pairs)} "
+                                 f"components, fewer than the depth {d}")
+        return general_map(source, target, {
+            n: (t, map_from_doc(instance, p, source.value(t), target.value(n)))
+            for n, (t, p) in enumerate(pairs)})
     if "level" in doc:
         comps = {s: map_from_doc(instance, c, source.value(s), target.value(s))
                  for s, c in doc["level"].items()}
@@ -166,11 +170,16 @@ def hfamily_to_doc(fam):
 
 
 def hfamily_from_doc(instance, doc, f):
-    """Witness pairs for the pro-map f (maps Y_t -> X_s)."""
+    """Witness pairs for the pro-map f (maps Y_t -> X_s), one per key
+    "t>s" with s < t in the source index."""
     X, Y = f.source, f.target
+    levels = {str(s) for s in X.index.carrier()}
     pairs = {}
     for key, payload in doc.items():
         t, _, s = key.partition(">")
+        if not (t in levels and s in levels and X.index.lt(s, t)):
+            raise MalformedError(f"witness key {key} is not a pair t>s with "
+                                 "s < t in the source index")
         pairs[(t, s)] = map_from_doc(instance, payload, Y.value(t), X.value(s))
     return HFamily(pairs)
 
@@ -182,13 +191,13 @@ class Document:
     """A parsed document: named posets, pro-objects, pro-maps, base
     objects/maps, and witness bundles, all validated on load."""
 
-    def __init__(self, raw, depth=DEFAULT_DEPTH):
+    def __init__(self, raw, depth=None):
         if not isinstance(raw, dict):
             raise MalformedError("document must be a JSON object")
         if raw.get("schema") != DOC_SCHEMA:
             raise MalformedError(f"unknown document schema {raw.get('schema')!r}")
         self.instance = instance_of(raw.get("instance"))
-        self.depth = int(raw.get("depth", depth))
+        self.depth = raw.get("depth", DEFAULT_DEPTH) if depth is None else depth
         self.posets = {}
         for name, doc in raw.get("posets", {}).items():
             self.posets[name] = poset_from_doc(doc, depth=self.depth)
@@ -214,7 +223,8 @@ class Document:
             tgt = self.objects.get(doc.get("target"))
             if src is None or tgt is None:
                 raise MalformedError(f"map {name} references unknown objects")
-            self.maps[name] = promap_from_doc(self.instance, doc, src, tgt)
+            self.maps[name] = promap_from_doc(self.instance, doc, src, tgt,
+                                              name=name)
         self.witnesses = {}
         for name, doc in raw.get("witnesses", {}).items():
             f = self.maps.get(doc.get("map"))
@@ -240,7 +250,8 @@ class Document:
         return self.objects[name]
 
 
-def load_document(path, depth=DEFAULT_DEPTH):
+def load_document(path, depth=None):
+    """The document at *path*; *depth*, when given, overrides its own."""
     try:
         with open(path) as fh:
             raw = json.load(fh)

@@ -3,7 +3,9 @@ Index categories: finite cofinite directed posets and the ω-tower.
 
 Finite posets are validated against the axioms (reflexive, antisymmetric,
 transitive, directed, non-empty); the ω regime is handled symbolically
-with a truncation depth for anything that must enumerate.  Every finite
+with a truncation depth for anything that must enumerate.  The depth
+belongs to the ω index: every ω computation reads it from there, and ω
+indexes of different depths are different indexes.  Every finite
 directed poset has a maximum element, which later constructions use as
 the initial object of the index category.
 """
@@ -35,14 +37,18 @@ class IndexPoset:
 
     Finite regime stores element names and the full ≤ relation; the ω
     regime is the natural numbers with the usual order and a truncation
-    depth used only for enumeration.  The order facts of a finite poset
-    (its related pairs, covers, maximum and linear extension) are derived
-    on first use and kept, since the value is immutable.
+    depth, a positive int, for everything that enumerates.  The order
+    facts of a finite poset (its related pairs, covers, maximum and
+    linear extension) are derived on first use and kept, since the value
+    is immutable.
     """
 
     def __init__(self, regime, elements=(), leq=(), depth=DEFAULT_DEPTH):
         self.regime = regime
         if regime == OMEGA:
+            if type(depth) is not int or depth < 1:
+                raise MalformedError(
+                    f"ω depth must be a positive integer, not {depth!r}")
             self.elements = ()
             self._leq = frozenset()
             self.depth = depth
@@ -61,10 +67,11 @@ class IndexPoset:
     def lt(self, s, t):
         return s != t and self.leq(s, t)
 
-    def carrier(self, depth=None):
-        """Elements to enumerate over (all of them in the finite regime)."""
+    def carrier(self):
+        """Elements to enumerate over: all of them in the finite regime,
+        the levels below the depth in the ω regime."""
         if self.regime == OMEGA:
-            return tuple(range(depth if depth is not None else self.depth))
+            return tuple(range(self.depth))
         return self.elements
 
     def _finite(self, what):
@@ -103,12 +110,14 @@ class IndexPoset:
         raise AssertionError("validated directed finite poset lost its maximum")
 
     def covers(self):
-        """Covering pairs (s, t) with s < t and nothing in between."""
-        self._finite("covers")
+        """Covering pairs (s, t) with s < t and nothing in between; in the
+        ω regime the pairs (n, n + 1) below the depth."""
         return self._covers
 
     @cached_property
     def _covers(self):
+        if self.regime == OMEGA:
+            return tuple((n, n + 1) for n in range(self.depth - 1))
         below = self._below
         return tuple((s, t) for s in self.elements for t in self.elements
                      if s in below[t] and not any(s in below[u] for u in below[t]))
@@ -131,16 +140,15 @@ class IndexPoset:
             return False
         if self.regime != other.regime:
             return False
-        if self.regime == OMEGA:
-            return True
-        return self.elements == other.elements and self._leq == other._leq
+        return (self.depth == other.depth and self.elements == other.elements
+                and self._leq == other._leq)
 
     def __hash__(self):
-        return hash((self.regime, self.elements, self._leq))
+        return hash((self.regime, self.depth, self.elements, self._leq))
 
     def __repr__(self):
         if self.regime == OMEGA:
-            return "IndexPoset(omega)"
+            return f"IndexPoset(omega, depth={self.depth})"
         return f"IndexPoset({list(self.elements)})"
 
 
@@ -250,9 +258,9 @@ class CofinalMap:
             return self.mapping(t)
         return self.mapping[t]
 
-    def check_monotone(self, depth=None):
-        for s in self.source.carrier(depth):
-            for t in self.source.carrier(depth):
+    def check_monotone(self):
+        for s in self.source.carrier():
+            for t in self.source.carrier():
                 if self.source.leq(s, t) and not self.target.leq(self(s), self(t)):
                     raise PreconditionError(f"not monotone at ({s}, {t})")
 
@@ -264,18 +272,16 @@ class CofinalityReport:
     depth: int | None = None  # set when the answer is depth-qualified
 
 
-def is_cofinal(F, depth=None):
+def is_cofinal(F):
     """Whether F hits arbitrarily high: every s in the target is dominated
-    by some F(t).  Returns a report with a witness on failure; ω→ω
-    answers are qualified by the truncation depth."""
-    F.check_monotone(depth)
+    by some F(t).  Returns a report with a witness on failure; answers
+    involving ω are qualified by the truncation depth (the source's when
+    it is ω)."""
+    F.check_monotone()
     tgt = F.target
-    src_carrier = F.source.carrier(depth)
-    depth_note = None
-    if tgt.regime == OMEGA or F.source.regime == OMEGA:
-        depth_note = depth if depth is not None else (
-            F.source.depth if F.source.regime == OMEGA else tgt.depth)
-    for s in tgt.carrier(depth):
+    src_carrier = F.source.carrier()
+    depth_note = F.source.depth if F.source.regime == OMEGA else tgt.depth
+    for s in tgt.carrier():
         if not any(tgt.leq(s, F(t)) for t in src_carrier):
             return CofinalityReport(False, witness=s, depth=depth_note)
     return CofinalityReport(True, depth=depth_note)

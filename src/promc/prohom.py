@@ -4,7 +4,8 @@ limits, and the constant/limit adjoint pair.
 
 Finite-regime hom sets collapse to base homs at the maxima (the maximum
 is initial in the index category); the ω regime evaluates the inverse
-system of hom sets to a truncation depth and reports stabilization.
+system of hom sets to the truncation depth of the indexes and reports
+stabilization.
 
 Iso certificates carry either an honest inverse pro-map (composites
 checked against the identity in pro-hom) or an index-raising witness
@@ -20,7 +21,8 @@ from .base import BaseObject, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure, fail_on)
-from .indexing import FINITE, OMEGA, IndexPoset, chain_poset, point_poset
+from .indexing import (FINITE, OMEGA, CofinalMap, IndexPoset, chain_poset,
+                       is_cofinal, point_poset)
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, constant_over,
                      general_map, identity_pro, level_map, omega_pro_object)
 
@@ -52,9 +54,10 @@ class HomSet:
         return len(self.maps)
 
 
-def hom_pro(X, Y, depth=None):
+def hom_pro(X, Y):
     """The pro-hom set.  Finite regime: exact, via collapse at the maxima.
-    ω regime: depth-d evaluation with a stabilization marker."""
+    ω regime: evaluation to the larger of the two depths, with a
+    stabilization marker."""
     if X.instance != Y.instance:
         raise MalformedError("hom between different instances")
     if X.index.regime == FINITE and Y.index.regime == FINITE:
@@ -63,8 +66,7 @@ def hom_pro(X, Y, depth=None):
         return HomSet(maps=reps)
     if X.index.regime != OMEGA or Y.index.regime != OMEGA:
         raise UnsupportedRegimeError("mixed finite/ω hom; reindex first")
-    d = depth if depth is not None else max(X.index.depth, Y.index.depth)
-    return _omega_hom(X, Y, d)
+    return _omega_hom(X, Y, max(X.index.depth, Y.index.depth))
 
 
 def _omega_hom(X, Y, d):
@@ -112,7 +114,7 @@ def _omega_hom(X, Y, d):
         reps = []
         for g in germs_top:
             comps = {n: (top, compose(Y.struct(top, n), g)) for n in range(d)}
-            reps.append(general_map(X, Y, comps, check=False, depth=d))
+            reps.append(general_map(X, Y, comps, check=False))
         return HomSet(maps=reps, depth=d, stabilized_at=None)
     # threads through the stable system, one per stable germ at level 0
     reps = []
@@ -123,7 +125,7 @@ def _omega_hom(X, Y, d):
                      if compose(Y.struct(s, 0), g) == psi0]
             thread[s] = lifts[0]  # unique below the pinned range
         comps = {n: (top, thread[n]) for n in range(d)}
-        reps.append(general_map(X, Y, comps, check=False, depth=d))
+        reps.append(general_map(X, Y, comps, check=False))
     stab_at = pinned
     for k in range(1, pinned + 1):
         if all({compose(Y.struct(k, s), g)
@@ -192,9 +194,9 @@ class IsoCertificate:
                 return "backward", "backward source mismatch"
             if g.target is not X and g.target != X:
                 return "backward", "backward target mismatch"
-            if not compose_pro(g, f).equals(identity_pro(X), depth=self.depth):
+            if not compose_pro(g, f).equals(identity_pro(X)):
                 return "backward∘forward", "backward ∘ forward is not the identity"
-            if not compose_pro(f, g).equals(identity_pro(Y), depth=self.depth):
+            if not compose_pro(f, g).equals(identity_pro(Y)):
                 return "forward∘backward", "forward ∘ backward is not the identity"
         if self.hfamily is not None:
             if f.kind != LEVEL:
@@ -213,7 +215,7 @@ class IsoCertificate:
         fail_on(self.failure())
 
 
-def is_pro_iso(f, candidate_inverse=None, depth=None):
+def is_pro_iso(f, candidate_inverse=None):
     """An IsoCertificate for f, or None when no witness was found.
 
     Order of attack: verify a supplied candidate (pro-map or HFamily);
@@ -226,9 +228,9 @@ def is_pro_iso(f, candidate_inverse=None, depth=None):
     X, Y = f.source, f.target
     if candidate_inverse is not None:
         if isinstance(candidate_inverse, HFamily):
-            cert = IsoCertificate(forward=f, hfamily=candidate_inverse, depth=depth)
+            cert = IsoCertificate(forward=f, hfamily=candidate_inverse)
         else:
-            cert = IsoCertificate(forward=f, backward=candidate_inverse, depth=depth)
+            cert = IsoCertificate(forward=f, backward=candidate_inverse)
         cert.replay()
         return cert
     if X.index.regime == FINITE and Y.index.regime == FINITE:
@@ -249,7 +251,7 @@ def is_pro_iso(f, candidate_inverse=None, depth=None):
         return None
     # ω regime: honest check to depth against a realized inverse germ
     if f.kind == LEVEL:
-        d = depth if depth is not None else X.index.depth
+        d = X.index.depth
         psi = inverse(f.level_component(d - 1))
         if psi is not None:
             backward = general_map(Y, X, lambda n, _d=d - 1:
@@ -288,27 +290,27 @@ class Levelization:
     original: ProMap = None
 
 
-def levelize(f, depth=None):
+def levelize(f):
     """Re-present a pro-map as a LEVEL map.
 
     Finite regime: over the two-element chain via the values at the
     maxima, with iso certificates for the replaced endpoints.  ω regime:
     diagonal reindexing along a monotone level function, refined until
     the components commute on the nose (depth-exhausted error if that
-    never happens within the truncation).
+    never happens within the target's depth).
     """
     if f.kind == LEVEL:
         ident_src = IsoCertificate(forward=identity_pro(f.source),
-                                   backward=identity_pro(f.source), depth=depth)
+                                   backward=identity_pro(f.source))
         ident_tgt = IsoCertificate(forward=identity_pro(f.target),
-                                   backward=identity_pro(f.target), depth=depth)
+                                   backward=identity_pro(f.target))
         return Levelization(map=f, source_cert=ident_src,
                             target_cert=ident_tgt, original=f)
     X, Y = f.source, f.target
     if X.index.regime == FINITE and Y.index.regime == FINITE:
         return _levelize_finite(f)
     if X.index.regime == OMEGA and Y.index.regime == OMEGA:
-        return _levelize_omega(f, depth)
+        return _levelize_omega(f)
     raise UnsupportedRegimeError("mixed finite/ω levelization; reindex first")
 
 
@@ -336,10 +338,9 @@ def _levelize_finite(f):
                         target_cert=cert_tgt, original=f)
 
 
-def _levelize_omega(f, depth=None):
-    from .indexing import CofinalMap, is_cofinal, omega as omega_idx
+def _levelize_omega(f):
     X, Y = f.source, f.target
-    d = depth if depth is not None else X.index.depth
+    d = Y.index.depth
     T = {}
     prev = -1
     for n in range(d):
@@ -364,21 +365,23 @@ def _levelize_omega(f, depth=None):
                 f"no commuting refinement for level {n} within depth {d}")
         T[n] = chosen
         prev = chosen
-    Xt = omega_pro_object(lambda n: X.value(T[min(n, d - 1)]),
-                          lambda n: X.struct(T[min(n + 1, d - 1)], T[min(n, d - 1)]),
-                          depth=d)
+
+    def a(n):  # the refinement level of n, constant from the depth on
+        return T[min(n, d - 1)]
+
+    Xt = omega_pro_object(lambda n: X.value(a(n)),
+                          lambda n: X.struct(a(n + 1), a(n)), depth=d)
+
     def comp(n):
         t_n, g_n = f.component(min(n, d - 1))
-        return compose(g_n, X.struct(T[min(n, d - 1)], t_n))
-    lev = level_map(Xt, Y, comp, check=False, depth=d)
-    F = CofinalMap(omega_idx(d), omega_idx(d), lambda n: T[min(n, d - 1)])
-    rep = is_cofinal(F, depth=d)
-    fwd = general_map(X, Xt, lambda n: (T[min(n, d - 1)],
-                                        identity(X.value(T[min(n, d - 1)]))),
-                      check=False, depth=d)
-    back = general_map(Xt, X, lambda s: (s, X.struct(T[min(s, d - 1)], s))
-                       if T[min(s, d - 1)] >= s else (s, identity(X.value(s))),
-                       check=False, depth=d)
+        return compose(g_n, X.struct(a(n), t_n))
+
+    lev = level_map(Xt, Y, comp, check=False)
+    rep = is_cofinal(CofinalMap(Y.index, Y.index, a))
+    fwd = general_map(X, Xt, lambda n: (a(n), identity(X.value(a(n)))),
+                      check=False)
+    back = general_map(Xt, X, lambda s: (s, X.struct(a(s), s)) if a(s) >= s
+                       else (s, identity(X.value(s))), check=False)
     cert_src = IsoCertificate(forward=fwd, backward=back, depth=d)
     ident = identity_pro(Y)
     cert_tgt = IsoCertificate(forward=ident, backward=ident, depth=d)
@@ -504,7 +507,7 @@ class LimResult:
     inclusion: object = None  # ω regime: the stable image into level 0
 
 
-def lim_functor(Y, depth=None):
+def lim_functor(Y):
     """The limit of a pro-object as a base object.
 
     Finite regime: the value at the maximum.  ω regime: the stable image
@@ -512,7 +515,7 @@ def lim_functor(Y, depth=None):
     maps are isomorphisms; otherwise the result is depth-qualified)."""
     if Y.index.regime == FINITE:
         return LimResult(value=Y.max_value())
-    d = depth if depth is not None else Y.index.depth
+    d = Y.index.depth
     stable = _stable_images(Y, d)
     stab_at = _image_stabilization(Y, d, stable)
     return LimResult(value=stable[0][0], stabilized_at=stab_at, depth=d,

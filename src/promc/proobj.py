@@ -8,7 +8,7 @@ and GENERAL (one component pair (source index, base map) per target
 index, compatible up to refinement).  In the finite regime the maximum
 index is initial in the index category, so pro-hom equality is decided
 by realizing components at the maxima; the ω regime checks everything up
-to a truncation depth.
+to the truncation depth of its index.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class ProMap:
 
     __slots__ = ("source", "target", "kind", "_comps", "_fn")
 
-    def __init__(self, source, target, kind, comps, check=True, depth=None):
+    def __init__(self, source, target, kind, comps, check=True):
         if source.instance != target.instance:
             raise MalformedError("pro-map mixes instances")
         self.source = source
@@ -180,7 +180,7 @@ class ProMap:
         if kind == LEVEL and source.index != target.index:
             raise MalformedError("LEVEL presentation needs a shared index")
         if check:
-            self.validate(depth=depth)
+            self.validate()
 
     # -- component access ------------------------------------------------
 
@@ -204,70 +204,64 @@ class ProMap:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, depth=None):
+    def validate(self):
+        """Endpoints at every level of the target index, then naturality
+        (LEVEL) or compatibility of the realized components (GENERAL) on
+        its covers; functorial structure maps give every other pair."""
         idx = self.target.index
-        carrier = idx.carrier(depth)
         if self.kind == LEVEL:
-            for s in carrier:
+            for s in idx.carrier():
                 f = self.level_component(s)
                 if f.source != self.source.value(s) or f.target != self.target.value(s):
                     raise MalformedError(f"component at {s} has wrong endpoints")
-            if idx.regime == OMEGA:
-                pairs = [(n + 1, n) for n in carrier[:-1]]  # induction gives the rest
-            else:
-                pairs = idx.pairs
-            for t, s in pairs:
+            for s, t in idx.covers():
                 lhs = compose(self.target.struct(t, s), self.level_component(t))
                 rhs = compose(self.level_component(s), self.source.struct(t, s))
                 if lhs != rhs:
                     raise MalformedError(f"naturality fails on {t} >= {s}")
             return
         src_idx = self.source.index
-        for s in carrier:
+        for s in idx.carrier():
             t, g = self.component(s)
-            if not (src_idx.regime == OMEGA or t in src_idx.elements):
+            if not src_idx.leq(t, t):  # reflexivity: t is an element
                 raise MalformedError(f"component at {s} uses unknown index {t}")
             if g.source != self.source.value(t) or g.target != self.target.value(s):
                 raise MalformedError(f"component at {s} has wrong endpoints")
-        # compatibility up to refinement: realized maps agree under the
-        # target structure maps
-        pairs = idx.pairs if idx.regime == FINITE else [
-            (s2, s1) for s2 in carrier for s1 in range(s2)]
-        for s2, s1 in pairs:
-            lhs = compose(self.target.struct(s2, s1), self.realize(s2, depth=depth))
-            if lhs != self.realize(s1, depth=depth):
+        at = self._refinement_index()
+        for s1, s2 in idx.covers():
+            lhs = compose(self.target.struct(s2, s1), self.realize(s2, at=at))
+            if lhs != self.realize(s1, at=at):
                 raise MalformedError(f"compatibility fails from {s2} down to {s1}")
 
     # -- realization and equality ------------------------------------------
 
-    def _refinement_index(self, depth=None):
+    def _refinement_index(self):
         src_idx = self.source.index
         if src_idx.regime == FINITE:
             return src_idx.max_element()
-        d = depth if depth is not None else src_idx.depth
-        M = d - 1
-        for s in self.target.index.carrier(depth):
+        M = src_idx.depth - 1
+        for s in self.target.index.carrier():
             M = max(M, int(self.component(s)[0]))
         return M
 
-    def realize(self, s, depth=None, at=None):
+    def realize(self, s, at=None):
         """The component at target index s precomposed up to the source
         maximum (finite) or a common ω refinement level."""
         t, g = self.component(s)
-        M = at if at is not None else self._refinement_index(depth)
+        M = at if at is not None else self._refinement_index()
         return compose(g, self.source.struct(M, t))
 
-    def equals(self, other, depth=None):
+    def equals(self, other):
         """Pro-hom equality of presentations with the same endpoints."""
         if self.source is not other.source and self.source != other.source:
             raise PreconditionError("comparing maps with different sources")
         if self.target is not other.target and self.target != other.target:
             raise PreconditionError("comparing maps with different targets")
-        at = self._refinement_index(depth)
+        at = self._refinement_index()
         if self.source.index.regime == OMEGA:
-            at = max(at, other._refinement_index(depth))
-        for s in self.target.index.carrier(depth):
-            if self.realize(s, depth=depth, at=at) != other.realize(s, depth=depth, at=at):
+            at = max(at, other._refinement_index())
+        for s in self.target.index.carrier():
+            if self.realize(s, at=at) != other.realize(s, at=at):
                 return False
         return True
 
@@ -275,33 +269,33 @@ class ProMap:
         return f"ProMap({self.kind})"
 
 
-def level_map(source, target, comps, check=True, depth=None):
-    return ProMap(source, target, LEVEL, comps, check=check, depth=depth)
+def level_map(source, target, comps, check=True):
+    return ProMap(source, target, LEVEL, comps, check=check)
 
 
-def general_map(source, target, comps, check=True, depth=None):
-    return ProMap(source, target, GENERAL, comps, check=check, depth=depth)
+def general_map(source, target, comps, check=True):
+    return ProMap(source, target, GENERAL, comps, check=check)
 
 
 def identity_pro(X):
     return level_map(X, X, lambda s: identity(X.value(s)), check=False)
 
 
-def compose_pro(g, f, check=False, depth=None):
+def compose_pro(g, f, check=False):
     """g ∘ f by refinement chasing; LEVEL survives a shared index."""
     if f.target is not g.source and f.target != g.source:
         raise PreconditionError("non-composable pro-maps")
     if f.kind == LEVEL and g.kind == LEVEL and f.source.index == g.target.index:
         return level_map(f.source, g.target,
                          lambda s: compose(g.level_component(s), f.level_component(s)),
-                         check=check, depth=depth)
+                         check=check)
 
     def comp(s):
         t, gamma = g.component(s)
         u, phi = f.component(t)
         return (u, compose(gamma, phi))
 
-    return general_map(f.source, g.target, comp, check=check, depth=depth)
+    return general_map(f.source, g.target, comp, check=check)
 
 
 def to_general(f):

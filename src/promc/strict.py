@@ -25,9 +25,9 @@ from .base import (ACOF_FIB, COF_ACF, BaseMap, classify_map, compose,
 from .baselim import Cone, Diagram, finite_limit
 from .errors import (MalformedError, PreconditionError, UnsupportedRegimeError,
                      VerificationFailure, fail_on)
-from .indexing import FINITE, OMEGA, linear_extension
+from .indexing import FINITE, linear_extension
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, general_map,
-                     level_map, omega_pro_object)
+                     level_map)
 
 MODE_L1 = "L1"  # strict cofibration then special acyclic fibration
 MODE_L2 = "L2"  # levelwise acyclic cofibration then special fibration
@@ -182,33 +182,30 @@ class SpecialResult:
         return self
 
 
-def _levels_in_order(f, depth=None):
+def _levels_in_order(f):
     idx = f.source.index
     if idx.regime == FINITE:
         return list(linear_extension(idx))
-    d = depth if depth is not None else idx.depth
-    return list(range(d))
+    return list(idx.carrier())
 
 
-def detect_special(f, mode, depth=None):
+def detect_special(f, mode):
     """Certificate that every relative matching map is a fibration
     (mode "fib") or acyclic fibration (mode "acyclic-fib"), or the first
     failing level."""
     if mode not in (FIB, ACYCLIC_FIB):
         raise MalformedError(f"unknown special mode {mode!r}")
     verdicts, matching = {}, {}
-    idx = f.source.index
-    d = (depth if depth is not None else idx.depth) if idx.regime == OMEGA else None
 
     def component(t):
         matching[t] = matching_map(f, t)
         return matching[t].map
 
     bad = class_failure("matching map", component, mode,
-                        _levels_in_order(f, depth), verdicts)
+                        _levels_in_order(f), verdicts)
     return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
-                         failing=None if bad is None else bad[0], depth=d,
-                         matching=matching)
+                         failing=None if bad is None else bad[0],
+                         depth=f.source.index.depth, matching=matching)
 
 
 # ------------------------------------------------------------ factor_strict
@@ -217,7 +214,8 @@ def detect_special(f, mode, depth=None):
 @dataclass
 class StrictFactorization:
     """f = right ∘ left with left a levelwise (acyclic) cofibration and
-    right special (acyclic); carries per-level certificates."""
+    right special (acyclic); carries per-level certificates.  *depth* is
+    the input's ω depth (None in the finite regime)."""
     input: ProMap
     mode: str
     middle: ProObject
@@ -226,11 +224,14 @@ class StrictFactorization:
     matching: dict = None
     left_classes: dict = None
     special: SpecialResult = None
-    depth: int | None = None
+
+    @property
+    def depth(self):
+        return self.input.source.index.depth
 
     def replay_composite(self):
         fail_on(composite_failure(self.input, self.left, self.right,
-                                  self.input.target.index.carrier(self.depth)))
+                                  self.input.target.index.carrier()))
 
     def failure(self):
         """The first failed postcondition as (level, why), None when all
@@ -238,122 +239,62 @@ class StrictFactorization:
         every level and right is special.  Records the fresh verdicts in
         left_classes and special."""
         _, left_class, special_class = mode_classes(self.mode)
-        levels = self.input.target.index.carrier(self.depth)
+        levels = self.input.target.index.carrier()
         self.left_classes = {}
         bad = (composite_failure(self.input, self.left, self.right, levels)
                or class_failure("left factor", self.left.level_component,
                                 left_class, levels, self.left_classes))
         if bad is not None:
             return bad
-        self.special = detect_special(self.right, special_class, self.depth)
+        self.special = detect_special(self.right, special_class)
         t = self.special.failing
         if not self.special.ok:
             return t, f"right factor not a special {special_class} at level {t}"
         return None
 
 
-class _FactorState:
-    """Inductive state shared by the finite and ω factorizations."""
-
-    def __init__(self, f, mode):
-        self.f = f
-        self.mode = mode
-        self.base_mode = mode_classes(mode)[0]
-        self.X, self.Y = f.source, f.target
-        self.idx = self.X.index
-        self.done = []
-        self.zvals = {}
-        self.zstructs = {}
-        self.ivals = {}
-        self.pvals = {}
-        self.matching = {}
-
-    def build_level(self, s):
-        X, Y, idx = self.X, self.Y, self.idx
-        preds = [t for t in self.done if idx.lt(t, s)]
-        lim, cmp_map = None, self.f.level_component(s)
-        if preds:
-            side = {t: (self.zvals[t], self.pvals[t],
-                        compose(self.ivals[t], X.struct(s, t))) for t in preds}
-            lim, cmp_map = _matching_limit("Z", Y, s, X.value(s),
-                                           self.f.level_component(s), side,
-                                           lambda t, u: self.zstructs[(t, u)])
-        fp = factor_map(cmp_map, self.base_mode)
-        self.zvals[s] = fp.middle
-        self.ivals[s] = fp.left
-        self.matching[s] = fp.right
-        if lim is None:
-            self.pvals[s] = fp.right
-        else:
-            self.pvals[s] = compose(lim.legs[f"Y.top:{s}"], fp.right)
-            for t in preds:
-                self.zstructs[(s, t)] = compose(lim.legs[f"Z:{t}"], fp.right)
-        self.done.append(s)
-
-
-def factor_strict(f, mode, depth=None):
-    """Inductive strict factorization of a LEVEL presentation.
+def factor_strict(f, mode):
+    """Inductive strict factorization of a LEVEL presentation, over every
+    level of its index (up to the depth in the ω regime).
 
     Mode L1 gives a levelwise cofibration followed by a special acyclic
     fibration; L2 a levelwise acyclic cofibration followed by a special
-    fibration.  Postconditions are re-checked: the left classes via
-    classify_map and the right side via detect_special.
+    fibration.  Level s factors the relative map from X_s into the limit
+    of the Z_t -> Y_t <- Y_s built so far.  Postconditions are re-checked:
+    the left classes via classify_map and the right side via
+    detect_special.
     """
     if f.kind != LEVEL:
         raise PreconditionError("factor_strict needs a LEVEL presentation; "
                                 "levelize first")
-    state = _FactorState(f, mode)
-    idx = f.source.index
-    if idx.regime == OMEGA:
-        return _factor_strict_omega(f, mode, state, depth)
+    base_mode = mode_classes(mode)[0]
+    X, Y = f.source, f.target
+    idx = X.index
+    zvals, zstructs, ivals, pvals, matching = {}, {}, {}, {}, {}
     for s in _levels_in_order(f):
-        state.build_level(s)
-    Z = ProObject(idx, values=state.zvals, structs=state.zstructs)
-    left = level_map(f.source, Z, state.ivals)
-    right = level_map(Z, f.target, state.pvals)
-    return _finish_factorization(f, mode, Z, left, right, state, depth=None)
-
-
-def _finish_factorization(f, mode, Z, left, right, state, depth):
-    out = StrictFactorization(input=f, mode=mode, middle=Z, left=left,
-                              right=right, matching=dict(state.matching),
-                              depth=depth)
+        preds = [t for t in zvals if idx.lt(t, s)]
+        lim, cmp_map = None, f.level_component(s)
+        if preds:
+            side = {t: (zvals[t], pvals[t], compose(ivals[t], X.struct(s, t)))
+                    for t in preds}
+            lim, cmp_map = _matching_limit("Z", Y, s, X.value(s), cmp_map, side,
+                                           lambda t, u: zstructs[(t, u)])
+        fp = factor_map(cmp_map, base_mode)
+        zvals[s], ivals[s], matching[s] = fp.middle, fp.left, fp.right
+        pvals[s] = fp.right if lim is None else compose(lim.legs[f"Y.top:{s}"],
+                                                        fp.right)
+        for t in preds:
+            zstructs[(s, t)] = compose(lim.legs[f"Z:{t}"], fp.right)
+    if idx.regime == FINITE:
+        Z = ProObject(idx, values=zvals, structs=zstructs)
+    else:
+        Z = ProObject(idx, value_fn=zvals.__getitem__,
+                      step_fn=lambda n: zstructs[(n + 1, n)])
+    out = StrictFactorization(input=f, mode=mode, middle=Z,
+                              left=level_map(X, Z, ivals),
+                              right=level_map(Z, Y, pvals), matching=matching)
     fail_on(out.failure())
     return out
-
-
-def _factor_strict_omega(f, mode, state, depth):
-    d = depth if depth is not None else f.source.index.depth
-
-    def ensure(n):
-        while len(state.done) <= n:
-            if len(state.done) >= d:
-                raise UnsupportedRegimeError(
-                    f"ω factorization evaluated past depth {d}")
-            state.build_level(len(state.done))
-
-    def zval(n):
-        ensure(n)
-        return state.zvals[n]
-
-    def zstep(n):
-        ensure(n + 1)
-        return state.zstructs[(n + 1, n)]
-
-    Z = omega_pro_object(zval, zstep, depth=d)
-
-    def icomp(n):
-        ensure(n)
-        return state.ivals[n]
-
-    def pcomp(n):
-        ensure(n)
-        return state.pvals[n]
-
-    left = level_map(f.source, Z, icomp, check=False, depth=d)
-    right = level_map(Z, f.target, pcomp, check=False, depth=d)
-    ensure(d - 1)
-    return _finish_factorization(f, mode, Z, left, right, state, depth=d)
 
 
 # -------------------------------------------------------------- lift_strict

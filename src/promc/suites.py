@@ -496,7 +496,7 @@ def suite_adjunction(depth=16, family=None):
         count += 1
         Y = omega_pro_object(vals, steps, depth=depth)
         try:
-            w = adjunction_check(_so(["*"]), Y, depth=depth)
+            w = adjunction_check(_so(["*"]), Y)
             if not w.verified():
                 rep.failures.append(("omega", w.left_size, w.right_size))
         except Exception as e:  # noqa: BLE001

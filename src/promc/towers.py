@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .base import BaseMap, BaseObject, classify_map, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_limit
-from .errors import (PreconditionError, UnsupportedRegimeError,
-                     VerificationFailure, fail_on)
+from .errors import (DepthExhaustedError, PreconditionError,
+                     UnsupportedRegimeError, VerificationFailure, fail_on)
 from .indexing import DEFAULT_DEPTH, FINITE, OMEGA, linear_extension
 from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
@@ -246,7 +246,7 @@ class AdjunctionWitness:
         return self.left_size == self.right_size == len(self.pairs)
 
 
-def adjunction_check(X, Y, depth=None, naturality_probes=()):
+def adjunction_check(X, Y, naturality_probes=()):
     """Explicit mutually inverse assignments between hom_pro(cX, Y) and
     Hom(X, lim Y), with optional naturality spot-checks along base maps
     into X."""
@@ -279,12 +279,11 @@ def adjunction_check(X, Y, depth=None, naturality_probes=()):
                     raise VerificationFailure("naturality square fails")
         return AdjunctionWitness(left_size=len(hs.maps), right_size=len(rights),
                                  pairs=pairs)
-    # ω regime: towers of constants to the truncation depth
-    from .errors import DepthExhaustedError
-    d = depth if depth is not None else Y.index.depth
+    # ω regime: towers of constants to the truncation depth of Y
+    d = Y.index.depth
     cX = omega_pro_object(lambda n: X, lambda n: identity(X), depth=d)
-    hs = hom_pro(cX, Y, depth=d)
-    lim = lim_functor(Y, depth=d)
+    hs = hom_pro(cX, Y)
+    lim = lim_functor(Y)
     if hs.stabilized_at is None or lim.stabilized_at is None:
         raise DepthExhaustedError(
             f"tower did not stabilize within depth {d}; "

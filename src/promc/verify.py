@@ -17,6 +17,9 @@ rebuilt maps, every recorded class verdict must equal the fresh one, the
 separate ``level_index`` record of a lift must name the refinement level
 a(s) its components carry, and a mode, class tag or ``ok`` flag that
 names nothing known is refused as malformed.
+
+A certificate's ω posets are rebuilt at the depth it records (each iso
+payload at its own recorded depth), else at the depth replay is given.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _verdicts(fresh, recorded, what):
 
 def _iso_replay(instance, payload, depth=DEFAULT_DEPTH):
     """Replay an iso payload as an IsoCertificate; returns its forward map."""
-    fwd = _load_promap(instance, payload["forward"], depth)
+    fwd = _load_promap(instance, payload["forward"], payload.get("depth", depth))
     back, fam = payload.get("backward"), payload.get("hfamily")
     IsoCertificate(
         forward=fwd,
@@ -74,15 +77,16 @@ def _iso_replay(instance, payload, depth=DEFAULT_DEPTH):
 
 
 def verify_certificate(doc, depth=DEFAULT_DEPTH):
-    """Replay one certificate document; raises VerificationFailure (bad
-    claim) or MalformedError (bad data); returns a report dict."""
+    """Replay one certificate document, its ω posets at the depth it
+    records, else at *depth*; raises VerificationFailure (bad claim) or
+    MalformedError (bad data); returns a report dict."""
     if not isinstance(doc, dict) or doc.get("schema") != CERT_SCHEMA:
         raise MalformedError("not a certificate document")
     kind = doc.get("kind")
     handler = _HANDLERS.get(kind)
     if handler is None:
         raise MalformedError(f"unknown certificate kind {kind!r}")
-    return handler(instance_of(doc.get("instance")), doc, depth)
+    return handler(instance_of(doc.get("instance")), doc, doc.get("depth", depth))
 
 
 def _verify_detect_special(instance, doc, depth):
@@ -92,7 +96,7 @@ def _verify_detect_special(instance, doc, depth):
     ok = doc.get("ok")
     if not isinstance(ok, bool):
         raise MalformedError(f"ok must be true or false, not {ok!r}")
-    res = detect_special(f, doc.get("mode"), doc.get("depth") or DEFAULT_DEPTH)
+    res = detect_special(f, doc.get("mode"))
     _verdicts(res.verdicts, doc.get("verdicts", {}), "matching")
     if res.ok and not ok:
         raise VerificationFailure("recorded failure did not reproduce",
@@ -110,8 +114,7 @@ def _verify_factorization(instance, doc, depth):
     fs = StrictFactorization(
         input=f, mode=doc.get("mode"), middle=Z,
         left=promap_from_doc(instance, doc["left"], f.source, Z),
-        right=promap_from_doc(instance, doc["right"], Z, f.target),
-        depth=doc.get("depth") or DEFAULT_DEPTH)
+        right=promap_from_doc(instance, doc["right"], Z, f.target))
     fail_on(fs.failure())
     _verdicts(fs.left_classes, doc["left_verdicts"], "left")
     _verdicts(fs.special.verdicts, doc["matching_verdicts"], "matching")

@@ -319,6 +319,19 @@ def test_a_structure_key_off_the_order_exits_2(tmp_path, capsys, key):
     assert out.count("\n") == 1 and out.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["9>0", "10", "0>1", "1>1"])
+@pytest.mark.parametrize("argv", [["pro-factor-iso", "f", "--witnesses", "h"],
+                                  ["hom", "X", "Y"]], ids=lambda a: a[0])
+def test_a_witness_key_off_the_order_exits_2(tmp_path, capsys, key, argv):
+    doc = json.loads(open(fx("zigzag.json")).read())
+    doc["witnesses"]["h"]["pairs"][key] = {"u": "x"}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:") and key in out
+
+
 def test_unreadable_file_exit2(capsys):
     code, out = run(capsys, "hom", "/nonexistent/xx.json", "X", "Y")
     assert code == 2
@@ -344,3 +357,103 @@ def test_certificates_byte_identical(tmp_path, capsys):
     run(capsys, "factor", fx("special.json"), "p", "--mode", "L1",
         "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------- ω depth
+
+EVERY_COMMAND = [
+    ["hom", fx("omega.json"), "P", "T"],
+    ["levelize", fx("collapse.json"), "f"],
+    ["matching", fx("special.json"), "p", "--level", "1"],
+    ["detect-special", fx("special.json"), "p", "--mode", "acyclic-fib"],
+    ["factor", fx("omega_maps.json"), "f", "--mode", "L1"],
+    ["lift", fx("special.json"), "--i", "i", "--p", "p", "--top", "top",
+     "--bottom", "bottom"],
+    ["pro-factor-iso", fx("collapse.json"), "f", "--witnesses", "h"],
+    ["zigzag-we", fx("zigzag.json"), "--f", "idY", "--h", "f", "--g", "idX",
+     "--witnesses", "h"],
+    ["two-of-three", fx("zigzag.json"), "--side", "left", "--top", "f",
+     "--left", "idX", "--right", "idY", "--bottom", "f", "--witnesses", "h"],
+    ["proper-pullback", fx("zigzag.json"), "--p", "idY", "--f", "idX2",
+     "--g", "f", "--witnesses", "h"],
+    ["cocell", fx("special.json"), "p", "--class", "acyclic-fib"],
+    ["tower-limit", fx("special.json"), "p", "--class", "acyclic-fib"],
+    ["adjunction", fx("omega.json"), "--base", "pt", "--object", "T"],
+    ["check-axioms", "--trials", "1", "--seed", "0"],
+    ["verify", fx("omega.json")],
+]
+
+
+@pytest.mark.parametrize("where", ["global", "command"])
+@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: a[0])
+def test_a_depth_below_1_exits_2_on_one_line(capsys, argv, depth, where):
+    full = ["--depth", depth, *argv] if where == "global" else [*argv, "--depth", depth]
+    code = run_command(full)
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert "depth must be a positive integer" in cap.err
+
+
+@pytest.mark.parametrize("depth", [0, -1, True, 2.5, "5"])
+def test_a_malformed_document_depth_exits_2(tmp_path, capsys, depth):
+    doc = json.loads(open(fx("omega.json")).read())
+    doc["depth"] = depth
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "hom", str(f), "P", "T")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:")
+    assert "positive integer" in out
+
+
+def test_depth_overrides_the_documents(tmp_path, capsys):
+    cert = tmp_path / "hom.json"
+    code, out = run(capsys, "--depth", "4", "hom", fx("omega.json"), "P", "T",
+                    "--out", str(cert))
+    assert code == 0 and "2 classes, stabilized at depth 1" in out
+    doc = json.loads(cert.read_text())
+    assert doc["depth"] == 4 and len(doc["Y"]["values"]) == 4
+
+
+def _motivation(tmp_path):
+    """``omega_maps.json`` without its GENERAL map, which lists only as
+    many components as the document's depth."""
+    doc = json.loads(open(fx("omega_maps.json")).read())
+    del doc["maps"]["g"]
+    path = tmp_path / "motivation.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", ["4", "8"])
+def test_factor_at_another_depth_than_the_documents_verifies(tmp_path, capsys, depth):
+    cert = tmp_path / "fac.json"
+    code, out = run(capsys, "--depth", depth, "factor", _motivation(tmp_path), "f",
+                    "--mode", "L1", "--out", str(cert))
+    assert code == 0
+    assert out.count("  level ") == int(depth)
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0 and f"levels={depth}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "f", "--mode", "L1"], ["factor", "f", "--mode", "L2"],
+    ["detect-special", "f", "--mode", "fib"], ["levelize", "f"],
+    ["levelize", "g"], ["hom", "P", "T"], ["adjunction", "--base", "pt", "--object", "T"],
+], ids=lambda a: "-".join(a[:2] if a[0] != "adjunction" else a[:1]))
+def test_the_omega_maps_fixture_certifies_and_verifies(tmp_path, capsys, argv):
+    cert = tmp_path / "cert.json"
+    code, out = run(capsys, argv[0], fx("omega_maps.json"), *argv[1:],
+                    "--out", str(cert))
+    assert code == 0
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0
+
+
+def test_an_omega_general_map_shorter_than_the_depth_exits_2(capsys):
+    code, out = run(capsys, "--depth", "8", "hom", fx("omega_maps.json"), "P", "T")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error:")
+    assert "map g lists 6 components" in out and "depth 8" in out

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from promc.errors import UnsupportedRegimeError
+from promc.errors import MalformedError, UnsupportedRegimeError
 from promc.indexing import (CofinalMap, IndexViolation, chain_poset,
                             from_covers, index_violation, is_cofinal,
                             linear_extension, omega, point_poset,
@@ -115,6 +115,20 @@ def test_omega_regime():
         w.max_element()
     with pytest.raises(UnsupportedRegimeError):
         linear_extension(w)
+
+
+@pytest.mark.parametrize("depth", [0, -1, True, 2.5, "5", None])
+def test_omega_depth_is_a_positive_int(depth):
+    with pytest.raises(MalformedError, match="positive integer"):
+        omega(depth)
+
+
+def test_omega_depth_owned_by_the_index():
+    assert omega(8) == omega(8) and hash(omega(8)) == hash(omega(8))
+    assert omega(8) != omega(9)
+    assert omega(4).carrier() == (0, 1, 2, 3)
+    assert omega(4).covers() == ((0, 1), (1, 2), (2, 3))
+    assert omega(1).covers() == ()
 
 
 def test_is_cofinal_identity():

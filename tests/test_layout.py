@@ -9,8 +9,12 @@ importing the CLI does not load it; only ``chainf2`` and ``suites``
 import ``gf2``.  Only ``strict``, whose one table maps each mode to its
 classes, compares anything with a mode or class tag.  Only ``indexing``
 picks related pairs out of a poset's elements; the other modules read
-its ``pairs``, ``covers()`` and ``predecessors()``.  No module imports a
-name it does not use, except re-exports marked ``# noqa``.
+its ``pairs``, ``covers()`` and ``predecessors()``.  No function in
+``proobj``, ``prohom``, ``strict``, ``proiso`` or ``towers`` takes a
+parameter named ``depth``: the ω depth belongs to the index, and only
+``omega_pro_object`` and ``omega_constant_tower``, which build an ω index,
+take one.  No module imports a name it does not use, except re-exports
+marked ``# noqa``.
 """
 
 import ast
@@ -30,6 +34,9 @@ MODE_VALUES = {"L1", "L2", "fib", "acyclic-fib"}
 COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 ORDER_TESTS = {"lt", "leq"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+DEPTH_FREE_MODULES = {"proobj", "prohom", "strict", "proiso", "towers"}
+OMEGA_BUILDERS = {"omega_pro_object", "omega_constant_tower"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _is_tag(node):
@@ -141,6 +148,23 @@ def pair_picks(module, source):
     return sorted(out)
 
 
+def depth_parameters(module, source):
+    """(line, name) of every function or lambda in DEPTH_FREE_MODULES with
+    a parameter named ``depth``, apart from OMEGA_BUILDERS."""
+    if module not in DEPTH_FREE_MODULES:
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        a = node.args
+        if name not in OMEGA_BUILDERS and "depth" in {
+                p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
 def unused_imports(source):
     """(line, name) of every imported name the module never reads; names
     listed in ``__all__`` are read, and an import with ``# noqa`` on any
@@ -190,6 +214,12 @@ def test_only_indexing_picks_related_pairs():
     assert not bad
 
 
+def test_only_the_omega_builders_take_a_depth():
+    bad = {m: fns for m, src in _modules().items()
+           if (fns := depth_parameters(m, src))}
+    assert not bad
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     bad = {m: names for m, src in _modules().items() if (names := unused_imports(src))}
     assert not bad
@@ -233,6 +263,12 @@ def test_the_checks_see_what_they_forbid():
                'from .x import y  # noqa: F401\nfrom .z import w as v\n'
                '__all__ = ["v"]\nprint(sys.argv, compose)\n')
     assert unused_imports(imports) == [(2, "os"), (3, "identity")]
+    depths = ('def f(X, depth=None):\n    return lambda n, depth=3: n\n'
+              'def omega_pro_object(v, s, depth=16):\n    pass\n'
+              'class A:\n    def m(self, *, depth):\n        pass\n'
+              'def g(X, d=None):\n    pass\n')
+    assert depth_parameters("strict", depths) == [(1, "f"), (2, "<lambda>"), (6, "m")]
+    assert depth_parameters("verify", depths) == []
 
 
 def test_importing_the_cli_loads_no_numpy():

@@ -14,8 +14,8 @@ from promc.prohom import (HFamily, IsoCertificate, Levelization, ProDiagram,
 from promc.proobj import (GENERAL, LEVEL, compose_pro, constant_over,
                           general_map, identity_pro, level_map,
                           omega_pro_object, pro_object, to_general)
-from promc.suites import (POSET_SHAPES, Rng, brute_force_hom, gen_pro_object,
-                          hom_oracle_family)
+from promc.suites import (POSET_SHAPES, Rng, brute_force_hom, gen_level_map,
+                          gen_pro_object, hom_oracle_family)
 
 
 # --------------------------------------------------------------- fixtures
@@ -37,10 +37,10 @@ def collapse_pair():
     return X, Y, f
 
 
-def two_tower():
+def two_tower(depth=16):
     """ω-tower of {0,1} with identity structure maps."""
     two = set_obj(["0", "1"])
-    return omega_pro_object(lambda n: two, lambda n: identity(two))
+    return omega_pro_object(lambda n: two, lambda n: identity(two), depth=depth)
 
 
 # ------------------------------------------------------------ pro-objects
@@ -89,6 +89,26 @@ def test_closure_composes_once_per_strict_triple(monkeypatch, shape, given):
     triples = sum(1 for t, u in I.pairs for s in I.predecessors(u))
     assert len(calls) == 2 * triples
     assert Y == X
+
+
+@pytest.mark.parametrize("shape", [*sorted(POSET_SHAPES), "omega"])
+def test_level_validate_composes_twice_per_cover(monkeypatch, shape):
+    from promc import proobj
+    if shape == "omega":
+        f = identity_pro(two_tower(depth=6))
+    else:
+        f = gen_level_map(Rng(5), from_covers(*POSET_SHAPES[shape]), "set-bij",
+                          max_size=2)
+    calls = []
+    monkeypatch.setattr(proobj, "compose", lambda g, f: calls.append(1) or compose(g, f))
+    f.validate()
+    assert len(calls) == 2 * len(f.source.index.covers())
+
+
+def test_level_map_needs_one_depth():
+    with pytest.raises(MalformedError, match="shared index"):
+        level_map(two_tower(depth=6), two_tower(depth=8), lambda n: identity(
+            set_obj(["0", "1"])))
 
 
 def test_level_naturality_enforced():
@@ -144,9 +164,9 @@ def test_hom_collapse_worked_example():
 
 def test_hom_omega_two_tower():
     P = omega_pro_object(lambda n: set_obj(["*"]),
-                         lambda n: identity(set_obj(["*"])))
-    Y = two_tower()
-    hs = hom_pro(P, Y, depth=16)
+                         lambda n: identity(set_obj(["*"])), depth=16)
+    Y = two_tower(depth=16)
+    hs = hom_pro(P, Y)
     assert len(hs) == 2
     assert hs.stabilized_at == 1
 
@@ -185,11 +205,11 @@ def test_levelize_finite_general():
 
 def test_levelize_omega_diagonal():
     P = omega_pro_object(lambda n: set_obj(["*"]),
-                         lambda n: identity(set_obj(["*"])))
-    Y = two_tower()
+                         lambda n: identity(set_obj(["*"])), depth=8)
+    Y = two_tower(depth=8)
     g = general_map(P, Y, lambda n: (0, set_map(set_obj(["*"]), Y.value(n),
-                                                {"*": "0"})), depth=8)
-    lv = levelize(g, depth=8)
+                                                {"*": "0"})))
+    lv = levelize(g)
     assert lv.map.kind == LEVEL
     assert lv.cofinality.ok
     lv.source_cert.replay()
@@ -297,8 +317,8 @@ def test_lim_finite_chain_is_max_value():
 
 
 def test_lim_omega_two_tower():
-    Y = two_tower()
-    res = lim_functor(Y, depth=16)
+    Y = two_tower(depth=16)
+    res = lim_functor(Y)
     assert res.value == set_obj(["0", "1"])
     assert res.stabilized_at == 1
 
@@ -307,8 +327,9 @@ def test_lim_omega_collapsing_tower():
     # eventually-constant image: {a,b} with both mapped to a at every step
     two = set_obj(["a", "b"])
     Y = omega_pro_object(lambda n: two,
-                         lambda n: set_map(two, two, {"a": "a", "b": "a"}))
-    res = lim_functor(Y, depth=12)
+                         lambda n: set_map(two, two, {"a": "a", "b": "a"}),
+                         depth=12)
+    res = lim_functor(Y)
     assert res.value == set_obj(["a"])
     assert res.stabilized_at is not None
 
@@ -322,8 +343,8 @@ def test_lim_omega_unstable_reported():
         up, dn = val(n + 1), val(n)
         return set_map(up, dn, {e: e for e in up.elements})
 
-    Y = omega_pro_object(val, step)
-    res = lim_functor(Y, depth=8)
+    Y = omega_pro_object(val, step, depth=8)
+    res = lim_functor(Y)
     assert res.stabilized_at is None
 
 

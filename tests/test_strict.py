@@ -138,8 +138,8 @@ def test_factor_omega_truncated():
     X = omega_pro_object(lambda n: two, lambda n: identity(two), depth=6)
     Y = omega_pro_object(lambda n: one, lambda n: identity(one), depth=6)
     f = level_map(X, Y, lambda n: set_map(two, one, {"p": "z", "q": "z"}),
-                  check=False, depth=6)
-    fs = factor_strict(f, MODE_L1, depth=6)
+                  check=False)
+    fs = factor_strict(f, MODE_L1)
     assert fs.special.ok
     assert fs.special.depth == 6
 

@@ -131,8 +131,8 @@ def test_adjunction_worked_chain():
 
 def test_adjunction_omega_two_tower():
     two = set_obj(["0", "1"])
-    Y = omega_pro_object(lambda n: two, lambda n: identity(two))
-    w = adjunction_check(set_obj(["*"]), Y, depth=16)
+    Y = omega_pro_object(lambda n: two, lambda n: identity(two), depth=16)
+    w = adjunction_check(set_obj(["*"]), Y)
     assert w.left_size == w.right_size == 2
     assert w.stabilized_at == 1
 
