@@ -206,8 +206,8 @@ class Document:
             self.base_objects[name] = obj_from_doc(self.instance, doc)
         self.base_maps = {}
         for name, doc in raw.get("base_maps", {}).items():
-            src = self._base_obj(doc.get("source"))
-            tgt = self._base_obj(doc.get("target"))
+            src = self.base_object_named(doc.get("source"))
+            tgt = self.base_object_named(doc.get("target"))
             self.base_maps[name] = map_from_doc(self.instance, doc["payload"],
                                                 src, tgt)
         self.objects = {}
@@ -234,9 +234,9 @@ class Document:
             self.witnesses[name] = hfamily_from_doc(self.instance,
                                                     doc.get("pairs", {}), f)
 
-    def _base_obj(self, name):
+    def base_object_named(self, name):
         if name not in self.base_objects:
-            raise MalformedError(f"unknown base object {name!r}")
+            raise MalformedError(f"no base object named {name!r}")
         return self.base_objects[name]
 
     def map_named(self, name):
@@ -248,6 +248,11 @@ class Document:
         if name not in self.objects:
             raise MalformedError(f"document has no object named {name!r}")
         return self.objects[name]
+
+    def witnesses_named(self, name):
+        if name not in self.witnesses:
+            raise MalformedError(f"no witness bundle named {name!r}")
+        return self.witnesses[name]
 
 
 def load_document(path, depth=None):

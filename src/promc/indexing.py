@@ -74,6 +74,18 @@ class IndexPoset:
             return tuple(range(self.depth))
         return self.elements
 
+    def read_level(self, text):
+        """The element named by the level text *text* (from a command
+        line or a certificate): in the ω regime a decimal numeral below
+        the depth, read as an int; in the finite regime an element."""
+        if self.regime == OMEGA:
+            if isinstance(text, str) and text.isascii() and text.isdigit() \
+                    and int(text) < self.depth:
+                return int(text)
+        elif isinstance(text, str) and text in self.elements:
+            return text
+        raise MalformedError(f"level {text!r} is not an element of {self!r}")
+
     def _finite(self, what):
         if self.regime == OMEGA:
             raise UnsupportedRegimeError(f"{what} of ω are infinite")

@@ -195,7 +195,7 @@ def _verify_levelize(instance, doc, depth):
 
 def _verify_matching(instance, doc, depth):
     f = _load_promap(instance, doc["map"], depth)
-    rebuilt = matching_map(f, doc["level"]).map
+    rebuilt = matching_map(f, f.source.index.read_level(doc.get("level"))).map
     src = obj_from_doc(instance, doc["matching_source"])
     tgt = obj_from_doc(instance, doc["matching_target"])
     recorded = map_from_doc(instance, doc["matching_map"], src, tgt)

@@ -457,3 +457,76 @@ def test_an_omega_general_map_shorter_than_the_depth_exits_2(capsys):
     assert code == 2
     assert out.count("\n") == 1 and out.startswith("error:")
     assert "map g lists 6 components" in out and "depth 8" in out
+
+
+# ------------------------------------------------------- levels and trials
+
+def test_an_omega_matching_level_is_read_as_an_int_and_verifies(tmp_path, capsys):
+    cert = tmp_path / "m.json"
+    code, out = run(capsys, "matching", fx("omega_maps.json"), "f",
+                    "--level", "1", "--out", str(cert))
+    assert code == 0 and out.startswith("matching map at 1: ")
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0 and "level=1" in out
+
+
+@pytest.mark.parametrize("level", ["x", "-1", "6", "01x", "²"])
+def test_an_omega_level_off_the_index_exits_2_on_one_line(capsys, level):
+    code, out = run(capsys, "matching", fx("omega_maps.json"), "f",
+                    "--level", level)
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error: level ")
+
+
+def test_a_finite_level_off_the_index_exits_2_on_one_line(capsys):
+    code, out = run(capsys, "matching", fx("special.json"), "p", "--level", "2")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error: level '2'")
+
+
+def test_an_omega_matching_certificate_built_at_an_int_level_verifies(tmp_path, capsys):
+    from promc.certs import matching_cert
+    from promc.docio import dump_json, load_document
+    from promc.strict import matching_map
+    f = load_document(fx("omega_maps.json")).map_named("f")
+    cert = tmp_path / "m.json"
+    dump_json(matching_cert(f, 2, matching_map(f, 2)), str(cert))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0 and "level=2" in out
+    doc = json.loads(cert.read_text())
+    # the certificate records no depth, so verify rebuilds ω at 16
+    for bad in ["x", "16", 2, None]:
+        doc["level"] = bad
+        cert.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", str(cert))
+        assert code == 2 and out.count("\n") == 1 and out.startswith("error: level ")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "x", "2.5"])
+def test_check_axioms_takes_only_a_positive_trial_count(capsys, trials):
+    code = run_command(["check-axioms", "--trials", trials, "--seed", "0"])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert "trials must be a positive integer" in cap.err
+
+
+def test_only_commands_that_certify_take_out(tmp_path, capsys):
+    out_file = tmp_path / "x.json"
+    code = run_command(["check-axioms", "--trials", "1", "--seed", "0",
+                        "--out", str(out_file)])
+    cap = capsys.readouterr()
+    assert code == 2 and "unrecognized arguments: --out" in cap.err
+    assert not out_file.exists()
+    code = run_command(["verify", fx("omega.json"), "--out", str(out_file)])
+    assert code == 2 and not out_file.exists()
+
+
+def test_the_command_table_readme_and_depth_tests_name_the_same_commands():
+    from promc.cli import COMMANDS
+    readme = open(os.path.join(os.path.dirname(FIX), "..", "README.md")).read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    in_readme = {line.split()[1] for line in block.splitlines()
+                 if line.startswith("promc ")}
+    assert set(COMMANDS) == in_readme == {argv[0] for argv in EVERY_COMMAND}
