@@ -154,6 +154,8 @@ def matching_cert(f, t, data):
     doc["matching_source"] = obj_to_doc(data.map.source)
     doc["matching_target"] = obj_to_doc(data.map.target)
     doc["classes"] = classes_doc(classify_map(data.map))
+    if f.source.index.depth is not None:
+        doc["depth"] = f.source.index.depth
     return doc
 
 

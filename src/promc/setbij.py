@@ -8,10 +8,16 @@ constraint propagation, and colimits quotients of disjoint unions.
 Limit apex elements of loop-free diagrams are named by their coordinates
 at the in-degree-zero nodes, e.g. "(x,u)" for a pullback; colimit
 elements by their classes, e.g. "[a.x|b.y]".
+
+``brute_force_hom`` evaluates Hom(X, Y) = lim_s colim_t Hom(X_t, Y_s)
+of finite SetBij pro-objects by enumeration, on germs written as tuples
+of images; it checks ``hom_pro`` in the tests and replays SetBij ``hom``
+and ``adjunction`` certificates in ``verify``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .base import (COF_ACF, BaseMap, BaseObject, FactorizationPair,
@@ -332,6 +338,74 @@ def _set_limit(diagram):
     name_index = {tuple(rows[i][v] for v in key_nodes): names[i]
                   for i in range(len(names))}
     return apex, legs, key_nodes, name_index
+
+
+def _positions(f):
+    """The SetMap *f* as a tuple: the position in f.target of the image
+    of each element of f.source."""
+    where = {y: k for k, y in enumerate(f.target.elements)}
+    return tuple(where[f.mapping[x]] for x in f.source.elements)
+
+
+def brute_force_hom(X, Y):
+    """Direct evaluation of lim_s colim_t Hom(X_t, Y_s) for finite SetBij
+    pro-objects, the oracle for ``hom_pro`` and hom replay.
+
+    A germ (t, g: X_t -> Y_s) is the tuple of g's images of X_t's
+    elements, as positions in Y_s; a level's germs are numbered t-major,
+    each t's in ``SetBij.hom`` order.  Colimit classes come from a
+    union-find along the covers of X's index (functoriality makes that
+    join every related pair), each rooted at its smallest number.  A
+    thread, one root per level of Y, starts from each class at Y's
+    maximum and is kept when it agrees along every related pair of Y."""
+    J, I = X.index, Y.index
+    sizes = {t: len(X.value(t).elements) for t in J.elements}
+    covers = [(t, u, _positions(X.struct(u, t))) for t, u in J.covers()]
+
+    @functools.cache
+    def classes(n):
+        """(germs, roots, number of each germ) at a level of n elements;
+        levels of one size share them."""
+        ys = range(n)
+        germs = [(t, g) for t in J.elements
+                 for g in itertools.product(ys, repeat=sizes[t])]
+        number = {germ: a for a, germ in enumerate(germs)}
+        parent = list(range(len(germs)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for t, u, p in covers:
+            for g in itertools.product(ys, repeat=sizes[t]):
+                ra = find(number[(t, g)])
+                rb = find(number[(u, tuple([g[i] for i in p]))])
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        return germs, [find(a) for a in range(len(germs))], number
+
+    at = {s: classes(len(Y.value(s).elements)) for s in I.elements}
+    down = {pair: _positions(Y.struct(*pair)) for pair in I.pairs}
+
+    def root(s2, s1, t, g):  # the class of Y(s2 -> s1) . g at s1
+        _, roots, number = at[s1]
+        if s2 != s1:
+            q = down[(s2, s1)]
+            g = tuple([q[y] for y in g])
+        return roots[number[(t, g)]]
+
+    N = I.max_element()
+    germs_N, roots_N, _ = at[N]
+    threads = []
+    for r in sorted(set(roots_N)):
+        t, g = germs_N[r]
+        thread = {s: root(N, s, t, g) for s in I.elements}
+        if all(root(s2, s1, *at[s2][0][thread[s2]]) == thread[s1]
+               for s2, s1 in I.pairs):
+            threads.append(thread)
+    return threads
 
 
 INSTANCE = SetBij()

@@ -6,8 +6,11 @@ Generators build functors along a linear extension (values and maps are
 chained through consecutive levels), so functoriality holds by
 construction; level maps are generated in the arrow category the same
 way, with rejection sampling for the commuting-square solves.  The
-brute-force hom oracle evaluates the limit-of-colimits formula directly
-and is independent of the maxima-collapse code path it cross-checks.
+brute-force hom oracle, ``brute_force_hom``, lives in ``setbij`` (it
+reads SetBij payloads) and is re-exported here; it evaluates the
+limit-of-colimits formula directly and is independent of the
+maxima-collapse code path it cross-checks.  Only ``Rng`` needs numpy,
+and imports it when one is made.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import gf2
 from .base import (SHIPPED, classify_map, compose, identity, instance_of, inverse,
                    set_map, set_obj)
@@ -25,7 +26,7 @@ from .chainf2 import gen_complex  # noqa: F401  (a public name here)
 from .indexing import chain_poset, from_covers, linear_extension
 from .prohom import HFamily, enumerate_base_maps
 from .proobj import ProObject, compose_pro, level_map
-from .setbij import gen_set_obj  # noqa: F401  (a public name here)
+from .setbij import brute_force_hom, gen_set_obj  # noqa: F401  (public names here)
 
 
 class Rng:
@@ -33,9 +34,12 @@ class Rng:
 
     The only numpy user in promc: its stream of 0/1 draws is what every
     seeded document and test was recorded with, so each draw is made
-    as numpy makes it and then packed into ``gf2`` values."""
+    as numpy makes it and then packed into ``gf2`` values.  numpy is
+    imported here, not with the module, so that the oracle and the
+    replay that reach ``suites`` never load it."""
 
     def __init__(self, seed):
+        import numpy as np
         self.rnd = random.Random(seed)
         self.np = np.random.default_rng(seed)
 
@@ -197,64 +201,6 @@ def gen_we_level_map(rng, X, prefix="w"):
     """A natural levelwise weak equivalence onto X, as its instance
     builds one."""
     return X.instance.gen_we_level_map(rng, X, prefix)
-
-
-# ------------------------------------------------------- brute-force hom
-
-
-def _colim_classes(X, Y, s):
-    """Germ pairs (t, g: X_t -> Y_s), their union-find roots (the
-    smallest index of each class) and the index of each pair."""
-    J = X.index
-    items = []
-    for t in J.elements:
-        for g in enumerate_base_maps(X.value(t), Y.value(s)):
-            items.append((t, g))
-    index = {item: a for a, item in enumerate(items)}
-    parent = list(range(len(items)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, (t, g) in enumerate(items):
-        for u in J.elements:
-            if J.lt(t, u):
-                ra, rb = find(a), find(index[(u, compose(g, X.struct(u, t)))])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(a) for a in range(len(items))]
-    return items, roots, index
-
-
-def brute_force_hom(X, Y):
-    """Direct evaluation of lim_s colim_t Hom(X_t, Y_s) for finite SetBij
-    pro-objects: colimit classes by union-find over germ pairs, then
-    threads checked against every transition."""
-    I = Y.index
-    classes = {s: _colim_classes(X, Y, s) for s in I.elements}
-
-    def root(s, t, g):  # the class of the germ (t, g: X_t -> Y_s)
-        _, roots, index = classes[s]
-        return roots[index[(t, g)]]
-
-    N = I.max_element()
-    items_N, roots_N, _ = classes[N]
-    reps = sorted(set(roots_N))
-    threads = []
-    for r in reps:
-        t, g = items_N[r]
-        thread = {s: root(s, t, compose(Y.struct(N, s), g)) for s in I.elements}
-        ok = True
-        for s2, s1 in I.pairs:
-            t2, g2 = classes[s2][0][thread[s2]]
-            if root(s1, t2, compose(Y.struct(s2, s1), g2)) != thread[s1]:
-                ok = False
-        if ok:
-            threads.append(thread)
-    return threads
 
 
 # ------------------------------------------------------------ axiom suites

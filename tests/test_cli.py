@@ -494,12 +494,30 @@ def test_an_omega_matching_certificate_built_at_an_int_level_verifies(tmp_path, 
     code, out = run(capsys, "verify", str(cert))
     assert code == 0 and "level=2" in out
     doc = json.loads(cert.read_text())
-    # the certificate records no depth, so verify rebuilds ω at 16
+    # the certificate records depth 6, so replay refuses level 16 as the CLI does
     for bad in ["x", "16", 2, None]:
         doc["level"] = bad
         cert.write_text(json.dumps(doc))
         code, out = run(capsys, "verify", str(cert))
         assert code == 2 and out.count("\n") == 1 and out.startswith("error: level ")
+
+
+def test_an_omega_matching_certificate_is_replayed_at_its_depth(tmp_path, capsys):
+    """The ω matching certificate records the document's depth (6), so
+    level 6, which the CLI refuses on that document, is refused on replay
+    too; a finite matching certificate records no depth."""
+    cert = tmp_path / "m.json"
+    code, _ = run(capsys, "matching", fx("omega_maps.json"), "f",
+                  "--level", "1", "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc["level"] = "6"
+    cert.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 2 and out.count("\n") == 1 and out.startswith("error: level ")
+    code, _ = run(capsys, "matching", fx("special.json"), "p",
+                  "--level", "1", "--out", str(cert))
+    assert code == 0 and "depth" not in json.loads(cert.read_text())
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "x", "2.5"])

@@ -157,7 +157,9 @@ RUNS = _runs()
 # exit code now.  The matching level is read by ``IndexPoset.read_level``:
 # an ω level is an int below the depth (it was a string, and every ω run
 # exited 3), and a level that names no element exits 2 with its own
-# message, also on a GENERAL map, which is refused after the level.
+# message, also on a GENERAL map, which is refused after the level.  The
+# seven ω runs that exit 0 also write the document's depth into their
+# certificates, which replay rebuilds the map at.
 CHANGED = {
     **{f"matching omega_maps.json f --level {n}": 0 for n in range(6)},
     "--depth 3 matching omega_maps.json f --level 0": 0,

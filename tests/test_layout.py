@@ -4,10 +4,12 @@ Only the two instance modules know which instances exist: the tags
 ``SET_BIJ``/``CHAIN_F2`` ("set-bij"/"chain-f2") appear nowhere else,
 except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``instance_of`` reads) and where ``__init__`` re-exports them from
-``base``.  Only ``suites`` (its seeded ``Rng``) imports numpy, so
-importing the CLI does not load it; only ``chainf2`` and ``suites``
-import ``gf2``.  Only ``strict``, whose one table maps each mode to its
-classes, compares anything with a mode or class tag.  Only ``indexing``
+``base``.  Only ``suites`` imports numpy, inside its seeded ``Rng``, so
+neither importing the CLI or ``suites`` nor replaying a SetBij ``hom``
+or ``adjunction`` certificate (which runs the brute-force oracle) loads
+it; only ``chainf2`` and ``suites`` import ``gf2``.  Only ``strict``,
+whose one table maps each mode to its classes, compares anything with a
+mode or class tag.  Only ``indexing``
 picks related pairs out of a poset's elements; the other modules read
 its ``pairs``, ``covers()`` and ``predecessors()``.  No function in
 ``proobj``, ``prohom``, ``strict``, ``proiso`` or ``towers`` takes a
@@ -23,7 +25,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "promc"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 TAG_NAMES = {"SET_BIJ", "CHAIN_F2"}
 TAG_VALUES = {"set-bij", "chain-f2"}
 INSTANCE_MODULES = {"setbij", "chainf2"}
@@ -271,9 +276,31 @@ def test_the_checks_see_what_they_forbid():
     assert depth_parameters("verify", depths) == []
 
 
-def test_importing_the_cli_loads_no_numpy():
-    code = "import sys, promc.cli; print('numpy' in sys.modules)"
+def _last_line(code, *argv):
+    """The last line a fresh interpreter prints running *code* on *argv*."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_numpy():
+    assert _last_line("import sys, promc.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_importing_suites_loads_no_numpy():
+    assert _last_line("import sys, promc.suites; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [["hom", "collapse.json", "Y", "X"],
+                                  ["adjunction", "collapse.json",
+                                   "--base", "pt", "--object", "X"]])
+def test_replaying_a_setbij_hom_or_adjunction_loads_no_numpy(tmp_path, argv):
+    """Replay of these two certificates runs the SetBij oracle."""
+    from promc.cli import run_command
+    cert = tmp_path / "cert.json"
+    assert run_command([argv[0], str(FIXTURES / argv[1]), *argv[2:],
+                        "--out", str(cert)]) == 0
+    code = ("import sys\nfrom promc.cli import run_command\n"
+            "print(run_command(sys.argv[1:]), 'numpy' in sys.modules)")
+    assert _last_line(code, "verify", str(cert)) == "0 False"

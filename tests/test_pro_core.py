@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -410,3 +412,19 @@ def test_brute_force_hom_matches_pairwise_reference():
         assert threads == _pairwise_hom(X, Y), (repr(X), repr(Y))
         sizes.add(len(threads))
     assert len(sizes) >= 5  # homs of many sizes, not only singletons
+
+
+# Recorded from the SetMap oracle, before germs became image tuples.
+ORACLE_DIGEST = "7c34f2ff57905e2f5468e248fa4b101653a57eb15b5e735c5d379f1992f3b72e"
+
+
+def test_brute_force_hom_threads_are_pinned_on_every_family_pair():
+    """One sha256 over json.dumps(threads, sort_keys=True) of every pair
+    of the family, X-major: each thread names the same class roots."""
+    family = hom_oracle_family()
+    digest = hashlib.sha256()
+    for X in family:
+        for Y in family:
+            digest.update(json.dumps(brute_force_hom(X, Y), sort_keys=True).encode())
+    assert len(family) ** 2 == 16641
+    assert digest.hexdigest() == ORACLE_DIGEST
