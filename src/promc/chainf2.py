@@ -13,9 +13,11 @@ rows and comparing or hashing maps compares or hashes tuples; a degree
 with no stored matrix reads as the shared zero matrix of its shape.
 All linear algebra is exact, through ``gf2``; limits and colimits work
 degreewise with kernels and cokernels, assembling their block matrices
-by shifting rows.  Chain-map systems (lifts, hom spaces) are emitted as
-int rows straight from the Kronecker structure of L·h·R, so no dense
-system is built.  Documents carry the same row-major 0/1 lists.
+by shifting rows.  Maps are classified from ranks alone: f is a
+quasi-isomorphism iff its mapping cone is acyclic.  Chain-map systems
+(lifts, hom spaces) are emitted as int rows straight from the Kronecker
+structure of L·h·R, so no dense system is built.  Documents carry the
+same row-major 0/1 lists.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import MalformedError, PreconditionError
 CHAIN_F2 = "chain-f2"
 
 ENUMERATION_CAP = 12  # max GF(2) dimension of a hom space to enumerate
+MAX_DIM = 1024  # max dimension of a degree in a document (generated inputs reach 69)
 
 
 class ChainObject(BaseObject):
@@ -164,6 +167,24 @@ def _degrees(*objs):
     return set().union(*(X.degrees for X in objs))
 
 
+def _cone_acyclic(f):
+    """Whether f: X -> Y is a quasi-isomorphism, that is (over a field)
+    whether its mapping cone C is acyclic.  C_n = X_{n+1} ⊕ Y_n with
+    boundary D_n(x, y) = (dx, fx + dy); C is acyclic iff rank D_n +
+    rank D_{n-1} = dim C_n in every degree.  Stops at the first failure."""
+    X, Y = f.source, f.target
+    prev = 0  # rank D_{n-1}: C is zero below min(lo) - 1
+    for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 1):
+        a, width = X.dim(n + 1), X.dim(n + 1) + Y.dim(n)
+        rows = X.d(n + 1).rows + tuple(
+            x | y << a for x, y in zip(f.mat(n + 1).rows, Y.d(n).rows))
+        r = gf2.rank(gf2.Mat(rows, width))
+        if r + prev != width:
+            return False
+        prev = r
+    return True
+
+
 class ChainF2:
     """The ChainF2 instance."""
 
@@ -213,16 +234,13 @@ class ChainF2:
         return ChainMap(f.target, f.source, mats, check=False)
 
     def classify(self, f):
-        degs = sorted(_degrees(f.source, f.target))
-        is_cof = all(gf2.rank(f.mat(n)) == f.source.dim(n) for n in degs)
-        is_fib = all(gf2.rank(f.mat(n)) == f.target.dim(n) for n in degs)
-        is_we = True
-        for n in degs:
-            H = homology_matrix(f, n)
-            if H.shape[0] != H.shape[1] or gf2.rank(H) != H.shape[0]:
-                is_we = False
-                break
-        return MapClasses(is_we=is_we, is_cof=is_cof, is_fib=is_fib)
+        """One rank of f per degree decides both degreewise classes; f is
+        a weak equivalence iff its mapping cone is acyclic (``_cone_acyclic``)."""
+        X, Y = f.source, f.target
+        ranks = [(n, gf2.rank(f.mat(n))) for n in _degrees(X, Y)]
+        return MapClasses(is_we=_cone_acyclic(f),
+                          is_cof=all(r == X.dim(n) for n, r in ranks),
+                          is_fib=all(r == Y.dim(n) for n, r in ranks))
 
     def factor(self, f, mode):
         """Mapping cylinder (cof-then-acyclicfib), resp. mapping path
@@ -255,15 +273,16 @@ class ChainF2:
         lo, hi = degs[0], degs[-1]
         diff = {}
         for n in range(lo, hi):
-            sol = gf2.solve(basis[n + 1],
-                            gf2.matmul(_block_diff(diagram, nodes, n), basis[n]))
-            if sol is None:
+            # its block rows are every leg's boundary commutation: legs skip it
+            image = gf2.matmul(_block_diff(diagram, nodes, n), basis[n])
+            sol = gf2.solve(basis[n + 1], image)
+            if sol is None or gf2.matmul(basis[n + 1], sol) != image:
                 raise AssertionError("product differential does not preserve the limit")
             diff[n] = sol
         apex = ChainObject(lo, hi, {n: basis[n].shape[1] for n in degs}, diff)
         legs = {v: ChainMap(apex, diagram.nodes[v],
                             {n: gf2.Mat(basis[n].rows[span[n][v]], basis[n].ncols)
-                             for n in degs})
+                             for n in degs}, check=False)
                 for v in nodes}
 
         def factor(cone):
@@ -370,12 +389,24 @@ class ChainF2:
                       for n in range(X.lo, X.hi) if X.dim(n) and X.dim(n + 1)}}
 
     def obj_from_doc(self, doc):
+        """Every field is checked before anything is allocated."""
         try:
-            dims = doc["dims"]
-            lo, hi = int(doc["lo"]), int(doc["hi"])
-        except (KeyError, TypeError) as e:
-            raise MalformedError(f"bad ChainF2 object payload: {e}")
-        diff = {int(k): v for k, v in doc.get("d", {}).items()}
+            lo, hi, dims = doc["lo"], doc["hi"], doc["dims"]
+            diff = {int(k): v for k, v in doc.get("d", {}).items()}
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise MalformedError(f"bad ChainF2 object payload: {e!r}") from None
+        for name, v in (("lo", lo), ("hi", hi)):
+            if type(v) is not int:  # bools are not ints here
+                raise MalformedError(f"ChainF2 object: {name} = {v!r} is not an int")
+        if not isinstance(dims, list):
+            raise MalformedError(f"ChainF2 object: dims = {dims!r} is not a list")
+        if hi != lo + len(dims) - 1:
+            raise MalformedError(f"ChainF2 object: hi = {hi} is not lo + len(dims) - 1"
+                                 f" = {lo + len(dims) - 1}")
+        for k, v in enumerate(dims):
+            if type(v) is not int or not 0 <= v <= MAX_DIM:
+                raise MalformedError(f"ChainF2 object: dims[{k}] = {v!r} is not an int "
+                                     f"in [0, MAX_DIM = {MAX_DIM}]")
         return chain_obj(lo, hi, dims, diff)
 
     def map_to_doc(self, f):
@@ -439,40 +470,6 @@ class ChainF2:
                            "e": ChainMap(E.value(s), X.value(s), {}, check=False)})
             proj[s] = big.level_cones[s].mediate(cocone)
         return level_map(big.apex, X, proj)
-
-
-# ------------------------------------------------------------- homology
-
-
-def _homology_quotient(obj, n):
-    """(Z, Q) with Z a cycle basis in degree n (columns) and Q the
-    projection from cycle coordinates onto H_n coordinates."""
-    Z = gf2.null_space(obj.d(n))
-    B = gf2.image_basis(obj.d(n - 1))
-    if B.shape[1]:
-        C = gf2.solve(Z, B)  # boundaries are cycles, so solvable
-        if C is None:
-            raise AssertionError("boundary not a cycle")
-    else:
-        C = gf2.zeros(Z.shape[1], 0)
-    Q, _ = gf2.quotient_map(C, Z.shape[1])
-    return Z, Q
-
-
-def homology_matrix(f, n):
-    """The induced map H_n(source) -> H_n(target), as an explicit matrix
-    computed from cycle/boundary bases."""
-    Zx, Qx = _homology_quotient(f.source, n)
-    Zy, Qy = _homology_quotient(f.target, n)
-    fZ = gf2.matmul(f.mat(n), Zx)
-    W = gf2.solve(Zy, fZ)  # chain maps carry cycles to cycles
-    if W is None:
-        raise AssertionError("image of a cycle not a cycle")
-    # H(f) descends: pick any right inverse of the surjection Qx.
-    Rx = gf2.solve(Qx, gf2.eye(Qx.shape[0]))
-    if Qx.shape[0] == 0:
-        return gf2.zeros(Qy.shape[0], 0)
-    return gf2.matmul(gf2.matmul(Qy, W), Rx)
 
 
 # ------------------------------------------------------- factorizations

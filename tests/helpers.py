@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library code paths they check:
-quasi-isomorphism is tested through mapping-cone acyclicity, limits by
+quasi-isomorphism is tested through mapping-cone acyclicity on an
+assembled cone complex and through induced maps on homology, limits by
 raw enumeration, homs by evaluating the limit-of-colimits formula
 directly.
 """
@@ -80,6 +81,46 @@ def is_acyclic(obj):
 def we_by_cone(f):
     """Independent quasi-isomorphism oracle."""
     return is_acyclic(cone_of(f))
+
+
+# ------------------------------------------------------- homology oracle
+
+def homology_quotient(obj, n):
+    """(Z, Q) with Z a cycle basis in degree n (columns) and Q the
+    projection from cycle coordinates onto H_n coordinates."""
+    Z = gf2.null_space(obj.d(n))
+    B = gf2.image_basis(obj.d(n - 1))
+    if B.shape[1]:
+        C = gf2.solve(Z, B)  # boundaries are cycles, so solvable
+        assert C is not None, "boundary not a cycle"
+    else:
+        C = gf2.zeros(Z.shape[1], 0)
+    Q, _ = gf2.quotient_map(C, Z.shape[1])
+    return Z, Q
+
+
+def homology_matrix(f, n):
+    """The induced map H_n(source) -> H_n(target), as an explicit matrix
+    computed from cycle/boundary bases."""
+    Zx, Qx = homology_quotient(f.source, n)
+    Zy, Qy = homology_quotient(f.target, n)
+    W = gf2.solve(Zy, gf2.matmul(f.mat(n), Zx))  # chain maps carry cycles to cycles
+    assert W is not None, "image of a cycle not a cycle"
+    if Qx.shape[0] == 0:
+        return gf2.zeros(Qy.shape[0], 0)
+    # H(f) descends: pick any right inverse of the surjection Qx.
+    Rx = gf2.solve(Qx, gf2.eye(Qx.shape[0]))
+    return gf2.matmul(gf2.matmul(Qy, W), Rx)
+
+
+def we_by_homology(f):
+    """Quasi-isomorphism oracle: the induced map on homology is an
+    isomorphism in every degree of either end."""
+    for n in set(f.source.degrees) | set(f.target.degrees):
+        H = homology_matrix(f, n)
+        if H.shape[0] != H.shape[1] or gf2.rank(H) != H.shape[0]:
+            return False
+    return True
 
 
 # ------------------------------------------------------ random generators

@@ -14,7 +14,7 @@ from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso,
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
                      random_set_map, random_set_obj, shifted, sphere0, to_np,
-                     we_by_cone)
+                     we_by_cone, we_by_homology)
 
 
 # ----------------------------------------------------------- construction
@@ -76,6 +76,54 @@ def test_classify_we_matches_cone_oracle(seed):
     Y = random_complex(rng)
     f = random_chain_map(rng, X, Y)
     assert classify_map(f).is_we == we_by_cone(f)
+
+
+def _we_oracle_cases(seed):
+    """(name, ChainF2 map) pairs: random maps, maps between shifted
+    complexes (overlapping and disjoint degree ranges), identities, maps
+    to and from the zero complex, and cylinder and path factors."""
+    rng = np.random.default_rng(seed)
+    X, Y = random_complex(rng), random_complex(rng)
+    f = random_chain_map(rng, X, Y)
+    gap = int(rng.integers(1, 3))  # a shift making the ranges disjoint
+    EX, EY = (factor_map(chain_map(zero_complex(), V, {}), ACOF_FIB).middle
+              for V in (X, Y))  # contractible
+    cases = [("random", f),
+             ("shifted", random_chain_map(rng, shifted(X, -1), Y)),
+             ("disjoint above", random_chain_map(rng, X, shifted(Y, X.hi + gap))),
+             ("disjoint below", random_chain_map(rng, shifted(X, Y.hi + gap), Y)),
+             ("disjoint contractible",
+              random_chain_map(rng, EX, shifted(EY, EX.hi + gap))),
+             ("disjoint, one contractible",
+              random_chain_map(rng, shifted(EX, EY.hi + gap), Y)),
+             ("identity", identity(X)),
+             ("identity of zero", identity(zero_complex())),
+             ("from zero", chain_map(zero_complex(), shifted(Y, -gap), {})),
+             ("to zero", chain_map(X, zero_complex(), {}))]
+    for mode in (COF_ACF, ACOF_FIB):
+        fp = factor_map(f, mode)
+        cases += [(f"{mode} left", fp.left), (f"{mode} right", fp.right)]
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_classify_we_matches_homology_and_cone_oracles(seed):
+    for name, f in _we_oracle_cases(seed):
+        we = classify_map(f).is_we
+        assert we == we_by_homology(f) == we_by_cone(f), name
+
+
+def test_we_oracle_cases_hold_both_verdicts():
+    verdicts = {}
+    for seed in range(30):
+        for name, f in _we_oracle_cases(seed):
+            verdicts.setdefault(name, set()).add(we_by_homology(f))
+    for name in ("identity", "identity of zero", "disjoint contractible",
+                 f"{COF_ACF} right", f"{ACOF_FIB} left"):
+        assert verdicts[name] == {True}, name
+    for name in ("random", "shifted", "disjoint, one contractible", "from zero",
+                 "to zero", f"{COF_ACF} left", f"{ACOF_FIB} right"):
+        assert verdicts[name] == {False, True}, name
 
 
 def test_two_of_three_on_random_composables():

@@ -1,8 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
+from promc.chainf2 import INSTANCE, MAX_DIM
 from promc.cli import run_command
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -274,6 +276,48 @@ def test_a_malformed_chainf2_matrix_exits_2(tmp_path, capsys, where, matrix):
     assert code == 2
     assert text.count("\n") == 1
     assert ("matrix in degree 0" if where == "map" else "boundary out of degree 0") in text
+
+
+# One field of object cS of the fixture edited.  Before ChainF2 object
+# documents were checked field by field, dims [10**30] exited 3 with a
+# MemoryError, hi 10**30 or a hi that disagrees with len(dims) exited 3
+# with a KeyError, and true, "1" or 1.7 as a dim was read and exited 0.
+BAD_CHAINF2_FIELDS = {
+    "dims-10**30": ("dims", [10**30],
+                    f"dims[0] = {10**30} is not an int in [0, MAX_DIM = {MAX_DIM}]"),
+    "dims-above-max": ("dims", [MAX_DIM + 1], f"dims[0] = {MAX_DIM + 1} is not an int"),
+    "dims-negative": ("dims", [-1], "dims[0] = -1 is not an int"),
+    "dims-true": ("dims", [True], "dims[0] = True is not an int"),
+    "dims-string": ("dims", ["1"], "dims[0] = '1' is not an int"),
+    "dims-float": ("dims", [1.7], "dims[0] = 1.7 is not an int"),
+    "dims-not-a-list": ("dims", 1, "dims = 1 is not a list"),
+    "hi-10**30": ("hi", 10**30, f"hi = {10**30} is not lo + len(dims) - 1 = 0"),
+    "hi-disagrees": ("hi", 3, "hi = 3 is not lo + len(dims) - 1 = 0"),
+    "lo-true": ("lo", True, "lo = True is not an int"),
+    "lo-string": ("lo", "1", "lo = '1' is not an int"),
+    "lo-float": ("lo", 1.7, "lo = 1.7 is not an int"),
+    "d-list": ("d", [], "bad ChainF2 object payload"),
+    "d-key": ("d", {"x": [[1]]}, "bad ChainF2 object payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHAINF2_FIELDS))
+def test_a_malformed_chainf2_object_field_exits_2(tmp_path, capsys, case):
+    field, value, says = BAD_CHAINF2_FIELDS[case]
+    doc = json.loads(open(fx("chainf2.json")).read())
+    doc["objects"]["cS"]["values"]["pt"][field] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "hom", str(f), "cD", "cS")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1 and says in out
+
+
+def test_a_chainf2_object_may_reach_max_dim():
+    X = INSTANCE.obj_from_doc({"lo": -1, "hi": 0, "dims": [0, MAX_DIM]})
+    assert (X.lo, X.hi, X.dim(0)) == (-1, 0, MAX_DIM)
 
 
 @pytest.mark.parametrize("entry", [-1, 10**30, 2.5, "1", True],

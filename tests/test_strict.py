@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from promc.base import (classify_map, compose, identity, set_map, set_obj,
                         chain_map, zero_complex)
+from promc.chainf2 import ChainF2, ChainMap
 from promc.errors import PreconditionError, VerificationFailure
 from promc.indexing import chain_poset, from_covers, point_poset
 from promc.prohom import constant_embed
@@ -9,7 +12,7 @@ from promc.proobj import (compose_pro, constant_over, identity_pro, level_map,
                           pro_object, to_general)
 from promc.strict import (ACYCLIC_FIB, FIB, MODE_L1, MODE_L2, detect_special,
                           factor_strict, lift_strict, matching_map)
-from promc.suites import Rng, gen_level_map, gen_pro_object
+from promc.suites import POSET_SHAPES, Rng, gen_level_map, gen_pro_object
 
 from helpers import disk1, disk_to_sphere, sphere0
 
@@ -223,3 +226,53 @@ def test_lift_rejects_noncommuting():
     })
     with pytest.raises(PreconditionError):
         lift_strict(i, f, top, bad_bottom, mode=MODE_L1)
+
+
+# -------------------------------------- ChainF2 verdicts and limit legs
+
+@pytest.fixture(scope="module")
+def chain_factor_sweep():
+    """factor_strict on ``gen_level_map`` inputs over every poset shape,
+    both modes and seeds 0-2; records the classes of every ChainF2
+    classification and every ChainF2 limit cone built, in call order."""
+    verdicts, cones = [], []
+    classify, limit = ChainF2.classify, ChainF2.limit
+
+    def spy_classify(self, f):
+        c = classify(self, f)
+        verdicts.append((c.is_we, c.is_cof, c.is_fib))
+        return c
+
+    def spy_limit(self, diagram):
+        cones.append(limit(self, diagram))
+        return cones[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ChainF2, "classify", spy_classify)
+        mp.setattr(ChainF2, "limit", spy_limit)
+        for seed in range(3):
+            for shape, (els, covers) in sorted(POSET_SHAPES.items()):
+                for mode in (MODE_L1, MODE_L2):
+                    f = gen_level_map(Rng(seed), from_covers(els, covers), "chain-f2")
+                    factor_strict(f, mode)
+    return verdicts, cones
+
+
+# Recorded from the homology-based classification before the mapping-cone
+# rewrite: 324 classifications, 175 of them weak equivalences.
+VERDICTS_GOLDEN = "6f16643dc10b90a29e2c2e0277d4ab98681c076e77ee7d5346d4fe25d3455c6a"
+
+
+def test_chainf2_verdicts_in_strict_factorizations(chain_factor_sweep):
+    verdicts, _ = chain_factor_sweep
+    assert (len(verdicts), sum(we for we, _, _ in verdicts)) == (324, 175)
+    text = "".join(f"{we:d}{cof:d}{fib:d}" for we, cof, fib in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICTS_GOLDEN
+
+
+def test_chainf2_limit_legs_are_chain_maps(chain_factor_sweep):
+    _, cones = chain_factor_sweep
+    legs = [leg for cone in cones for leg in cone.legs.values()]
+    assert cones and legs
+    for leg in legs:  # the checking constructor raises on a non-chain map
+        assert ChainMap(leg.source, leg.target, leg._mats) == leg
