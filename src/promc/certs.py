@@ -135,11 +135,11 @@ def hom_cert(X, Y, hs):
     doc["Y"] = proobj_to_doc(Y)
     doc["X_poset"] = poset_to_doc(X.index)
     doc["Y_poset"] = poset_to_doc(Y.index)
-    if X.index.regime == "finite" and Y.index.regime == "finite":
+    if hs.depth is None:
         top = Y.index.max_element()
         doc["realized"] = X.instance.map_set_doc(
             [rep.realize(top) for rep in hs.maps])
-    if hs.depth is not None:
+    else:
         doc["depth"] = hs.depth
         doc["stabilized_at"] = hs.stabilized_at
     return doc
@@ -185,8 +185,7 @@ def cocell_cert(tower):
 def tower_limit_cert(tower, tl):
     doc = cocell_cert(tower)
     doc["kind"] = "tower-limit"
-    doc["limit_value"] = obj_to_doc(tl.apex.value(
-        tl.apex.index.elements[0] if tl.apex.index.regime == "finite" else 0))
+    doc["limit_value"] = obj_to_doc(tl.apex.value(tl.apex.index.elements[0]))
     if tl.iso_cert is not None:
         doc["iso"] = _iso_payload(tl.iso_cert)
     return doc

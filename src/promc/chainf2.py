@@ -35,6 +35,7 @@ CHAIN_F2 = "chain-f2"
 
 ENUMERATION_CAP = 12  # max GF(2) dimension of a hom space to enumerate
 MAX_DIM = 1024  # max dimension of a degree in a document (generated inputs reach 69)
+MAX_DEGREE = 64  # max |degree| in a document (generated inputs reach -1 to 7)
 
 
 class ChainObject(BaseObject):
@@ -403,6 +404,10 @@ class ChainF2:
         if hi != lo + len(dims) - 1:
             raise MalformedError(f"ChainF2 object: hi = {hi} is not lo + len(dims) - 1"
                                  f" = {lo + len(dims) - 1}")
+        for name, v in (("lo", lo), ("hi", hi)):
+            if not -MAX_DEGREE <= v <= MAX_DEGREE:
+                raise MalformedError(f"ChainF2 object: {name} = {v} is outside "
+                                     f"[-MAX_DEGREE, MAX_DEGREE = {MAX_DEGREE}]")
         for k, v in enumerate(dims):
             if type(v) is not int or not 0 <= v <= MAX_DIM:
                 raise MalformedError(f"ChainF2 object: dims[{k}] = {v!r} is not an int "

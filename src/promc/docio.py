@@ -6,14 +6,16 @@ posets, pro-objects, pro-maps (level or general), base objects/maps,
 diagrams, and witness bundles.  Base values serialize as their instance
 writes them (SetBij sets as arrays of strings, ChainF2 matrices
 row-major as 0/1 arrays), posets as cover-pair lists (or the literal
-"omega"); ω-regime values are given as eventually-constant lists.
+"omega"); ω-regime values, steps and LEVEL components are given as
+lists whose last entry repeats up to the depth.
 
 A document has one ω depth, a positive integer: the one the reader is
 given (``promc --depth``), else the document's own ``"depth"``, else
 ``DEFAULT_DEPTH``.  Every ω poset of the document takes it, so a LEVEL
-map's two ends share one index; any other depth value is refused.  An
-ω GENERAL map lists one component per level below the depth (the
-target's).  Witness keys are ``"t>s"`` with s < t in the source index.
+map's two ends share one index; any other depth value is refused.  Each
+ω list is read only up to the depth.  An ω GENERAL map lists one
+component per level below the depth, each from a source level below
+the depth.  Witness keys are ``"t>s"`` with s < t in the source index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .base import identity, instance_of
 from .errors import MalformedError
 from .indexing import DEFAULT_DEPTH, OMEGA, from_covers, omega
 from .prohom import HFamily
-from .proobj import ProObject, general_map, level_map, omega_pro_object
+from .proobj import ProObject, general_map, level_map
 
 DOC_SCHEMA = "promc.doc/1"
 CERT_SCHEMA = "promc.cert/1"
@@ -67,10 +69,9 @@ def poset_from_doc(doc, depth=DEFAULT_DEPTH):
 
 def proobj_to_doc(X):
     if X.index.regime == OMEGA:
-        d = X.index.depth
         return {"index": "omega",
-                "values": [obj_to_doc(X.value(n)) for n in range(d)],
-                "steps": [map_to_doc(X.step(n)) for n in range(d - 1)]}
+                "values": [obj_to_doc(X.value(n)) for n in X.index.elements],
+                "steps": [map_to_doc(X.struct(t, s)) for s, t in X.index.covers()]}
     return {"values": {s: obj_to_doc(X.value(s)) for s in X.index.elements},
             "structure": {f"{t}>{s}": map_to_doc(X.struct(t, s))
                           for (s, t) in X.index.covers()}}
@@ -78,25 +79,21 @@ def proobj_to_doc(X):
 
 def proobj_from_doc(instance, doc, index):
     if index.regime == OMEGA:
-        vals = [obj_from_doc(instance, v) for v in doc["values"]]
+        d = index.depth
+        vals = [obj_from_doc(instance, v) for v in _head(doc, "values", d)]
         if not vals:
             raise MalformedError("ω object needs at least one value")
-        steps_doc = doc.get("steps", [])
-
-        def value(n):
-            return vals[min(n, len(vals) - 1)]
-
-        steps = [map_from_doc(instance, s, value(k + 1), value(k))
-                 for k, s in enumerate(steps_doc)]
-
-        def step(n):
-            if n < len(steps):
-                return steps[n]
-            if value(n + 1) != value(n):
+        values = {n: vals[min(n, len(vals) - 1)] for n in index.elements}
+        steps = _head(doc, "steps", d - 1, [])
+        structs = {}
+        for s, t in index.covers():
+            if s < len(steps):
+                structs[(t, s)] = map_from_doc(instance, steps[s], values[t], values[s])
+            elif values[t] != values[s]:
                 raise MalformedError("ω tail is not constant; give more steps")
-            return identity(value(n))
-
-        return omega_pro_object(value, step, depth=index.depth)
+            else:
+                structs[(t, s)] = identity(values[s])
+        return ProObject(index, values=values, structs=structs)
     values = {s: obj_from_doc(instance, v) for s, v in doc["values"].items()}
     if set(values) != set(index.elements):
         raise MalformedError("object values do not match the poset carrier")
@@ -109,15 +106,24 @@ def proobj_from_doc(instance, doc, index):
     return ProObject(index, values=values, structs=structs)
 
 
+def _head(doc, key, n, default=None):
+    """The first n entries of the ω list doc[key]; the entries from the
+    depth on are never read."""
+    items = doc.get(key, default)
+    if not isinstance(items, list):
+        raise MalformedError(f"ω {key} must be a list, not {type(items).__name__}")
+    return items[:n]
+
+
 def promap_to_doc(f, source_name, target_name):
     out = {"source": source_name, "target": target_name}
     if f.source.index.regime == OMEGA:
-        d = f.target.index.depth
+        levels = f.target.index.elements
         if f.kind == "level":
-            out["level"] = [map_to_doc(f.level_component(n)) for n in range(d)]
+            out["level"] = [map_to_doc(f.level_component(n)) for n in levels]
         else:
             out["general"] = [[int(f.component(n)[0]),
-                               map_to_doc(f.component(n)[1])] for n in range(d)]
+                               map_to_doc(f.component(n)[1])] for n in levels]
         return out
     if f.kind == "level":
         out["level"] = {s: map_to_doc(f.level_component(s))
@@ -130,28 +136,32 @@ def promap_to_doc(f, source_name, target_name):
 
 def promap_from_doc(instance, doc, source, target, name="pro-map"):
     """The pro-map of *doc* between *source* and *target*; *name* names
-    it in the refusal of an ω GENERAL map listing too few components."""
+    it in the refusal of an ω GENERAL map that lists too few components
+    or one from a source level not below the depth."""
     if source.index.regime == OMEGA:
-        if "level" in doc:
-            comps = [map_from_doc(instance, c, source.value(n), target.value(n))
-                     for n, c in enumerate(doc["level"])]
-
-            def comp(n):
-                if n < len(comps):
-                    return comps[n]
-                if source.value(n) != comps[-1].source:
-                    raise MalformedError("ω level tail is not constant")
-                return comps[-1]
-
-            return level_map(source, target, comp)
-        pairs = [(int(t), p) for t, p in doc["general"]]
         d = target.index.depth
+        if "level" in doc:
+            comps = {n: map_from_doc(instance, c, source.value(n), target.value(n))
+                     for n, c in enumerate(_head(doc, "level", d))}
+            if not comps:
+                raise MalformedError(f"ω level map {name} lists no components")
+            for n in target.index.elements[len(comps):]:
+                if source.value(n) != comps[n - 1].source:
+                    raise MalformedError("ω level tail is not constant")
+                comps[n] = comps[n - 1]
+            return level_map(source, target, comps)
+        pairs = _head(doc, "general", d)
         if len(pairs) < d:
             raise MalformedError(f"ω general map {name} lists {len(pairs)} "
                                  f"components, fewer than the depth {d}")
-        return general_map(source, target, {
-            n: (t, map_from_doc(instance, p, source.value(t), target.value(n)))
-            for n, (t, p) in enumerate(pairs)})
+        comps = {}
+        for n, (t, p) in enumerate(pairs):
+            if type(t) is not int or not 0 <= t < source.index.depth:
+                raise MalformedError(
+                    f"ω general map {name}: component {n} has source level {t!r}, "
+                    f"not a level below the depth {source.index.depth}")
+            comps[n] = (t, map_from_doc(instance, p, source.value(t), target.value(n)))
+        return general_map(source, target, comps)
     if "level" in doc:
         comps = {s: map_from_doc(instance, c, source.value(s), target.value(s))
                  for s, c in doc["level"].items()}
@@ -173,13 +183,14 @@ def hfamily_from_doc(instance, doc, f):
     """Witness pairs for the pro-map f (maps Y_t -> X_s), one per key
     "t>s" with s < t in the source index."""
     X, Y = f.source, f.target
-    levels = {str(s) for s in X.index.carrier()}
+    levels = {str(s): s for s in X.index.elements}
     pairs = {}
     for key, payload in doc.items():
         t, _, s = key.partition(">")
-        if not (t in levels and s in levels and X.index.lt(s, t)):
+        if not (t in levels and s in levels and X.index.lt(levels[s], levels[t])):
             raise MalformedError(f"witness key {key} is not a pair t>s with "
                                  "s < t in the source index")
+        t, s = levels[t], levels[s]
         pairs[(t, s)] = map_from_doc(instance, payload, Y.value(t), X.value(s))
     return HFamily(pairs)
 

@@ -36,10 +36,6 @@ on uniform-random square ones (median of 7, one 2-vCPU Xeon) int rows
 beat numpy elimination (whole uint8 rows XORed per pivot) up to 200 x
 200 and are 1.2-1.3x slower from 500 x 500 up (1000 x 1000
 ``row_echelon``: 188 ms against 148 ms).
-
-The non-reduced echelon form is not unique; ``row_echelon(M,
-reduce=False)`` keeps the column algorithm: lowest column first, swap
-with the first row holding it, clear below.
 """
 
 from __future__ import annotations
@@ -221,42 +217,17 @@ def _back_substitute(basis, shift=0):
     return pivots, [done[c] for c in pivots]
 
 
-def row_echelon(M, reduce=True):
+def row_echelon(M):
     """Row-reduce *M* over GF(2).
 
     Returns:
-        (R, pivot_cols): R is the (reduced) row-echelon form and
+        (R, pivot_cols): R is the reduced row-echelon form and
         pivot_cols the list of pivot column indices; len(pivot_cols)
         is the GF(2) rank.
     """
     m, n = M.shape
-    if not reduce:
-        return _column_echelon(M)
     pivots, rows = _back_substitute(_basis(M.rows))
     return Mat(tuple(rows) + (0,) * (m - len(rows)), n), pivots
-
-
-def _column_echelon(M):
-    m, n = M.shape
-    rows = list(M.rows)
-    pivot_cols: list[int] = []
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        bit = 1 << col
-        for row in range(pr, m):
-            if rows[row] & bit:
-                break
-        else:
-            continue
-        p = rows[row]
-        rows[row] = rows[pr]
-        rows[pr + 1:] = [r ^ p if r & bit else r for r in rows[pr + 1:]]
-        rows[pr] = p
-        pivot_cols.append(col)
-        pr += 1
-    return Mat(tuple(rows), n), pivot_cols
 
 
 def rank(M):

@@ -2,12 +2,12 @@
 Index categories: finite cofinite directed posets and the ω-tower.
 
 Finite posets are validated against the axioms (reflexive, antisymmetric,
-transitive, directed, non-empty); the ω regime is handled symbolically
-with a truncation depth for anything that must enumerate.  The depth
-belongs to the ω index: every ω computation reads it from there, and ω
-indexes of different depths are different indexes.  Every finite
-directed poset has a maximum element, which later constructions use as
-the initial object of the index category.
+transitive, directed, non-empty); the ω-tower is truncated at a depth,
+and its elements are the levels below it.  The depth belongs to the ω
+index: every ω computation reads it from there, and ω indexes of
+different depths are different indexes.  Every finite directed poset has
+a maximum element, which later constructions use as the initial object
+of the index category.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ FINITE = "finite"
 OMEGA = "omega"
 
 DEFAULT_DEPTH = 16
+MAX_DEPTH = 4096  # an ω index stores every level; ω `hom` at 4096 takes 0.7 s
 
 
 class IndexViolation(MalformedError):
@@ -36,11 +37,10 @@ class IndexPoset:
     """A cofinite directed poset, finite or the ω-tower.
 
     Finite regime stores element names and the full ≤ relation; the ω
-    regime is the natural numbers with the usual order and a truncation
-    depth, a positive int, for everything that enumerates.  The order
-    facts of a finite poset (its related pairs, covers, maximum and
-    linear extension) are derived on first use and kept, since the value
-    is immutable.
+    regime is the natural numbers with the usual order, truncated at a
+    depth, a positive int: its elements are the levels 0, ..., depth - 1.
+    The order facts (related pairs, covers, maximum and linear extension)
+    are derived on first use and kept, since the value is immutable.
     """
 
     def __init__(self, regime, elements=(), leq=(), depth=DEFAULT_DEPTH):
@@ -49,7 +49,9 @@ class IndexPoset:
             if type(depth) is not int or depth < 1:
                 raise MalformedError(
                     f"ω depth must be a positive integer, not {depth!r}")
-            self.elements = ()
+            if depth > MAX_DEPTH:
+                raise MalformedError(f"ω depth {depth} is above MAX_DEPTH = {MAX_DEPTH}")
+            self.elements = tuple(range(depth))
             self._leq = frozenset()
             self.depth = depth
         elif regime == FINITE:
@@ -67,13 +69,6 @@ class IndexPoset:
     def lt(self, s, t):
         return s != t and self.leq(s, t)
 
-    def carrier(self):
-        """Elements to enumerate over: all of them in the finite regime,
-        the levels below the depth in the ω regime."""
-        if self.regime == OMEGA:
-            return tuple(range(self.depth))
-        return self.elements
-
     def read_level(self, text):
         """The element named by the level text *text* (from a command
         line or a certificate): in the ω regime a decimal numeral below
@@ -86,10 +81,6 @@ class IndexPoset:
             return text
         raise MalformedError(f"level {text!r} is not an element of {self!r}")
 
-    def _finite(self, what):
-        if self.regime == OMEGA:
-            raise UnsupportedRegimeError(f"{what} of ω are infinite")
-
     @cached_property
     def _below(self):
         """Each element's strictly smaller elements, in element order."""
@@ -99,7 +90,8 @@ class IndexPoset:
     @cached_property
     def pairs(self):
         """Related pairs (t, s) with s < t, t-major in element order."""
-        self._finite("related pairs")
+        if self.regime == OMEGA:
+            raise UnsupportedRegimeError("related pairs of ω are not stored")
         return tuple((t, s) for t in self.elements for s in self._below[t])
 
     def predecessors(self, t):
@@ -136,6 +128,8 @@ class IndexPoset:
 
     @cached_property
     def _well_ordering(self):
+        if self.regime == OMEGA:
+            return WellOrdering(self, self.elements)
         remaining = set(self.elements)
         order = []
         while remaining:
@@ -148,6 +142,8 @@ class IndexPoset:
         return WellOrdering(self, tuple(order))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, IndexPoset):
             return False
         if self.regime != other.regime:
@@ -226,9 +222,9 @@ def from_covers(elements, covers, depth=DEFAULT_DEPTH):
     return validate_index(elements, leq)
 
 
-def chain_poset(n, names=None):
-    """The chain 0 < 1 < ... < n-1 (names optional)."""
-    names = [str(i) for i in range(n)] if names is None else list(names)
+def chain_poset(n):
+    """The chain "0" < "1" < ... < "n-1"."""
+    names = [str(i) for i in range(n)]
     leq = {(names[i], names[j]) for i in range(n) for j in range(i, n)}
     return IndexPoset(FINITE, names, leq)
 
@@ -252,9 +248,7 @@ class WellOrdering:
 
 def linear_extension(poset):
     """Deterministic linear extension: minimal elements first, ties broken
-    by lexicographic element identifier."""
-    if poset.regime != FINITE:
-        raise UnsupportedRegimeError("linear_extension needs the finite regime")
+    by lexicographic element identifier; the levels in order for ω."""
     return poset._well_ordering
 
 
@@ -271,8 +265,8 @@ class CofinalMap:
         return self.mapping[t]
 
     def check_monotone(self):
-        for s in self.source.carrier():
-            for t in self.source.carrier():
+        for s in self.source.elements:
+            for t in self.source.elements:
                 if self.source.leq(s, t) and not self.target.leq(self(s), self(t)):
                     raise PreconditionError(f"not monotone at ({s}, {t})")
 
@@ -291,9 +285,8 @@ def is_cofinal(F):
     it is ω)."""
     F.check_monotone()
     tgt = F.target
-    src_carrier = F.source.carrier()
     depth_note = F.source.depth if F.source.regime == OMEGA else tgt.depth
-    for s in tgt.carrier():
-        if not any(tgt.leq(s, F(t)) for t in src_carrier):
+    for s in tgt.elements:
+        if not any(tgt.leq(s, F(t)) for t in F.source.elements):
             return CofinalityReport(False, witness=s, depth=depth_note)
     return CofinalityReport(True, depth=depth_note)

@@ -4,7 +4,7 @@ limits, and the constant/limit adjoint pair.
 
 Finite-regime hom sets collapse to base homs at the maxima (the maximum
 is initial in the index category); the ω regime evaluates the inverse
-system of hom sets to the truncation depth of the indexes and reports
+system of hom sets to the depth the two indexes share and reports
 stabilization.
 
 Iso certificates carry either an honest inverse pro-map (composites
@@ -21,8 +21,8 @@ from .base import BaseObject, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure, fail_on)
-from .indexing import (FINITE, OMEGA, CofinalMap, IndexPoset, chain_poset,
-                       is_cofinal, point_poset)
+from .indexing import (FINITE, CofinalMap, IndexPoset, chain_poset, is_cofinal,
+                       point_poset)
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, constant_over,
                      general_map, identity_pro, level_map, omega_pro_object)
 
@@ -56,17 +56,27 @@ class HomSet:
 
 def hom_pro(X, Y):
     """The pro-hom set.  Finite regime: exact, via collapse at the maxima.
-    ω regime: evaluation to the larger of the two depths, with a
+    ω regime: evaluation to the depth of both indexes, with a
     stabilization marker."""
     if X.instance != Y.instance:
         raise MalformedError("hom between different instances")
-    if X.index.regime == FINITE and Y.index.regime == FINITE:
+    if _shared_regime(X, Y, "hom") == FINITE:
         reps = [spread_from_max(X, Y, phi)
                 for phi in enumerate_base_maps(X.max_value(), Y.max_value())]
         return HomSet(maps=reps)
-    if X.index.regime != OMEGA or Y.index.regime != OMEGA:
-        raise UnsupportedRegimeError("mixed finite/ω hom; reindex first")
-    return _omega_hom(X, Y, max(X.index.depth, Y.index.depth))
+    return _omega_hom(X, Y, X.index.depth)
+
+
+def _shared_regime(X, Y, what):
+    """The regime of X and Y; UnsupportedRegimeError when their regimes or
+    ω depths differ."""
+    if X.index.regime != Y.index.regime:
+        raise UnsupportedRegimeError(f"mixed finite/ω {what}; reindex first")
+    if X.index.depth != Y.index.depth:
+        raise UnsupportedRegimeError(
+            f"{what} between ω depths {X.index.depth} and {Y.index.depth}; "
+            "reindex first")
+    return X.index.regime
 
 
 def _omega_hom(X, Y, d):
@@ -300,42 +310,39 @@ def levelize(f):
     never happens within the target's depth).
     """
     if f.kind == LEVEL:
-        ident_src = IsoCertificate(forward=identity_pro(f.source),
-                                   backward=identity_pro(f.source))
-        ident_tgt = IsoCertificate(forward=identity_pro(f.target),
-                                   backward=identity_pro(f.target))
-        return Levelization(map=f, source_cert=ident_src,
-                            target_cert=ident_tgt, original=f)
-    X, Y = f.source, f.target
-    if X.index.regime == FINITE and Y.index.regime == FINITE:
+        return Levelization(map=f, source_cert=_identity_cert(f.source),
+                            target_cert=_identity_cert(f.target), original=f)
+    if _shared_regime(f.source, f.target, "levelization") == FINITE:
         return _levelize_finite(f)
-    if X.index.regime == OMEGA and Y.index.regime == OMEGA:
-        return _levelize_omega(f)
-    raise UnsupportedRegimeError("mixed finite/ω levelization; reindex first")
+    return _levelize_omega(f)
+
+
+def _identity_cert(X):
+    return IsoCertificate(forward=identity_pro(X), backward=identity_pro(X))
 
 
 def _levelize_finite(f):
     X, Y = f.source, f.target
-    M, N = X.index.max_element(), Y.index.max_element()
-    chain = chain_poset(2)
-    Xt = constant_over(chain, X.value(M))
-    Yt = constant_over(chain, Y.value(N))
-    phi = f.realize(N)
+    Xt, cert_src = _collapse(X)
+    Yt, cert_tgt = _collapse(Y)
+    phi = f.realize(Y.index.max_element())
     lev = level_map(Xt, Yt, {"0": phi, "1": phi}, check=False)
-    fwd_src = general_map(X, Xt, {i: (M, identity(X.value(M)))
-                                  for i in chain.elements}, check=False)
-    back_src = general_map(Xt, X, {s: ("1", X.struct(M, s))
-                                   for s in X.index.elements}, check=False)
-    cert_src = IsoCertificate(forward=fwd_src, backward=back_src)
-    cert_src.replay()
-    fwd_tgt = general_map(Y, Yt, {i: (N, identity(Y.value(N)))
-                                  for i in chain.elements}, check=False)
-    back_tgt = general_map(Yt, Y, {s: ("1", Y.struct(N, s))
-                                   for s in Y.index.elements}, check=False)
-    cert_tgt = IsoCertificate(forward=fwd_tgt, backward=back_tgt)
-    cert_tgt.replay()
     return Levelization(map=lev, source_cert=cert_src,
                         target_cert=cert_tgt, original=f)
+
+
+def _collapse(X):
+    """The constant pro-object on the two-element chain at the top value
+    of X, and the replayed certificate of the iso X -> it."""
+    M = X.index.max_element()
+    Xt = constant_over(chain_poset(2), X.value(M))
+    fwd = general_map(X, Xt, {i: (M, identity(X.value(M)))
+                              for i in Xt.index.elements}, check=False)
+    back = general_map(Xt, X, {s: ("1", X.struct(M, s))
+                               for s in X.index.elements}, check=False)
+    cert = IsoCertificate(forward=fwd, backward=back)
+    cert.replay()
+    return Xt, cert
 
 
 def _levelize_omega(f):
@@ -366,22 +373,19 @@ def _levelize_omega(f):
         T[n] = chosen
         prev = chosen
 
-    def a(n):  # the refinement level of n, constant from the depth on
-        return T[min(n, d - 1)]
-
-    Xt = omega_pro_object(lambda n: X.value(a(n)),
-                          lambda n: X.struct(a(n + 1), a(n)), depth=d)
+    # T[n] >= n is the refinement level of n
+    Xt = omega_pro_object(lambda n: X.value(T[n]),
+                          lambda n: X.struct(T[n + 1], T[n]), depth=d)
 
     def comp(n):
-        t_n, g_n = f.component(min(n, d - 1))
-        return compose(g_n, X.struct(a(n), t_n))
+        t_n, g_n = f.component(n)
+        return compose(g_n, X.struct(T[n], t_n))
 
     lev = level_map(Xt, Y, comp, check=False)
-    rep = is_cofinal(CofinalMap(Y.index, Y.index, a))
-    fwd = general_map(X, Xt, lambda n: (a(n), identity(X.value(a(n)))),
+    rep = is_cofinal(CofinalMap(Y.index, Y.index, T))
+    fwd = general_map(X, Xt, lambda n: (T[n], identity(X.value(T[n]))),
                       check=False)
-    back = general_map(Xt, X, lambda s: (s, X.struct(a(s), s)) if a(s) >= s
-                       else (s, identity(X.value(s))), check=False)
+    back = general_map(Xt, X, lambda s: (s, X.struct(T[s], s)), check=False)
     cert_src = IsoCertificate(forward=fwd, backward=back, depth=d)
     ident = identity_pro(Y)
     cert_tgt = IsoCertificate(forward=ident, backward=ident, depth=d)
@@ -446,49 +450,30 @@ def _induced_structs(pd, cones, colimit=False):
     return structs
 
 
+def _levelwise(pd, colimit=False):
+    """The levelwise (co)limit cone of a shared-index LEVEL diagram, with
+    its legs as LEVEL maps."""
+    idx = pd.index
+    build = finite_colimit if colimit else finite_limit
+    cones = {s: build(pd.level_diagram(s)) for s in idx.elements}
+    apex = ProObject(idx, values={s: cones[s].apex for s in idx.elements},
+                     structs=_induced_structs(pd, cones, colimit))
+    legs = {}
+    for v, node in pd.nodes.items():
+        comps = {s: cones[s].legs[v] for s in idx.elements}
+        legs[v] = (level_map(node, apex, comps) if colimit
+                   else level_map(apex, node, comps))
+    return LevelwiseCone(apex=apex, legs=legs, level_cones=cones, colimit=colimit)
+
+
 def pro_limit_levelwise(pd):
     """Levelwise limit of a shared-index LEVEL diagram, with projections."""
-    if pd.index.regime == FINITE:
-        cones = {s: finite_limit(pd.level_diagram(s)) for s in pd.index.elements}
-        structs = _induced_structs(pd, cones)
-        apex = ProObject(pd.index, values={s: cones[s].apex for s in pd.index.elements},
-                         structs=structs)
-        legs = {v: level_map(apex, pd.nodes[v],
-                             {s: cones[s].legs[v] for s in pd.index.elements})
-                for v in pd.nodes}
-        return LevelwiseCone(apex=apex, legs=legs, level_cones=cones)
-    cones = {}
-
-    def cone_at(n):
-        if n not in cones:
-            cones[n] = finite_limit(pd.level_diagram(n))
-        return cones[n]
-
-    def step(n):
-        upper, lower = cone_at(n + 1), cone_at(n)
-        legs = {v: compose(pd.nodes[v].struct(n + 1, n), upper.legs[v])
-                for v in pd.nodes}
-        return lower.mediate(Cone(lower.diagram, upper.apex, legs))
-
-    apex = omega_pro_object(lambda n: cone_at(n).apex, step, depth=pd.index.depth)
-    legs = {v: level_map(apex, pd.nodes[v], lambda n, _v=v: cone_at(n).legs[_v],
-                         check=False)
-            for v in pd.nodes}
-    return LevelwiseCone(apex=apex, legs=legs, level_cones=cones)
+    return _levelwise(pd)
 
 
 def pro_colimit_levelwise(pd):
     """Levelwise colimit; injections as LEVEL maps."""
-    if pd.index.regime != FINITE:
-        raise UnsupportedRegimeError("ω levelwise colimits not supported")
-    cones = {s: finite_colimit(pd.level_diagram(s)) for s in pd.index.elements}
-    structs = _induced_structs(pd, cones, colimit=True)
-    apex = ProObject(pd.index, values={s: cones[s].apex for s in pd.index.elements},
-                     structs=structs)
-    legs = {v: level_map(pd.nodes[v], apex,
-                         {s: cones[s].legs[v] for s in pd.index.elements})
-            for v in pd.nodes}
-    return LevelwiseCone(apex=apex, legs=legs, level_cones=cones, colimit=True)
+    return _levelwise(pd, colimit=True)
 
 
 # ------------------------------------------------- constants and limits

@@ -2,20 +2,23 @@
 Pro-objects and pro-maps over cofinite directed index posets.
 
 A pro-object is a functor from an index poset to a base instance with
-structure maps running from larger to smaller indices.  Pro-maps come in
-two presentations: LEVEL (a natural transformation over a shared index)
-and GENERAL (one component pair (source index, base map) per target
-index, compatible up to refinement).  In the finite regime the maximum
-index is initial in the index category, so pro-hom equality is decided
-by realizing components at the maxima; the ω regime checks everything up
-to the truncation depth of its index.
+structure maps running from larger to smaller indices.  Both regimes
+store it alike: a value per element of the index (for ω, the levels
+below its depth) and the structure maps on its covers, from which the
+others follow.  Pro-maps come in two presentations: LEVEL (a natural
+transformation over a shared index) and GENERAL (one component pair
+(source index, base map) per target index, compatible up to
+refinement).  Pro-hom equality is decided by realizing components at
+the last level of the source index: the maximum of a finite index,
+which is initial in the index category, and the deepest level of an ω
+one.
 """
 
 from __future__ import annotations
 
 from .base import BaseMap, compose, identity
 from .errors import MalformedError, PreconditionError
-from .indexing import DEFAULT_DEPTH, FINITE, OMEGA, linear_extension
+from .indexing import DEFAULT_DEPTH, OMEGA, linear_extension, omega
 
 LEVEL = "level"
 GENERAL = "general"
@@ -24,35 +27,29 @@ GENERAL = "general"
 class ProObject:
     """Values and composable structure maps over an index poset.
 
-    Finite regime: explicit dictionaries.  ω regime: generator callables
-    value_fn(n) and step_fn(n): X_{n+1} -> X_n, deterministic in n,
-    evaluated lazily and cached.
-    """
+    A finite index keeps every structure map, composed and checked once
+    when the object is built.  On the ω chain the cover maps determine
+    the rest: ``struct`` composes a missing one when it is asked for and
+    keeps it."""
 
-    __slots__ = ("index", "_values", "_structs", "_value_fn", "_step_fn")
+    __slots__ = ("index", "_values", "_structs")
 
-    def __init__(self, index, values=None, structs=None,
-                 value_fn=None, step_fn=None):
+    def __init__(self, index, values, structs=None):
         self.index = index
-        if index.regime == FINITE:
-            self._values = dict(values)
-            if set(self._values) != set(index.elements):
-                raise MalformedError("values must cover the index carrier")
-            self._value_fn = self._step_fn = None
-            self._structs = self._closure(structs or {})
-        else:
-            self._values = {}
-            self._structs = {}
-            self._value_fn = value_fn
-            self._step_fn = step_fn
+        self._values = dict(values)
+        if set(self._values) != set(index.elements):
+            raise MalformedError("values must cover the index carrier")
+        self._structs = self._closure(structs or {})
 
     def _closure(self, given):
-        """Every structure map, from the maps *given* on related pairs
-        (every cover at least), as one dict keyed (t, s).
+        """Every structure map of a finite index, from the maps *given*
+        on related pairs (every cover at least), as one dict keyed (t, s).
 
         One pass over the strict triples t > u > s, t along the linear
         extension and s from the top down, checks each given map, composes
-        each missing pair once and compares every other composite once."""
+        each missing pair once and compares every other composite once.
+        An ω index keeps its covers, and each other given map must be the
+        composite of the covers below it."""
         idx, values = self.index, self._values
         structs = {(s, s): identity(values[s]) for s in idx.elements}
         for (t, s), m in given.items():
@@ -67,6 +64,8 @@ class ProObject:
                 raise MalformedError(
                     f"functoriality fails: structure map {s}->{s} is not the identity")
             structs.setdefault((t, s), m)
+        if idx.regime == OMEGA:
+            return _chain_closure(idx, structs)
         order = linear_extension(idx).order
         rank = {s: k for k, s in enumerate(order)}
         for t in order:
@@ -84,49 +83,24 @@ class ProObject:
 
     def validate(self):
         """Functoriality: the closure pass again over the stored maps."""
-        if self.index.regime == FINITE:
-            self._closure(self._structs)
+        self._closure(self._structs)
 
     @property
     def instance(self):
-        if self.index.regime == FINITE:
-            return next(iter(self._values.values())).instance
-        return self.value(0).instance
+        return next(iter(self._values.values())).instance
 
     def value(self, s):
-        if self.index.regime == FINITE:
-            return self._values[s]
-        s = int(s)
-        if s not in self._values:
-            self._values[s] = self._value_fn(s)
         return self._values[s]
-
-    def step(self, n):
-        """ω regime: the structure map X_{n+1} -> X_n."""
-        n = int(n)
-        if (n + 1, n) not in self._structs:
-            m = self._step_fn(n)
-            if m.source != self.value(n + 1) or m.target != self.value(n):
-                raise MalformedError(f"step {n + 1}->{n} has wrong endpoints")
-            self._structs[(n + 1, n)] = m
-        return self._structs[(n + 1, n)]
 
     def struct(self, t, s):
         """The structure map X_t -> X_s for t >= s."""
-        if not self.index.leq(s, t):
-            raise PreconditionError(f"no structure map {t}->{s}")
-        if self.index.regime == FINITE:
-            return self._structs[(t, s)]
-        t, s = int(t), int(s)
-        if (t, s) not in self._structs:
-            if t == s:
-                m = identity(self.value(s))
-            else:
-                m = self.step(s)
-                for k in range(s + 1, t):
-                    m = compose(m, self.step(k))
-            self._structs[(t, s)] = m
-        return self._structs[(t, s)]
+        m = self._structs.get((t, s))
+        if m is None:
+            if t not in self._values or s not in self._values \
+                    or not self.index.leq(s, t):
+                raise PreconditionError(f"no structure map {t}->{s}")
+            m = _compose_down(self._structs, t, s)
+        return m
 
     def max_value(self):
         return self.value(self.index.max_element())
@@ -134,29 +108,65 @@ class ProObject:
     def __eq__(self, other):
         if not isinstance(other, ProObject) or self.index != other.index:
             return False
-        if self.index.regime != FINITE:
-            return self is other
-        return self._values == other._values and self._structs == other._structs
+        return self._values == other._values and all(
+            self._structs[(t, s)] == other._structs[(t, s)]
+            for s, t in self.index.covers())
 
     def __hash__(self):
-        return id(self) if self.index.regime == OMEGA else hash(
-            (self.index, tuple(sorted(self._values.items(), key=lambda kv: kv[0]))))
+        return hash((self.index, tuple(self._values[s] for s in self.index.elements)))
 
     def __repr__(self):
-        if self.index.regime == FINITE:
-            return f"ProObject({ {s: self._values[s] for s in self.index.elements} })"
-        return "ProObject(omega)"
+        return f"ProObject({ {s: self._values[s] for s in self.index.elements} })"
+
+
+def _chain_closure(idx, structs):
+    """The identities and covers among the ω maps *structs*; each other
+    pair is checked against the composite of the covers, t upwards."""
+    for s, t in idx.covers():
+        if (t, s) not in structs:
+            raise MalformedError(f"missing structure map for cover {t}->{s}")
+    kept = {(t, s): m for (t, s), m in structs.items() if t - s <= 1}
+    for t, s in sorted(structs.keys() - kept.keys()):
+        if _compose_down(kept, t, s) != structs[(t, s)]:
+            raise MalformedError(f"functoriality fails on {t} >= {t - 1} >= {s}")
+    return kept
+
+
+def _compose_down(structs, t, s):
+    """The ω structure map X_t -> X_s from the nearest map kept in its row,
+    struct(t, u) with u > s, or its column, struct(u, s) with u < t, and
+    the covers in between; each composite on the way is kept.  A row walk
+    takes struct(t, v) = struct(v + 1, v) ∘ struct(t, v + 1), a column walk
+    struct(v, s) = struct(v - 1, s) ∘ struct(v, v - 1).  Either keeps one
+    map per step, so asking for every X_t -> X_s with t, or s, fixed keeps
+    one line of maps, not a triangle."""
+    u, v = s, t
+    while (t, u) not in structs and (v, s) not in structs:
+        u, v = u + 1, v - 1
+    if (t, u) in structs:
+        m = structs[(t, u)]
+        for w in range(u - 1, s - 1, -1):
+            m = structs[(t, w)] = compose(structs[(w + 1, w)], m)
+    else:
+        m = structs[(v, s)]
+        for w in range(v + 1, t + 1):
+            m = structs[(w, s)] = compose(m, structs[(w, w - 1)])
+    return m
 
 
 def pro_object(index, values, structs):
-    """Finite-regime constructor; *structs* maps (t, s) pairs (at least
-    every covering pair) to base maps, closed under composition here."""
+    """Constructor; *structs* maps (t, s) pairs (at least every covering
+    pair) to base maps, closed under composition here."""
     return ProObject(index, values=values, structs=structs)
 
 
 def omega_pro_object(value_fn, step_fn, depth=DEFAULT_DEPTH):
-    from .indexing import omega
-    return ProObject(omega(depth), value_fn=value_fn, step_fn=step_fn)
+    """The ω pro-object with values value_fn(n) and structure maps
+    step_fn(n): X_{n+1} -> X_n, each evaluated once for the levels below
+    *depth*."""
+    index = omega(depth)
+    return ProObject(index, values={n: value_fn(n) for n in index.elements},
+                     structs={(t, s): step_fn(s) for s, t in index.covers()})
 
 
 class ProMap:
@@ -210,7 +220,7 @@ class ProMap:
         its covers; functorial structure maps give every other pair."""
         idx = self.target.index
         if self.kind == LEVEL:
-            for s in idx.carrier():
+            for s in idx.elements:
                 f = self.level_component(s)
                 if f.source != self.source.value(s) or f.target != self.target.value(s):
                     raise MalformedError(f"component at {s} has wrong endpoints")
@@ -220,10 +230,9 @@ class ProMap:
                 if lhs != rhs:
                     raise MalformedError(f"naturality fails on {t} >= {s}")
             return
-        src_idx = self.source.index
-        for s in idx.carrier():
+        for s in idx.elements:
             t, g = self.component(s)
-            if not src_idx.leq(t, t):  # reflexivity: t is an element
+            if t not in self.source._values:
                 raise MalformedError(f"component at {s} uses unknown index {t}")
             if g.source != self.source.value(t) or g.target != self.target.value(s):
                 raise MalformedError(f"component at {s} has wrong endpoints")
@@ -236,17 +245,13 @@ class ProMap:
     # -- realization and equality ------------------------------------------
 
     def _refinement_index(self):
-        src_idx = self.source.index
-        if src_idx.regime == FINITE:
-            return src_idx.max_element()
-        M = src_idx.depth - 1
-        for s in self.target.index.carrier():
-            M = max(M, int(self.component(s)[0]))
-        return M
+        """The last level of the source index: its maximum when finite,
+        its deepest level when ω; every component's source is below it."""
+        return linear_extension(self.source.index).order[-1]
 
     def realize(self, s, at=None):
-        """The component at target index s precomposed up to the source
-        maximum (finite) or a common ω refinement level."""
+        """The component at target index s precomposed up to the last
+        level of the source index."""
         t, g = self.component(s)
         M = at if at is not None else self._refinement_index()
         return compose(g, self.source.struct(M, t))
@@ -258,9 +263,7 @@ class ProMap:
         if self.target is not other.target and self.target != other.target:
             raise PreconditionError("comparing maps with different targets")
         at = self._refinement_index()
-        if self.source.index.regime == OMEGA:
-            at = max(at, other._refinement_index())
-        for s in self.target.index.carrier():
+        for s in self.target.index.elements:
             if self.realize(s, at=at) != other.realize(s, at=at):
                 return False
         return True
@@ -281,21 +284,21 @@ def identity_pro(X):
     return level_map(X, X, lambda s: identity(X.value(s)), check=False)
 
 
-def compose_pro(g, f, check=False):
+def compose_pro(g, f):
     """g ∘ f by refinement chasing; LEVEL survives a shared index."""
     if f.target is not g.source and f.target != g.source:
         raise PreconditionError("non-composable pro-maps")
     if f.kind == LEVEL and g.kind == LEVEL and f.source.index == g.target.index:
         return level_map(f.source, g.target,
                          lambda s: compose(g.level_component(s), f.level_component(s)),
-                         check=check)
+                         check=False)
 
     def comp(s):
         t, gamma = g.component(s)
         u, phi = f.component(t)
         return (u, compose(gamma, phi))
 
-    return general_map(f.source, g.target, comp, check=check)
+    return general_map(f.source, g.target, comp, check=False)
 
 
 def to_general(f):
@@ -306,8 +309,5 @@ def to_general(f):
 
 def constant_over(index, obj):
     """The constant functor on *index* with value *obj*."""
-    if index.regime == FINITE:
-        return ProObject(index, values={s: obj for s in index.elements},
-                         structs={(t, s): identity(obj) for s, t in index.covers()})
-    return ProObject(index, value_fn=lambda n: obj,
-                     step_fn=lambda n: identity(obj))
+    return ProObject(index, values={s: obj for s in index.elements},
+                     structs={(t, s): identity(obj) for s, t in index.covers()})

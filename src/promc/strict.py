@@ -182,13 +182,6 @@ class SpecialResult:
         return self
 
 
-def _levels_in_order(f):
-    idx = f.source.index
-    if idx.regime == FINITE:
-        return list(linear_extension(idx))
-    return list(idx.carrier())
-
-
 def detect_special(f, mode):
     """Certificate that every relative matching map is a fibration
     (mode "fib") or acyclic fibration (mode "acyclic-fib"), or the first
@@ -202,7 +195,7 @@ def detect_special(f, mode):
         return matching[t].map
 
     bad = class_failure("matching map", component, mode,
-                        _levels_in_order(f), verdicts)
+                        linear_extension(f.source.index), verdicts)
     return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
                          failing=None if bad is None else bad[0],
                          depth=f.source.index.depth, matching=matching)
@@ -231,7 +224,7 @@ class StrictFactorization:
 
     def replay_composite(self):
         fail_on(composite_failure(self.input, self.left, self.right,
-                                  self.input.target.index.carrier()))
+                                  self.input.target.index.elements))
 
     def failure(self):
         """The first failed postcondition as (level, why), None when all
@@ -239,7 +232,7 @@ class StrictFactorization:
         every level and right is special.  Records the fresh verdicts in
         left_classes and special."""
         _, left_class, special_class = mode_classes(self.mode)
-        levels = self.input.target.index.carrier()
+        levels = self.input.target.index.elements
         self.left_classes = {}
         bad = (composite_failure(self.input, self.left, self.right, levels)
                or class_failure("left factor", self.left.level_component,
@@ -271,7 +264,7 @@ def factor_strict(f, mode):
     X, Y = f.source, f.target
     idx = X.index
     zvals, zstructs, ivals, pvals, matching = {}, {}, {}, {}, {}
-    for s in _levels_in_order(f):
+    for s in linear_extension(idx):
         preds = [t for t in zvals if idx.lt(t, s)]
         lim, cmp_map = None, f.level_component(s)
         if preds:
@@ -285,11 +278,7 @@ def factor_strict(f, mode):
                                                         fp.right)
         for t in preds:
             zstructs[(s, t)] = compose(lim.legs[f"Z:{t}"], fp.right)
-    if idx.regime == FINITE:
-        Z = ProObject(idx, values=zvals, structs=zstructs)
-    else:
-        Z = ProObject(idx, value_fn=zvals.__getitem__,
-                      step_fn=lambda n: zstructs[(n + 1, n)])
+    Z = ProObject(idx, values=zvals, structs=zstructs)
     out = StrictFactorization(input=f, mode=mode, middle=Z,
                               left=level_map(X, Z, ivals),
                               right=level_map(Z, Y, pvals), matching=matching)

@@ -223,13 +223,14 @@ def _gen_instances(seed, trials):
         yield k, Rng(seed * 1_000_003 + k)
 
 
-def suite_factorization(instance, trials, seed, max_elems=5):
-    """Strict factorization postconditions on random level maps."""
+def suite_factorization(instance, trials, seed):
+    """Strict factorization postconditions on random level maps over
+    posets of at most five elements."""
     from .strict import MODE_L1, MODE_L2, factor_strict
     instance = instance_of(instance)
     rep = SuiteReport(name=f"factorization[{instance.tag}]", trials=trials)
     for k, rng in _gen_instances(seed, trials):
-        poset = gen_poset(rng, max_elems=max_elems)
+        poset = gen_poset(rng)
         f = gen_level_map(rng, poset, instance, **instance.sizes)
         for mode in (MODE_L1, MODE_L2):
             try:
@@ -240,14 +241,15 @@ def suite_factorization(instance, trials, seed, max_elems=5):
     return rep
 
 
-def suite_lifting(instance, trials, seed, max_elems=4):
-    """Squares assembled from factorization outputs; both pairings."""
+def suite_lifting(instance, trials, seed):
+    """Squares assembled from factorization outputs over posets of at
+    most four elements; both pairings."""
     from .strict import (MODE_L1, MODE_L2, factor_strict, lift_strict,
                          triangle_failure)
     instance = instance_of(instance)
     rep = SuiteReport(name=f"lifting[{instance.tag}]", trials=trials)
     for k, rng in _gen_instances(seed, trials):
-        poset = gen_poset(rng, max_elems=max_elems)
+        poset = gen_poset(rng, max_elems=4)
         q = gen_level_map(rng, poset, instance, **instance.sizes)
         mode = (MODE_L1, MODE_L2)[k % 2]
         try:
@@ -267,14 +269,14 @@ def suite_lifting(instance, trials, seed, max_elems=4):
     return rep
 
 
-def suite_pro_factor_iso(instance, trials, seed, length=2):
+def suite_pro_factor_iso(instance, trials, seed):
     """Shift-pattern pro-isos with witnesses through pro_factor_iso."""
     from .proiso import pro_factor_iso
     instance = instance_of(instance)
     rep = SuiteReport(name=f"pro-factor-iso[{instance.tag}]", trials=trials)
     for k, rng in _gen_instances(seed, trials):
         try:
-            f, wit = gen_shift_iso(rng, instance, length=length, **instance.small_sizes)
+            f, wit = gen_shift_iso(rng, instance, length=2, **instance.small_sizes)
             bad = pro_factor_iso(f, wit).failure()
             if bad is not None:
                 rep.failures.append((k, *bad))
@@ -321,7 +323,7 @@ def suite_two_of_three(instance, trials, seed):
     return rep
 
 
-def gen_fib_onto(rng, Y, prefix="r"):
+def gen_fib_onto(rng, Y):
     """A levelwise fibration onto Y: the projection from the levelwise
     product with a random pro-object over the same index."""
     from .prohom import ProDiagram, pro_limit_levelwise

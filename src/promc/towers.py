@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .base import BaseMap, BaseObject, classify_map, compose, identity, inverse
-from .baselim import Cone, Diagram, finite_limit
+from .baselim import Cone, pullback
 from .errors import (DepthExhaustedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure, fail_on)
 from .indexing import DEFAULT_DEPTH, FINITE, OMEGA, linear_extension
 from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
-from .proobj import (LEVEL, ProObject, compose_pro, general_map,
+from .proobj import (LEVEL, ProObject, compose_pro, constant_over, general_map,
                      identity_pro, level_map, omega_pro_object)
 from .strict import FIB, class_test, detect_special, matching_map
 
@@ -52,14 +52,8 @@ class Tower:
     source_map: object = None       # the presented map, when built from one
     final_legs: dict = None         # top stage -> X_s, set by the builder
     final_mu: BaseMap = None        # top stage -> stage 0
-    value_fn: object = None         # ω towers: stage n's value
-    bonding_fn: object = None       # ω towers: stage n+1 -> stage n
-    depth: int | None = None        # ω towers: truncation depth
-
-    def stage_value(self, k):
-        if k == 0:
-            return self.base_value
-        return self.stages[k - 1].new_stage_value
+    omega_stages: ProObject = None  # ω towers: stage n's value and bondings
+    depth: int | None = None        # ω towers: the depth asked for
 
     def replay_base_changes(self):
         """Re-check every bonding square: it commutes, the stage embeds in
@@ -93,10 +87,9 @@ def stage_failure(attach, cone_map, bonding, new_leg):
     lhs = compose(cone_map, bonding)
     if lhs != compose(attach, new_leg):
         return "the bonding square does not commute"
-    dia = Diagram({"a": bonding.target, "b": attach.source, "c": attach.target},
-                  [("a", "c", cone_map), ("b", "c", attach)])
-    med = finite_limit(dia).mediate(
-        Cone(dia, bonding.source, {"a": bonding, "b": new_leg, "c": lhs}))
+    lim = pullback(cone_map, attach)
+    med = lim.mediate(
+        Cone(lim.diagram, bonding.source, {"a": bonding, "b": new_leg, "c": lhs}))
     # the mediating map commutes with the recorded projections by
     # construction, so the stage is the pullback iff it is an iso
     if inverse(med) is None:
@@ -140,9 +133,7 @@ def build_cocell_tower(f, special=None, class_tag=None):
             attach_class = classify_map(m.map)
         psi = m.mediate(cur, compose(Y.struct(M, s), mu),
                         {t: lam[t] for t in idx.predecessors(s)}, f)
-        dia = Diagram({"a": cur, "b": m.map.source, "c": m.map.target},
-                      [("a", "c", psi), ("b", "c", m.map)])
-        lim = finite_limit(dia)
+        lim = pullback(psi, m.map)
         stage = TowerStage(level=s, attach=m.map,
                            attach_class=attach_class,
                            cone_map=psi, bonding=lim.legs["a"],
@@ -160,10 +151,13 @@ def build_cocell_tower(f, special=None, class_tag=None):
     return tower
 
 
-def omega_constant_tower(value_fn, bonding_fn, class_tag=FIB, depth=None):
-    """An ω-tower of constant stages given directly."""
-    return Tower(class_tag=class_tag, base_value=value_fn(0), length=OMEGA,
-                 value_fn=value_fn, bonding_fn=bonding_fn, depth=depth)
+def omega_constant_tower(value_fn, bonding_fn, depth=None):
+    """An ω-tower of constant stages given directly, as a tower of
+    fibrations: stage n is value_fn(n), bonding_fn(n) maps stage n + 1 to
+    stage n, both evaluated below *depth* (``DEFAULT_DEPTH`` if None)."""
+    stages = omega_pro_object(value_fn, bonding_fn, depth=depth or DEFAULT_DEPTH)
+    return Tower(class_tag=FIB, base_value=stages.value(0), length=OMEGA,
+                 omega_stages=stages, depth=depth)
 
 
 @dataclass
@@ -174,7 +168,7 @@ class TowerLimit:
     depth: int | None = None
 
 
-def tower_limit(tower, expect_source=None):
+def tower_limit(tower):
     """The limit of a tower with its certificates.
 
     Finite: the iterated pullback apex as a constant pro-object, the
@@ -183,10 +177,8 @@ def tower_limit(tower, expect_source=None):
     projection with the presented map.  ω over constants: the pro-object
     n ↦ stage value n with the bondings."""
     if tower.length == OMEGA:
-        apex = omega_pro_object(tower.value_fn, tower.bonding_fn,
-                                depth=tower.depth or DEFAULT_DEPTH)
-        return TowerLimit(apex=apex, projection=None, iso_cert=None,
-                          depth=tower.depth)
+        return TowerLimit(apex=tower.omega_stages, projection=None,
+                          iso_cert=None, depth=tower.depth)
     if tower.length == 0:
         apex = constant_embed(tower.base_value)
         return TowerLimit(apex=apex, projection=identity_pro(apex),
@@ -281,7 +273,7 @@ def adjunction_check(X, Y, naturality_probes=()):
                                  pairs=pairs)
     # ω regime: towers of constants to the truncation depth of Y
     d = Y.index.depth
-    cX = omega_pro_object(lambda n: X, lambda n: identity(X), depth=d)
+    cX = constant_over(Y.index, X)
     hs = hom_pro(cX, Y)
     lim = lim_functor(Y)
     if hs.stabilized_at is None or lim.stabilized_at is None:

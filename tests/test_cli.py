@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from promc.chainf2 import INSTANCE, MAX_DIM
+from promc.chainf2 import INSTANCE, MAX_DEGREE, MAX_DIM
 from promc.cli import run_command
+from promc.indexing import MAX_DEPTH
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -320,6 +321,29 @@ def test_a_chainf2_object_may_reach_max_dim():
     assert (X.lo, X.hi, X.dim(0)) == (-1, 0, MAX_DIM)
 
 
+
+@pytest.mark.parametrize("lo", [10**9, -10**9, MAX_DEGREE + 1, -MAX_DEGREE - 2])
+def test_a_chainf2_degree_beyond_max_degree_exits_2_within_a_second(tmp_path, capsys, lo):
+    """Before degrees were bounded, cD at lo 10**9 made ``factor`` walk
+    every degree from 0 to 10**9 and exit 3 with a MemoryError."""
+    doc = json.loads(open(fx("chainf2.json")).read())
+    doc["objects"]["cD"]["values"]["pt"] = {"lo": lo, "hi": lo + 1, "dims": [1, 1],
+                                            "d": {str(lo): [[1]]}}
+    doc["maps"]["p"]["level"]["pt"] = {}
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "factor", str(f), "p", "--mode", "L1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1 and f"MAX_DEGREE = {MAX_DEGREE}" in out
+
+
+def test_a_chainf2_object_may_reach_max_degree():
+    for lo in (-MAX_DEGREE, MAX_DEGREE - 1):
+        X = INSTANCE.obj_from_doc({"lo": lo, "hi": lo + 1, "dims": [1, 1]})
+        assert (X.lo, X.hi) == (lo, lo + 1)
+
 @pytest.mark.parametrize("entry", [-1, 10**30, 2.5, "1", True],
                          ids=["-1", "10**30", "2.5", "string", "true"])
 def test_a_chainf2_matrix_entry_other_than_0_or_1_exits_2(tmp_path, capsys, entry):
@@ -452,6 +476,26 @@ def test_a_malformed_document_depth_exits_2(tmp_path, capsys, depth):
     assert "positive integer" in out
 
 
+@pytest.mark.parametrize("where", ["document", "command line"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 10**6, 10**30])
+def test_an_omega_depth_above_max_depth_exits_2_within_a_second(tmp_path, capsys,
+                                                                 depth, where):
+    """An ω index stores every level below its depth; before that bound, a
+    document at depth 10**6 exhausted a 1 GB address space at load."""
+    doc = json.loads(open(fx("omega.json")).read())
+    if where == "document":
+        doc["depth"] = depth
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(doc))
+    argv = ["hom", str(f), "P", "T"]
+    start = time.perf_counter()
+    code, out = run(capsys, *(argv if where == "document"
+                              else ["--depth", str(depth), *argv]))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1 and f"MAX_DEPTH = {MAX_DEPTH}" in out
+
+
 def test_depth_overrides_the_documents(tmp_path, capsys):
     cert = tmp_path / "hom.json"
     code, out = run(capsys, "--depth", "4", "hom", fx("omega.json"), "P", "T",
@@ -502,6 +546,94 @@ def test_an_omega_general_map_shorter_than_the_depth_exits_2(capsys):
     assert out.count("\n") == 1 and out.startswith("error:")
     assert "map g lists 6 components" in out and "depth 8" in out
 
+
+
+def _omega_general_at(tmp_path, n, level):
+    """``omega_maps.json`` with component n of its GENERAL map g at *level*."""
+    doc = json.loads(open(fx("omega_maps.json")).read())
+    doc["maps"]["g"]["general"][n][0] = level
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("level", [10**6, 6, -1, "x", 2.5, True])
+def test_an_omega_general_component_off_the_depth_exits_2_at_load(tmp_path, capsys,
+                                                                  level):
+    """The document's depth is 6.  Before ω lists were read up to the depth
+    only, level 10**6 was read and levelize failed on it later; "x" exited
+    3, and 2.5 and true were read as the levels 2 and 1."""
+    start = time.perf_counter()
+    code, out = run(capsys, "levelize", _omega_general_at(tmp_path, 3, level), "g")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error: ")
+    assert "map g" in out and "depth 6" in out
+
+
+@pytest.mark.parametrize("path", [("objects", "T", "values"), ("objects", "T", "steps"),
+                                  ("maps", "f", "level"), ("maps", "g", "general")],
+                         ids=lambda p: p[-1])
+def test_an_omega_list_that_is_no_list_exits_2(tmp_path, capsys, path):
+    doc = json.loads(open(fx("omega_maps.json")).read())
+    doc[path[0]][path[1]][path[2]] = {"0": []}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "hom", str(f), "P", "T")
+    assert code == 2
+    assert out.count("\n") == 1 and f"ω {path[2]} must be a list" in out
+
+
+def test_an_omega_list_is_read_only_up_to_the_depth(tmp_path, capsys):
+    """At depth 3 the components of g from level 3 on are not read."""
+    path = _omega_general_at(tmp_path, 4, 10**6)
+    cert = tmp_path / "lv.json"
+    code, out = run(capsys, "--depth", "3", "levelize", path, "g", "--out", str(cert))
+    assert code == 0
+    assert len(json.loads(cert.read_text())["map"]["level"]) == 3
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0
+
+
+def _omega_collapse():
+    """The ω map f: {0,1} -> {*} of ``omega_maps.json`` (not a bijection)
+    and its target P."""
+    from promc.docio import load_document
+    doc = load_document(fx("omega_maps.json"))
+    return doc.map_named("f"), doc.object_named("P")
+
+
+def test_a_false_omega_levelwise_we_certificate_exits_1(tmp_path, capsys):
+    """The ω levelwise-we claim for f was once replayed over no level and
+    verified with levels=0."""
+    from promc.certs import levelwise_we_cert
+    from promc.docio import dump_json
+    f, _ = _omega_collapse()
+    cert = tmp_path / "we.json"
+    dump_json(levelwise_we_cert("zigzag-we", f, {}, []), str(cert))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 1
+    assert out.startswith("FAIL: ") and out.rstrip().endswith("(witness: 0)")
+
+
+def test_a_false_omega_l2_lift_certificate_exits_1(tmp_path, capsys):
+    """A lift certificate whose left map f is no levelwise acyclic
+    cofibration, against the identity of P; it was once replayed over no
+    level and verified with levels=0."""
+    from promc.certs import lift_cert
+    from promc.docio import dump_json
+    from promc.proobj import identity_pro
+    from promc.strict import MODE_L2, LiftResult
+    f, P = _omega_collapse()
+    idP = identity_pro(P)
+    levels = range(P.index.depth)
+    res = LiftResult(lift=idP, level_index={n: n for n in levels},
+                     components={n: idP.level_component(n) for n in levels})
+    cert = tmp_path / "lift.json"
+    dump_json(lift_cert(f, idP, f, idP, MODE_L2, res), str(cert))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 1
+    assert "acyclic-cof" in out and out.rstrip().endswith("(witness: 0)")
 
 # ------------------------------------------------------- levels and trials
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from promc.errors import MalformedError, UnsupportedRegimeError
-from promc.indexing import (CofinalMap, IndexViolation, chain_poset,
+from promc.indexing import (MAX_DEPTH, CofinalMap, IndexViolation, chain_poset,
                             from_covers, index_violation, is_cofinal,
                             linear_extension, omega, point_poset,
                             validate_index)
@@ -113,8 +113,8 @@ def test_omega_regime():
     assert w.predecessors(3) == (0, 1, 2)
     with pytest.raises(UnsupportedRegimeError):
         w.max_element()
-    with pytest.raises(UnsupportedRegimeError):
-        linear_extension(w)
+    assert w.elements == tuple(range(16))
+    assert linear_extension(w).order == w.elements
 
 
 @pytest.mark.parametrize("depth", [0, -1, True, 2.5, "5", None])
@@ -123,10 +123,16 @@ def test_omega_depth_is_a_positive_int(depth):
         omega(depth)
 
 
+def test_omega_depth_is_at_most_max_depth():
+    assert omega(MAX_DEPTH).elements[-1] == MAX_DEPTH - 1
+    with pytest.raises(MalformedError, match="MAX_DEPTH"):
+        omega(MAX_DEPTH + 1)
+
+
 def test_omega_depth_owned_by_the_index():
     assert omega(8) == omega(8) and hash(omega(8)) == hash(omega(8))
     assert omega(8) != omega(9)
-    assert omega(4).carrier() == (0, 1, 2, 3)
+    assert omega(4).elements == (0, 1, 2, 3)
     assert omega(4).covers() == ((0, 1), (1, 2), (2, 3))
     assert omega(1).covers() == ()
 

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from promc.base import compose, identity, set_map, set_obj
-from promc.errors import DepthExhaustedError, MalformedError, PreconditionError
+from promc.errors import (DepthExhaustedError, MalformedError, PreconditionError,
+                          UnsupportedRegimeError)
 from promc.indexing import chain_poset, from_covers, omega, point_poset
 from promc.prohom import (HFamily, IsoCertificate, Levelization, ProDiagram,
                           constant_embed, enumerate_base_maps, hom_pro,
@@ -146,6 +147,49 @@ def test_omega_struct_composition():
     assert Y.struct(5, 2) == identity(set_obj(["0", "1"]))
 
 
+def test_omega_struct_equals_the_composite_of_its_steps():
+    three = set_obj(["a", "b", "c"])
+    steps = [set_map(three, three, dict(zip("abc", img)))
+             for img in ("bca", "aab", "cab", "bac", "abc")]
+    Y = omega_pro_object(lambda n: three, lambda n: steps[n % 5], depth=12)
+    pairs = [(t, s) for t in range(12) for s in range(t + 1)]
+    random.Random(0).shuffle(pairs)
+    for t, s in pairs:
+        m = identity(three)
+        for n in range(s, t):
+            m = compose(m, steps[n % 5])
+        assert Y.struct(t, s) == m
+
+
+def test_omega_structure_maps_are_checked_against_the_covers():
+    two = set_obj(["0", "1"])
+    swap = set_map(two, two, {"0": "1", "1": "0"})
+    values = {n: two for n in range(4)}
+    covers = {(n + 1, n): swap for n in range(3)}
+    Y = pro_object(omega(4), values, {**covers, (3, 1): identity(two)})
+    assert Y.struct(3, 0) == swap
+    with pytest.raises(MalformedError, match="functoriality fails on 3 >= 2 >= 0"):
+        pro_object(omega(4), values, {**covers, (3, 0): identity(two)})
+    del covers[(2, 1)]
+    with pytest.raises(MalformedError, match="missing structure map for cover 2->1"):
+        pro_object(omega(4), values, covers)
+
+
+def test_omega_struct_keeps_a_line_of_maps_per_row_or_column(monkeypatch):
+    """Every map into level 0 and every map out of the top level, the two
+    sweeps of the ω hom and limit, compose once per level."""
+    from promc import proobj
+    d = 64
+    Y = two_tower(depth=d)
+    calls = []
+    monkeypatch.setattr(proobj, "compose", lambda g, f: calls.append(1) or compose(g, f))
+    for s in range(d):
+        Y.struct(d - 1, s)
+    for t in range(d):
+        Y.struct(t, 0)
+    assert len(calls) <= 2 * d
+
+
 # ---------------------------------------------------------------- hom_pro
 
 def test_hom_constant_singletons():
@@ -172,6 +216,15 @@ def test_hom_omega_two_tower():
     assert len(hs) == 2
     assert hs.stabilized_at == 1
 
+
+
+def test_hom_between_omega_depths_is_refused():
+    """Each ω depth is its own index; hom once evaluated the shallower
+    object past its depth."""
+    with pytest.raises(UnsupportedRegimeError):
+        hom_pro(two_tower(depth=4), two_tower(depth=8))
+    with pytest.raises(UnsupportedRegimeError):
+        hom_pro(constant_embed(set_obj(["*"])), two_tower(depth=4))
 
 def test_hom_composition_associative():
     # GENERAL composition (refinement chasing) is associative on samples
@@ -271,6 +324,22 @@ def test_pro_limit_single_object():
     res = pro_limit_levelwise(pd)
     for s in X.index.elements:
         assert len(res.apex.value(s).elements) == len(X.value(s).elements)
+
+
+def test_levelwise_limit_and_colimit_share_one_body_over_omega():
+    """Both regimes store a pro-object alike, so an ω diagram takes the
+    finite path: a (co)limit per level and the induced cover maps."""
+    two = set_obj(["0", "1"])
+    swap = set_map(two, two, {"0": "1", "1": "0"})
+    Y = omega_pro_object(lambda n: two, lambda n: swap, depth=5)
+    pd = ProDiagram(Y.index, {"a": Y, "b": Y}, [])
+    prod, coprod = pro_limit_levelwise(pd), pro_colimit_levelwise(pd)
+    for res in (prod, coprod):
+        assert [len(res.apex.value(n).elements) for n in range(5)] == [4] * 5
+    for n in range(4):
+        a = prod.legs["a"].level_component
+        assert compose(Y.struct(n + 1, n), a(n + 1)) == \
+            compose(a(n), prod.apex.struct(n + 1, n))
 
 
 def test_pro_limit_constant_pullback_is_constant():
