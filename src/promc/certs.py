@@ -118,8 +118,9 @@ def iso_cert_doc(cert):
 def levelize_cert(lv):
     doc = _base(lv.map.source.instance, "levelize")
     doc["map"] = _promap_payload(lv.map)
-    if lv.original is not None and lv.original.source.index.regime == "finite":
-        doc["original"] = _promap_payload(lv.original)
+    doc["original"] = _promap_payload(lv.original)
+    if lv.original.source.index.depth is not None:
+        doc["depth"] = lv.original.source.index.depth
     doc["source_cert"] = _iso_payload(lv.source_cert)
     doc["target_cert"] = _iso_payload(lv.target_cert)
     if lv.cofinality is not None:

@@ -136,8 +136,9 @@ def promap_to_doc(f, source_name, target_name):
 
 def promap_from_doc(instance, doc, source, target, name="pro-map"):
     """The pro-map of *doc* between *source* and *target*; *name* names
-    it in the refusal of an ω GENERAL map that lists too few components
-    or one from a source level not below the depth."""
+    it in the refusal of a GENERAL map entry that is not a [level, map]
+    pair, and of an ω GENERAL map that lists too few components or one
+    from a source level not below the depth."""
     if source.index.regime == OMEGA:
         d = target.index.depth
         if "level" in doc:
@@ -155,7 +156,8 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
             raise MalformedError(f"ω general map {name} lists {len(pairs)} "
                                  f"components, fewer than the depth {d}")
         comps = {}
-        for n, (t, p) in enumerate(pairs):
+        for n, entry in enumerate(pairs):
+            t, p = _general_entry(entry, f"ω general map {name}: component {n}")
             if type(t) is not int or not 0 <= t < source.index.depth:
                 raise MalformedError(
                     f"ω general map {name}: component {n} has source level {t!r}, "
@@ -168,11 +170,20 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
         return level_map(source, target, comps)
     if "general" in doc:
         comps = {}
-        for s, (t, payload) in doc["general"].items():
+        for s, entry in doc["general"].items():
+            t, payload = _general_entry(entry, f"general map {name}: component at {s}")
             comps[s] = (t, map_from_doc(instance, payload,
                                         source.value(t), target.value(s)))
         return general_map(source, target, comps)
     raise MalformedError("pro-map payload needs 'level' or 'general'")
+
+
+def _general_entry(entry, where):
+    """The (source level, map payload) of one GENERAL map entry; *where*
+    names the entry in the refusal of anything else."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise MalformedError(f"{where} is {json.dumps(entry)}, not a [level, map] pair")
+    return entry
 
 
 def hfamily_to_doc(fam):
@@ -279,8 +290,61 @@ def load_document(path, depth=None):
 
 
 def dump_json(doc, path=None):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """*doc* as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    writes it, byte for byte; written to *path* when given."""
+    text = _encode(doc, "\n") + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+# ``json.dumps`` with an indent runs the pure-Python encoder, one generator
+# step per token; this writer makes one string per container with
+# ``str.join`` and the C string escaper that encoder uses (ensure_ascii).
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(o, newline):
+    """*o* as JSON, each nested line starting with *newline* (a newline
+    and the indent of *o*'s own line) plus two spaces."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, o))
+        if kinds == {int}:  # a matrix row
+            items = map(int.__repr__, o)
+        elif kinds == {str}:  # a set's elements
+            items = map(_escape, o)
+        else:
+            items = [_encode(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [_escape(_key(k)) + ": " + _encode(v, inner)
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return json.dumps(o)  # a float, or the encoder's TypeError
+
+
+def _key(k):
+    """A dict key as the string ``json.dumps`` writes for it."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")

@@ -7,9 +7,10 @@ per row, bit c of a row holding column c (the word-packed rows of M4RI,
 Albrecht, Bard & Hart, ACM TOMS 2010), plus its column count.  A vector
 is one int, bit i holding entry i.  Values are immutable, so equality
 and hashing are tuple operations and the zero and identity matrices of
-a shape are shared.  ``asmat`` reads nested 0/1 lists (or anything with
-``tolist``) mod 2; every other routine takes and returns ``Mat`` values
-and never unpacks them.  All routines are deterministic: pivots are the
+a shape are shared.  ``asmat`` reads nested lists of integers (or
+anything with ``tolist``) mod 2, and ``pack01`` packs lists of 0/1 rows
+without a Python step per entry; every other routine takes and returns
+``Mat`` values and never unpacks them.  All routines are deterministic: pivots are the
 lowest columns, free variables are set to zero.
 
 A product XORs, for each row of A, the rows of B picked by its set
@@ -31,16 +32,26 @@ The lift systems are large and very sparse: the 162 inputs above 64
 rows or columns in one round of the ``chainf2-factor`` and
 ``chainf2-lift`` benchmark workloads were 0.05-4.9% ones, up to 8176 x
 5977.  An insertion there XORs a few basis rows, where a column sweep
-visits every row for every column.  Dense matrices are the trade-off:
-on uniform-random square ones (median of 7, one 2-vCPU Xeon) int rows
-beat numpy elimination (whole uint8 rows XORed per pivot) up to 200 x
-200 and are 1.2-1.3x slower from 500 x 500 up (1000 x 1000
-``row_echelon``: 188 ms against 148 ms).
+visits every row for every column.  Each XOR can add ones to the row
+(fill-in), so the insertion order sets the cost but not the result
+(Markowitz, Mgmt. Sci. 1957).  Routines here keep the caller's row
+order; ``chainf2.chain_map_system`` picks one.  With its order the
+basis of the 8176 x 5977 system holds 9,794 ones, and the 121 systems
+above 64 rows or columns that one seed-1 ``chainf2-lift`` round solves
+(operations and replays) eliminate in 74 ms (least of three, one 2-vCPU
+Xeon); with the naturality rows first, degrees ascending, 33,723 ones
+and 150 ms.
+
+Dense matrices are the trade-off: on uniform-random square ones
+(median of 7, one 2-vCPU Xeon) int rows beat numpy elimination (whole
+uint8 rows XORed per pivot) up to 200 x 200 and are 1.2-1.3x slower
+from 500 x 500 up (1000 x 1000 ``row_echelon``: 188 ms against 148 ms).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 
 class Mat:
@@ -81,7 +92,7 @@ class Mat:
         return Grid(self.tolist())
 
 
-_TABLE_WIDTH = 8  # rows up to this wide are unpacked by table lookup
+_TABLE_WIDTH = 8  # rows up to this wide are (un)packed by table lookup
 
 
 @functools.cache
@@ -117,6 +128,9 @@ def asmat(M, rows=None, cols=None):
         return Mat(tuple(r & mask for r in M.rows), M.ncols)
     if hasattr(M, "tolist"):
         M = M.tolist()
+    packed = pack01(M)
+    if packed is not None:
+        return packed
     try:
         data = [list(r) for r in M]
     except TypeError:
@@ -139,6 +153,42 @@ def asmat(M, rows=None, cols=None):
             v |= bit << c
         out.append(v)
     return Mat(tuple(out), n)
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class _RowInts(dict):
+    """The bytes of a 0/1 row -> the row as an int, bit c = entry c.  It
+    holds every row up to ``_TABLE_WIDTH`` wide; a wider one is read as a
+    binary numeral, last entry first.  KeyError for any other entry."""
+
+    def __missing__(self, row):
+        if len(row) <= _TABLE_WIDTH or row.translate(None, b"\x00\x01"):
+            raise KeyError(row)
+        return int(row[::-1].translate(_DIGITS), 2)
+
+
+@functools.cache
+def _row_ints():
+    return _RowInts({bytes(bits): r for n in range(_TABLE_WIDTH + 1)
+                     for r, bits in enumerate(_bit_lists(n))})
+
+
+def pack01(M):
+    """*M* as a ``Mat`` if it is a non-empty list of equally long lists
+    of the ints 0 and 1 (not bools), else None.  Checked and packed at C
+    level, with no Python step per entry: each row's bytes are looked up
+    in ``_row_ints()``."""
+    if not isinstance(M, list) or not M or set(map(type, M)) != {list}:
+        return None
+    entries = itertools.chain.from_iterable(M)
+    if len(set(map(len, M))) > 1 or not set(map(type, entries)) <= {int}:
+        return None
+    try:
+        return Mat(tuple(map(_row_ints().__getitem__, map(bytes, M))), len(M[0]))
+    except (KeyError, ValueError):  # an entry other than 0 or 1
+        return None
 
 
 @functools.cache
@@ -305,14 +355,9 @@ def inverse(M):
 
 def image_basis(M):
     """Basis of the column space, as columns (pivot columns of M)."""
-    cols = sorted(_basis(M.rows))
-    out = []
-    for r in M.rows:
-        v = 0
-        for k, c in enumerate(cols):
-            v |= (r >> c & 1) << k
-        out.append(v)
-    return Mat(tuple(out), len(cols))
+    columns = transpose(M).rows
+    pivots = sorted(_basis(M.rows))
+    return transpose(Mat(tuple(columns[c] for c in pivots), len(M.rows)))
 
 
 def quotient_map(U, dim):

@@ -183,13 +183,11 @@ def _verify_levelize(instance, doc, depth):
     m = _load_promap(instance, doc["map"], depth)
     src_fwd = _iso_replay(instance, doc["source_cert"], depth)
     tgt_fwd = _iso_replay(instance, doc["target_cert"], depth)
-    if "original" in doc:
-        orig = _load_promap(instance, doc["original"], depth)
-        lhs = compose_pro(m, src_fwd)
-        rhs = compose_pro(tgt_fwd, orig)
-        if not lhs.equals(rhs):
-            raise VerificationFailure(
-                "levelized map does not represent the original")
+    if "original" not in doc:
+        raise MalformedError("levelize certificate records no original map")
+    orig = _load_promap(instance, doc["original"], depth)
+    if not compose_pro(m, src_fwd).equals(compose_pro(tgt_fwd, orig)):
+        raise VerificationFailure("levelized map does not represent the original")
     return {"kind": "levelize"}
 
 

@@ -6,7 +6,9 @@ format or of a construction's choices.
 """
 
 import hashlib
+import json
 import os
+import random
 
 import pytest
 
@@ -269,3 +271,38 @@ def test_generator_bytes(kind, instance, seed):
     doc = _generated(kind, instance, seed)
     digest = hashlib.sha256(dump_json(doc).encode()).hexdigest()
     assert digest == GEN_GOLDEN[(kind, instance, seed)]
+
+
+# ------------------------------------------------------- the JSON writer
+
+STRINGS = ["", "a", "x0", "é", "日本", "\U0001f600", "tab\there", "new\nline",
+           'quote"d', "back\\slash", "\x00\x1f\x7f", "[1, 2]", "{\"k\": [}", "a>b",
+           "]}", ": ,"]
+
+
+def random_json(rng, depth):
+    """A seeded JSON value: nested lists and dicts (int, str and non-ASCII
+    keys, empty ones too) over ints, negative ints, bools, None and
+    strings with escapes and brackets."""
+    pick = rng.random()
+    if depth and pick < 0.3:
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if depth and pick < 0.55:
+        if rng.random() < 0.3:
+            keys = {rng.randrange(-50, 50) for _ in range(rng.randrange(4))}
+        else:
+            keys = {rng.choice(STRINGS) + rng.choice(STRINGS)
+                    for _ in range(rng.randrange(5))}
+        return {k: random_json(rng, depth - 1) for k in keys}
+    return rng.choice([rng.randrange(-10**20, 10**20), rng.randrange(-2, 2), True,
+                       False, None, rng.choice(STRINGS), [], {}, [0, 1, 1],
+                       ["a", "é"]])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dump_json_writes_the_bytes_of_json_dumps(seed):
+    rng = random.Random(seed)
+    doc = {"kind": random_json(rng, 5), "maps": [random_json(rng, 4) for _ in range(3)]}
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for value in ([], {}, "", 0, -7, True, False, None, [[]], [{}], {"": {}}):
+        assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

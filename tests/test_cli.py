@@ -571,6 +571,72 @@ def test_an_omega_general_component_off_the_depth_exits_2_at_load(tmp_path, caps
     assert "map g" in out and "depth 6" in out
 
 
+def _general_entry_set(tmp_path, entry):
+    """``omega_maps.json`` (ω) and ``collapse.json`` (finite, with f written
+    as a GENERAL map g) with one entry of g replaced by *entry*."""
+    omega = json.loads(open(fx("omega_maps.json")).read())
+    omega["maps"]["g"]["general"][3] = entry
+    finite = json.loads(open(fx("collapse.json")).read())
+    finite["maps"]["g"] = {"source": "X", "target": "Y",
+                           "general": {"1": ["1", {"a": "u", "b": "u"}], "0": entry}}
+    paths = []
+    for name, doc in (("omega", omega), ("finite", finite)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("entry", [5, None, "0", [0], [0, {"*": "0"}, 1], {"0": 1}])
+def test_a_general_entry_that_is_no_level_map_pair_exits_2(tmp_path, capsys, entry):
+    """It exited 3 with a TypeError (cannot unpack), in both regimes."""
+    omega, finite = _general_entry_set(tmp_path, entry)
+    for path, where in ((omega, "ω general map g: component 3"),
+                        (finite, "general map g: component at 0")):
+        code, out = run(capsys, "hom", path, "Y" if path == finite else "P",
+                        "X" if path == finite else "T")
+        assert code == 2
+        assert out == (f"error: {where} is {json.dumps(entry)}, "
+                       "not a [level, map] pair\n")
+
+
+def test_a_general_map_of_level_map_pairs_still_loads(tmp_path, capsys):
+    _, finite = _general_entry_set(tmp_path, ["0", {"x": "y"}])
+    code, out = run(capsys, "levelize", finite, "g")
+    assert code == 0
+
+
+def _levelize_cert(tmp_path, capsys, name):
+    cert = tmp_path / "lv.json"
+    code, _ = run(capsys, "levelize", fx("omega_maps.json"), name, "--out", str(cert))
+    assert code == 0
+    return cert, json.loads(cert.read_text())
+
+
+def test_a_forged_omega_levelize_certificate_fails(tmp_path, capsys):
+    """Every component of the levelized g edited from {"*": "0"} to
+    {"*": "1"}: without the original map recorded this verified."""
+    cert, doc = _levelize_cert(tmp_path, capsys, "g")
+    assert doc["depth"] == 6 and "original" in doc
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 0
+    assert doc["map"]["level"] == [{"*": "0"}] * 6
+    doc["map"]["level"] = [{"*": "1"}] * 6
+    cert.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 1
+    assert out == "FAIL: levelized map does not represent the original\n"
+
+
+@pytest.mark.parametrize("name", ["f", "g"])
+def test_a_levelize_certificate_without_its_original_exits_2(tmp_path, capsys, name):
+    cert, doc = _levelize_cert(tmp_path, capsys, name)
+    del doc["original"]
+    cert.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(cert))
+    assert code == 2
+    assert out == "error: levelize certificate records no original map\n"
+
+
 @pytest.mark.parametrize("path", [("objects", "T", "values"), ("objects", "T", "steps"),
                                   ("maps", "f", "level"), ("maps", "g", "general")],
                          ids=lambda p: p[-1])

@@ -159,7 +159,10 @@ RUNS = _runs()
 # exited 3), and a level that names no element exits 2 with its own
 # message, also on a GENERAL map, which is refused after the level.  The
 # seven ω runs that exit 0 also write the document's depth into their
-# certificates, which replay rebuilds the map at.
+# certificates, which replay rebuilds the map at.  The three ω levelize
+# runs write the original map and the depth into their certificates, and
+# verify checks the levelized map against the original (a levelize
+# certificate of ω maps without it verified whatever its map said).
 CHANGED = {
     **{f"matching omega_maps.json f --level {n}": 0 for n in range(6)},
     "--depth 3 matching omega_maps.json f --level 0": 0,
@@ -167,6 +170,8 @@ CHANGED = {
        for m in ("f", "g") for bad in ("-1", "6", "x")},
     **{key: 2 for key in RUNS
        if key.startswith("matching ") and key.endswith(f" --level {UNKNOWN}")},
+    **{key: 0 for key in ("levelize omega_maps.json f", "levelize omega_maps.json g",
+                          "--depth 3 levelize omega_maps.json f")},
 }
 
 

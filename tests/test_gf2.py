@@ -3,6 +3,8 @@ import pytest
 from helpers import mat, to_np, unvec, vec
 
 from promc import gf2
+from promc.chainf2 import chain_map, chain_obj
+from promc.errors import MalformedError
 
 
 def M(rows):
@@ -284,3 +286,40 @@ def test_entries_two_and_three_act_as_zero_and_one(rows, cols):
     assert set(np.unique(A23)) == {0, 1, 2, 3}
     assert assert_matches_reference(A23, B23) is not None
     assert gf2.solve(mat(A23), mat(B23[:, :1])) == gf2.solve(mat(A), mat(B[:, :1]))
+
+
+# ------------------------------------------------ reading 0/1 documents
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pack01_packs_as_asmat_reads(seed):
+    """Rows on both sides of the lookup table's width, and empty rows."""
+    rng = np.random.default_rng(900 + seed)
+    for rows, cols in [(1, 1), (3, 8), (2, 9), (5, 0), (4, 70), (1, 200)]:
+        M = rng.integers(0, 2, size=(rows, cols)).tolist()
+        expected = gf2.Mat(tuple(sum(x << c for c, x in enumerate(r)) for r in M), cols)
+        assert gf2.pack01(M) == expected == gf2.asmat(M)
+
+
+@pytest.mark.parametrize("M", [
+    [], [[2]], [[True]], [[0] * 9 + [False]], [[0] * 9 + [2]], [[256]], [[-1]],
+    [[1.0]], [["1"]], ["01"], [[0], [0, 1]], [[[1]]], [[None]], [(0, 1)], (([0],)),
+])
+def test_pack01_refuses_anything_but_equal_lists_of_0_and_1(M):
+    assert gf2.pack01(M) is None
+
+
+@pytest.mark.parametrize("M,message", [
+    ([[0] * 9, [1] * 8 + [2], [3] * 9], "not a 0/1 entry: 2"),
+    ([[0, 1], [1, True]], "not a 0/1 entry: True"),
+    ([[0] * 10 + [-1]], "not a 0/1 entry: -1"),
+    ([[0, 1], [1]], "expected a matrix: rows of different lengths"),
+    ([[0, 1]] * 2, "has shape (2, 2), expected (2, 9)"),
+    ([[1] * 9], "has shape (1, 9), expected (2, 9)"),
+])
+def test_a_chainf2_matrix_is_refused_with_its_first_bad_entry_or_shape(M, message):
+    S, T = chain_obj(0, 0, [9]), chain_obj(0, 0, [2])
+    with pytest.raises(MalformedError) as e:
+        chain_map(S, T, {0: M})
+    sep = " " if message.startswith("has shape") else ": "
+    assert str(e.value) == "matrix in degree 0" + sep + message
