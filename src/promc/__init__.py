@@ -18,9 +18,9 @@ from .baselim import (ColimitCone, Cone, Diagram, LimitCone, finite_colimit,
                       finite_limit, pullback, pushout)
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      PromcError, UnsupportedRegimeError, VerificationFailure)
-from .indexing import (CofinalMap, IndexPoset, IndexViolation, WellOrdering,
-                       chain_poset, from_covers, index_violation, is_cofinal,
-                       linear_extension, omega, point_poset, validate_index)
+from .indexing import (IndexPoset, IndexViolation, WellOrdering, chain_poset,
+                       from_covers, index_violation, linear_extension, omega,
+                       point_poset, validate_index)
 from .prohom import (HFamily, HomSet, IsoCertificate, Levelization, LimResult,
                      ProDiagram, constant_embed, enumerate_base_maps, hom_pro,
                      is_pro_iso, levelize, lim_functor, pro_colimit_levelwise,
@@ -50,9 +50,9 @@ __all__ = [
     "solve_lift",
     "Diagram", "Cone", "LimitCone", "ColimitCone",
     "finite_limit", "finite_colimit", "pullback", "pushout",
-    "IndexPoset", "WellOrdering", "CofinalMap", "IndexViolation",
+    "IndexPoset", "WellOrdering", "IndexViolation",
     "validate_index", "index_violation", "from_covers", "chain_poset",
-    "point_poset", "omega", "linear_extension", "is_cofinal",
+    "point_poset", "omega", "linear_extension",
     "ProObject", "ProMap", "pro_object", "omega_pro_object", "constant_over",
     "level_map", "general_map", "identity_pro", "compose_pro", "to_general",
     "HomSet", "HFamily", "IsoCertificate", "Levelization", "LimResult",

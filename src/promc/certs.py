@@ -123,9 +123,6 @@ def levelize_cert(lv):
         doc["depth"] = lv.original.source.index.depth
     doc["source_cert"] = _iso_payload(lv.source_cert)
     doc["target_cert"] = _iso_payload(lv.target_cert)
-    if lv.cofinality is not None:
-        doc["cofinality"] = {"ok": lv.cofinality.ok,
-                             "depth": lv.cofinality.depth}
     return doc
 
 
@@ -160,6 +157,12 @@ def matching_cert(f, t, data):
     return doc
 
 
+def base_map_doc(m):
+    """A base map with its endpoints embedded."""
+    return {"source": obj_to_doc(m.source), "target": obj_to_doc(m.target),
+            "payload": map_to_doc(m)}
+
+
 def cocell_cert(tower):
     doc = _base(tower.base_value.instance, "cocell")
     doc["class_tag"] = tower.class_tag
@@ -168,9 +171,7 @@ def cocell_cert(tower):
     for st in tower.stages:
         stages.append({
             "level": str(st.level),
-            "attach": {"source": obj_to_doc(st.attach.source),
-                       "target": obj_to_doc(st.attach.target),
-                       "payload": map_to_doc(st.attach)},
+            "attach": base_map_doc(st.attach),
             "attach_classes": classes_doc(st.attach_class),
             "cone_map": map_to_doc(st.cone_map),
             "bonding": map_to_doc(st.bonding),

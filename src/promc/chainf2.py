@@ -136,11 +136,14 @@ def _read(M, rows, cols, what):
     """*M* as a fresh rows x cols ``gf2.Mat``; MalformedError, naming
     *what*, for anything else.  A list (document input) may hold only the
     integers 0 and 1, and is packed by ``gf2.pack01``; other inputs are
-    read mod 2."""
+    read mod 2; a row that is not a list is refused, never read entry by
+    entry."""
     packed = gf2.pack01(M)
     if packed is None and isinstance(M, list):
-        bad = [x for r in M if isinstance(r, list) for x in r
-               if type(x) is not int or x not in (0, 1)]
+        bad = [r for r in M if not isinstance(r, list)]
+        if bad:
+            raise MalformedError(f"{what}: a row is {bad[0]!r}, not a list")
+        bad = [x for r in M for x in r if type(x) is not int or x not in (0, 1)]
         if bad:
             raise MalformedError(f"{what}: not a 0/1 entry: {bad[0]!r}")
     try:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import certs
 from .base import classify_map
-from .docio import Document, dump_json, load_document
+from .docio import Document, Record, dump_json, load_document
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure)
 from .indexing import DEFAULT_DEPTH
@@ -103,9 +103,6 @@ def _levelize(args):
     idx = lv.map.source.index
     where = "ω" if idx.regime == "omega" else f"{len(idx.elements)} levels"
     print(f"levelized over {where}")
-    if lv.cofinality is not None:
-        print(f"  reindexing cofinal: {lv.cofinality.ok} "
-              f"(depth {lv.cofinality.depth})")
     return 0, certs.levelize_cert(lv)
 
 
@@ -226,11 +223,12 @@ def _verify(args):
     from .verify import verify_certificate
     try:
         with open(args.certificate) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=Record)
     except json.JSONDecodeError as e:
         raise MalformedError(f"certificate is not valid JSON: {e}")
     report = verify_certificate(doc, depth=args.depth or DEFAULT_DEPTH)
-    print("verified: " + ", ".join(f"{k}={v}" for k, v in sorted(report.items())))
+    print("verified: " + ", ".join(f"{k}={v}" for k, v in sorted(report.items())
+                                   if v is not None))
     return 0, None
 
 

@@ -61,7 +61,10 @@ def poset_from_doc(doc, depth=DEFAULT_DEPTH):
     if doc == "omega":
         return omega(depth)
     try:
-        return from_covers(doc["elements"], [tuple(c) for c in doc["covers"]],
+        covers = doc["covers"]
+        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise MalformedError("poset covers must be [lower, upper] pairs")
+        return from_covers(doc["elements"], [tuple(c) for c in covers],
                            depth=depth)
     except (KeyError, TypeError) as e:
         raise MalformedError(f"bad poset payload: {e}")
@@ -94,7 +97,8 @@ def proobj_from_doc(instance, doc, index):
             else:
                 structs[(t, s)] = identity(values[s])
         return ProObject(index, values=values, structs=structs)
-    values = {s: obj_from_doc(instance, v) for s, v in doc["values"].items()}
+    values = {s: obj_from_doc(instance, v)
+              for s, v in _object(doc, "values", "object").items()}
     if set(values) != set(index.elements):
         raise MalformedError("object values do not match the poset carrier")
     structs = {}
@@ -166,16 +170,26 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
         return general_map(source, target, comps)
     if "level" in doc:
         comps = {s: map_from_doc(instance, c, source.value(s), target.value(s))
-                 for s, c in doc["level"].items()}
+                 for s, c in _object(doc, "level", f"pro-map {name}").items()}
         return level_map(source, target, comps)
     if "general" in doc:
         comps = {}
-        for s, entry in doc["general"].items():
+        for s, entry in _object(doc, "general", f"pro-map {name}").items():
             t, payload = _general_entry(entry, f"general map {name}: component at {s}")
             comps[s] = (t, map_from_doc(instance, payload,
                                         source.value(t), target.value(s)))
         return general_map(source, target, comps)
     raise MalformedError("pro-map payload needs 'level' or 'general'")
+
+
+def _object(doc, key, what):
+    """doc[key], a JSON object in the finite regime; MalformedError,
+    naming *what*, for anything else."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise MalformedError(f"{what}: {key} must be an object, "
+                             f"not {type(value).__name__}")
+    return value
 
 
 def _general_entry(entry, where):
@@ -281,12 +295,20 @@ def load_document(path, depth=None):
     """The document at *path*; *depth*, when given, overrides its own."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_hook=Record)
     except OSError as e:
         raise MalformedError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise MalformedError(f"{path} is not valid JSON: {e}")
     return Document(raw, depth=depth)
+
+
+class Record(dict):
+    """A JSON object read from a file: reading a key it lacks is
+    malformed input, not a KeyError."""
+
+    def __missing__(self, key):
+        raise MalformedError(f"a JSON object lacks the key {key!r}")
 
 
 def dump_json(doc, path=None):

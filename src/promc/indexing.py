@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedError, PreconditionError, UnsupportedRegimeError
+from .errors import MalformedError, UnsupportedRegimeError
 
 FINITE = "finite"
 OMEGA = "omega"
@@ -250,43 +250,3 @@ def linear_extension(poset):
     """Deterministic linear extension: minimal elements first, ties broken
     by lexicographic element identifier; the levels in order for ω."""
     return poset._well_ordering
-
-
-@dataclass(frozen=True)
-class CofinalMap:
-    """A monotone function between index posets."""
-    source: IndexPoset
-    target: IndexPoset
-    mapping: object  # dict for finite source, callable for omega
-
-    def __call__(self, t):
-        if callable(self.mapping):
-            return self.mapping(t)
-        return self.mapping[t]
-
-    def check_monotone(self):
-        for s in self.source.elements:
-            for t in self.source.elements:
-                if self.source.leq(s, t) and not self.target.leq(self(s), self(t)):
-                    raise PreconditionError(f"not monotone at ({s}, {t})")
-
-
-@dataclass(frozen=True)
-class CofinalityReport:
-    ok: bool
-    witness: object = None
-    depth: int | None = None  # set when the answer is depth-qualified
-
-
-def is_cofinal(F):
-    """Whether F hits arbitrarily high: every s in the target is dominated
-    by some F(t).  Returns a report with a witness on failure; answers
-    involving ω are qualified by the truncation depth (the source's when
-    it is ω)."""
-    F.check_monotone()
-    tgt = F.target
-    depth_note = F.source.depth if F.source.regime == OMEGA else tgt.depth
-    for s in tgt.elements:
-        if not any(tgt.leq(s, F(t)) for t in F.source.elements):
-            return CofinalityReport(False, witness=s, depth=depth_note)
-    return CofinalityReport(True, depth=depth_note)

@@ -21,8 +21,7 @@ from .base import BaseObject, compose, identity, inverse
 from .baselim import Cone, Diagram, finite_colimit, finite_limit
 from .errors import (DepthExhaustedError, MalformedError, PreconditionError,
                      UnsupportedRegimeError, VerificationFailure, fail_on)
-from .indexing import (FINITE, CofinalMap, IndexPoset, chain_poset, is_cofinal,
-                       point_poset)
+from .indexing import FINITE, IndexPoset, chain_poset, point_poset
 from .proobj import (LEVEL, ProMap, ProObject, compose_pro, constant_over,
                      general_map, identity_pro, level_map, omega_pro_object)
 
@@ -296,7 +295,6 @@ class Levelization:
     map: ProMap
     source_cert: IsoCertificate
     target_cert: IsoCertificate
-    cofinality: object = None
     original: ProMap = None
 
 
@@ -382,7 +380,6 @@ def _levelize_omega(f):
         return compose(g_n, X.struct(T[n], t_n))
 
     lev = level_map(Xt, Y, comp, check=False)
-    rep = is_cofinal(CofinalMap(Y.index, Y.index, T))
     fwd = general_map(X, Xt, lambda n: (T[n], identity(X.value(T[n]))),
                       check=False)
     back = general_map(Xt, X, lambda s: (s, X.struct(T[s], s)), check=False)
@@ -390,7 +387,7 @@ def _levelize_omega(f):
     ident = identity_pro(Y)
     cert_tgt = IsoCertificate(forward=ident, backward=ident, depth=d)
     return Levelization(map=lev, source_cert=cert_src,
-                        target_cert=cert_tgt, cofinality=rep, original=f)
+                        target_cert=cert_tgt, original=f)
 
 
 # --------------------------------------------- levelwise limits/colimits

@@ -1,22 +1,30 @@
 """
-Certificate replay.
+Certificate replay, in one of two ways by kind.
 
-Rebuilds every object and map from the certificate document and checks
-each claim with the predicate its construction checks itself with: the
-strict-factorization postconditions (``StrictFactorization.failure``),
-the lift's square and triangles (``strict.square_failure``,
-``strict.triangle_failure``), special detection (``detect_special``),
-pro-isomorphisms (``IsoCertificate.failure``), the pro-iso
-factorization (``ProIsoFactorization.failure``), levelwise classes
-(``strict.class_failure``), the relative matching map
-(``strict.matching_map``) and cocell towers (``towers.tower_failure``).
-Replay keeps no check of its own for any of these claims.
+Answer kinds (``hom``, ``adjunction``, ``detect-special``, ``matching``)
+record the unique output of a deterministic construction on inputs the
+certificate embeds.  Replay rebuilds the inputs, reruns the construction
+(``hom_pro``, ``adjunction_check``, ``detect_special``, ``matching_map``)
+and compares the certificate key by key with what ``certs`` emits for
+that result: the first differing key is the witness of a failed claim,
+and a recorded value of another JSON type than the emitted one is
+malformed.  The brute-force oracle recounts the hom sets of exhaustive
+finite instances on top.
 
-It takes nothing recorded unchecked: every claim is re-derived from the
-rebuilt maps, every recorded class verdict must equal the fresh one, the
-separate ``level_index`` record of a lift must name the refinement level
-a(s) its components carry, and a mode, class tag or ``ok`` flag that
-names nothing known is refused as malformed.
+Witness kinds record one of many valid answers, and any valid one must
+be accepted, so replay checks each claim with the predicate its
+construction checks itself with: the strict-factorization
+postconditions (``StrictFactorization.failure``), the lift's square and
+triangles (``strict.square_failure``, ``strict.triangle_failure``),
+pro-isomorphisms (``IsoCertificate.failure``), the pro-iso factorization
+(``ProIsoFactorization.failure``), levelwise classes
+(``strict.class_failure``) and cocell towers (``towers.tower_failure``),
+whose stages must also attach the relative matching maps
+(``strict.matching_map``) of the map they present.  Every recorded class
+verdict must equal the fresh one, the separate ``level_index`` record of
+a lift must name the refinement level a(s) its components carry, and a
+mode, class tag, construction or ``ok`` flag that names nothing known is
+refused as malformed.
 
 A certificate's ω posets are rebuilt at the depth it records (each iso
 payload at its own recorded depth), else at the depth replay is given.
@@ -24,43 +32,83 @@ payload at its own recorded depth), else at the depth replay is given.
 
 from __future__ import annotations
 
-from .base import classify_map, instance_of
-from .certs import classes_doc
+import json
+
+from . import certs
+from .base import instance_of
 from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
                     poset_from_doc, promap_from_doc, proobj_from_doc)
 from .errors import MalformedError, VerificationFailure, fail_on
-from .indexing import DEFAULT_DEPTH, FINITE
-from .prohom import IsoCertificate
+from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
+from .prohom import IsoCertificate, constant_embed, hom_pro
 from .proiso import ProIsoFactorization
-from .proobj import LEVEL, compose_pro
+from .proobj import compose_pro
 from .strict import (WE, StrictFactorization, class_failure, detect_special,
                      matching_map, square_failure, triangle_failure)
-from .towers import TowerStage, tower_failure
+from .towers import TowerStage, adjunction_check, tower_failure
+
+
+def _load_proobj(instance, doc, poset_doc, depth):
+    return proobj_from_doc(instance, doc, poset_from_doc(poset_doc, depth))
 
 
 def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
-    sposet = poset_from_doc(payload["poset"], depth)
-    tposet = poset_from_doc(payload.get("target_poset", payload["poset"]), depth)
-    src = proobj_from_doc(instance, payload["source_object"], sposet)
-    tgt = proobj_from_doc(instance, payload["target_object"], tposet)
+    src = _load_proobj(instance, payload["source_object"], payload["poset"], depth)
+    tgt = _load_proobj(instance, payload["target_object"],
+                       payload.get("target_poset", payload["poset"]), depth)
     return promap_from_doc(instance, payload, src, tgt)
 
 
-def _verdict(cls, recorded, where):
-    if recorded != classes_doc(cls):
-        raise VerificationFailure(f"recorded classes differ at {where}",
-                                  witness=where)
-
-
-def _verdicts(fresh, recorded, what):
-    """Every recorded verdict of the table *recorded* against the fresh
-    class flags of the same level."""
+def _agrees(recorded, emitted, where=""):
+    """Nothing when the certificate part *recorded* has the keys and
+    values of the document *emitted* for the rerun construction; else
+    VerificationFailure naming the first differing key (in sorted order,
+    after the path *where*), or MalformedError for a recorded value of
+    another JSON type."""
     if not isinstance(recorded, dict):
-        raise MalformedError(f"{what} verdicts are not an object")
-    if set(recorded) != {str(s) for s in fresh}:
-        raise VerificationFailure(f"recorded {what} verdicts name other levels")
-    for s, cls in fresh.items():
-        _verdict(cls, recorded[str(s)], f"{what} level {s}")
+        raise MalformedError(f"certificate field {where[:-1]} is not an object")
+    for key in sorted(recorded.keys() | emitted.keys()):
+        if key in recorded and key in emitted and \
+                _json_type(recorded[key]) != _json_type(emitted[key]):
+            raise MalformedError(f"certificate field {where}{key} is "
+                                 f"{_json_type(recorded[key])}, "
+                                 f"not {_json_type(emitted[key])}")
+        if key not in recorded or key not in emitted or \
+                _canonical(recorded[key]) != _canonical(emitted[key]):
+            raise VerificationFailure(
+                f"recorded {where}{key} differs from the rerun", witness=where + key)
+
+
+def _canonical(value):
+    """*value* as JSON text, which tells true from 1 where == does not."""
+    return json.dumps(value, sort_keys=True)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a number",
+               type(None): "null"}
+
+
+def _json_type(value):
+    return _JSON_TYPES[dict if isinstance(value, dict) else type(value)]
+
+
+def _oracle(X, Y, count):
+    """The brute-force recount of a finite hom set of an instance whose
+    hom sets are enumerated exhaustively."""
+    if X.instance.exhaustive_homs and X.index.regime == Y.index.regime == FINITE:
+        from .suites import brute_force_hom
+        threads = brute_force_hom(X, Y)
+        if len(threads) != count:
+            raise VerificationFailure(
+                f"brute-force count {len(threads)} != rerun count {count}")
+
+
+def _verdicts(doc, key, fresh):
+    """The recorded class verdicts doc[key] against the fresh class flags
+    *fresh*, both by level."""
+    _agrees(doc[key], {str(s): certs.classes_doc(c) for s, c in fresh.items()},
+            key + ".")
 
 
 def _iso_replay(instance, payload, depth=DEFAULT_DEPTH):
@@ -91,21 +139,9 @@ def verify_certificate(doc, depth=DEFAULT_DEPTH):
 
 def _verify_detect_special(instance, doc, depth):
     f = _load_promap(instance, doc["map"], depth)
-    if f.kind != LEVEL:
-        raise MalformedError("detect-special needs a LEVEL map")
-    ok = doc.get("ok")
-    if not isinstance(ok, bool):
-        raise MalformedError(f"ok must be true or false, not {ok!r}")
     res = detect_special(f, doc.get("mode"))
-    _verdicts(res.verdicts, doc.get("verdicts", {}), "matching")
-    if res.ok and not ok:
-        raise VerificationFailure("recorded failure did not reproduce",
-                                  witness=doc.get("failing"))
-    if not res.ok and (ok or str(res.failing) != str(doc.get("failing"))):
-        raise VerificationFailure(
-            f"special {res.mode} fails at level {res.failing}",
-            witness=res.failing)
-    return {"kind": "detect-special", "levels": len(res.verdicts), "ok": ok}
+    _agrees(doc, certs.detect_special_cert(f, res))
+    return {"kind": "detect-special", "levels": len(res.verdicts), "ok": res.ok}
 
 
 def _verify_factorization(instance, doc, depth):
@@ -116,8 +152,8 @@ def _verify_factorization(instance, doc, depth):
         left=promap_from_doc(instance, doc["left"], f.source, Z),
         right=promap_from_doc(instance, doc["right"], Z, f.target))
     fail_on(fs.failure())
-    _verdicts(fs.left_classes, doc["left_verdicts"], "left")
-    _verdicts(fs.special.verdicts, doc["matching_verdicts"], "matching")
+    _verdicts(doc, "left_verdicts", fs.left_classes)
+    _verdicts(doc, "matching_verdicts", fs.special.verdicts)
     return {"kind": "factorization", "mode": fs.mode,
             "levels": len(fs.left_classes)}
 
@@ -156,21 +192,35 @@ def _verify_pro_factor_iso(instance, doc, depth):
         right_cert=IsoCertificate(forward=right, hfamily=hfamily_from_doc(
             instance, doc["right_family"], right)))
     fail_on(witnessed.failure() or out.failure())
-    _verdicts(out.left_classes, doc["left_verdicts"], "left")
-    _verdicts(out.right_classes, doc["right_verdicts"], "right")
+    _verdicts(doc, "left_verdicts", out.left_classes)
+    _verdicts(doc, "right_verdicts", out.right_classes)
     return {"kind": "pro-factor-iso", "levels": len(X.index.elements)}
 
 
+# the pro-isos each levelwise-we construction certifies
+_ISOS = {"zigzag-we": 2, "two-of-three/left-cancel": 1,
+         "two-of-three/right-cancel": 1, "proper-pullback": 1}
+
+
 def _verify_levelwise_we(instance, doc, depth):
+    construction = doc.get("construction")
+    if construction not in _ISOS:
+        raise MalformedError(f"unknown levelwise-we construction {construction!r}")
     m = _load_promap(instance, doc["map"], depth)
     fresh = {}
     fail_on(class_failure("map", m.level_component, WE,
                           m.source.index.elements, fresh))
-    _verdicts(fresh, doc["verdicts"], "level")
-    isos = doc.get("isos", [])
-    for iso in isos:
-        _iso_replay(instance, iso, depth)
-    return {"kind": "levelwise-we", "construction": doc.get("construction"),
+    _verdicts(doc, "verdicts", fresh)
+    isos = doc["isos"]
+    if len(isos) != _ISOS[construction]:
+        raise VerificationFailure(f"{construction} certifies "
+                                  f"{_ISOS[construction]} pro-isos, not {len(isos)}")
+    for k, iso in enumerate(isos):
+        fwd = _iso_replay(instance, iso, depth)
+        if not {fwd.source, fwd.target} & {m.source, m.target}:
+            raise VerificationFailure("the pro-iso shares no end with the map",
+                                      witness=f"isos.{k}")
+    return {"kind": "levelwise-we", "construction": construction,
             "levels": len(fresh), "isos": len(isos)}
 
 
@@ -193,88 +243,69 @@ def _verify_levelize(instance, doc, depth):
 
 def _verify_matching(instance, doc, depth):
     f = _load_promap(instance, doc["map"], depth)
-    rebuilt = matching_map(f, f.source.index.read_level(doc.get("level"))).map
-    src = obj_from_doc(instance, doc["matching_source"])
-    tgt = obj_from_doc(instance, doc["matching_target"])
-    recorded = map_from_doc(instance, doc["matching_map"], src, tgt)
-    if rebuilt.source != recorded.source or rebuilt != recorded:
-        raise VerificationFailure("matching map does not reproduce")
-    _verdict(classify_map(rebuilt), doc["classes"], "matching map")
+    t = f.source.index.read_level(doc.get("level"))
+    _agrees(doc, certs.matching_cert(f, t, matching_map(f, t)))
     return {"kind": "matching", "level": doc["level"]}
 
 
 def _verify_cocell(instance, doc, depth):
+    """The stages must be base changes of the class named (``tower_failure``)
+    along the relative matching maps of the presented map f, at its
+    levels in linear-extension order, from the value of f's target at
+    the maximum; a tower-limit's limit is the last stage's value, and its
+    pro-iso runs from f's source to that limit."""
+    f = _load_promap(instance, doc["source_presentation"], depth)
+    levels = linear_extension(f.source.index).order
     prev = obj_from_doc(instance, doc["base_value"])
+    if prev != f.target.max_value() or len(doc["stages"]) != len(levels):
+        raise VerificationFailure("the tower is not one stage per level of the "
+                                  "presented map from its target's top value")
     stages = []
-    for k, st in enumerate(doc["stages"]):
-        a_src = obj_from_doc(instance, st["attach"]["source"])
-        a_tgt = obj_from_doc(instance, st["attach"]["target"])
+    for s, st in zip(levels, doc["stages"]):
+        attach = matching_map(f, s).map
+        if st["level"] != str(s) or \
+                _canonical(st["attach"]) != _canonical(certs.base_map_doc(attach)):
+            raise VerificationFailure(
+                f"the stage at level {s} does not attach its matching map", witness=s)
         value = obj_from_doc(instance, st["stage_value"])
         stages.append(TowerStage(
-            level=k, attach_class=None, square=None, new_stage_value=value,
-            attach=map_from_doc(instance, st["attach"]["payload"], a_src, a_tgt),
-            cone_map=map_from_doc(instance, st["cone_map"], prev, a_tgt),
+            level=s, attach=attach, attach_class=None, square=None,
+            new_stage_value=value,
+            cone_map=map_from_doc(instance, st["cone_map"], prev, attach.target),
             bonding=map_from_doc(instance, st["bonding"], value, prev),
-            new_leg=map_from_doc(instance, st["new_leg"], value, a_src)))
+            new_leg=map_from_doc(instance, st["new_leg"], value, attach.source)))
         prev = value
     fresh = []
     fail_on(tower_failure(doc.get("class_tag"), stages, fresh))
-    for k, cls in enumerate(fresh):
-        _verdict(cls, doc["stages"][k]["attach_classes"], f"stage {k} attach")
-    report = {"kind": doc["kind"], "stages": len(stages)}
-    if doc.get("iso") is not None:
-        _iso_replay(instance, doc["iso"], depth)
-        report["iso"] = True
-    return report
+    for k, (st, cls) in enumerate(zip(doc["stages"], fresh)):
+        _agrees(st["attach_classes"], certs.classes_doc(cls),
+                f"stages.{k}.attach_classes.")
+    if doc["kind"] == "cocell":
+        return {"kind": "cocell", "stages": len(stages)}
+    fwd = _iso_replay(instance, doc["iso"], depth)
+    if obj_from_doc(instance, doc["limit_value"]) != prev or \
+            fwd.source != f.source or fwd.target.max_value() != prev:
+        raise VerificationFailure("the limit is not the last stage, or its "
+                                  "pro-iso does not start at the presented source")
+    return {"kind": "tower-limit", "stages": len(stages), "iso": True}
 
 
 def _verify_adjunction(instance, doc, depth):
-    from .prohom import enumerate_base_maps
     X = obj_from_doc(instance, doc["base_object"])
-    poset = poset_from_doc(doc["Y_poset"], depth)
-    Y = proobj_from_doc(instance, doc["Y"], poset)
-    if poset.regime == FINITE:
-        limv = Y.value(poset.max_element())
-        rights = enumerate_base_maps(X, limv)
-        if doc["right_size"] != len(rights):
-            raise VerificationFailure("recorded Hom(X, lim Y) size is wrong")
-        if doc["left_size"] != doc["right_size"]:
-            raise VerificationFailure("adjunction sizes disagree")
-        assigns = [map_from_doc(instance, a, X, limv)
-                   for a in doc["assignments"]]
-        seen = []
-        for a in assigns:
-            if any(a == s for s in seen):
-                raise VerificationFailure("assignments not injective")
-            seen.append(a)
-        if len(assigns) != len(rights):
-            raise VerificationFailure("assignments not surjective")
-        if instance.exhaustive_homs:
-            from .suites import brute_force_hom
-            from .prohom import constant_embed
-            threads = brute_force_hom(constant_embed(X), Y)
-            if len(threads) != doc["left_size"]:
-                raise VerificationFailure(
-                    "brute-force hom count disagrees with the certificate")
-        return {"kind": "adjunction", "size": doc["left_size"]}
-    if doc["left_size"] != doc["right_size"]:
-        raise VerificationFailure("adjunction sizes disagree")
-    return {"kind": "adjunction", "size": doc["left_size"],
-            "depth": doc.get("depth")}
+    Y = _load_proobj(instance, doc["Y"], doc["Y_poset"], depth)
+    w = adjunction_check(X, Y)
+    _oracle(constant_embed(X), Y, w.left_size)
+    _agrees(doc, certs.adjunction_cert(X, Y, w))
+    return {"kind": "adjunction", "size": w.left_size, "depth": w.depth}
 
 
 def _verify_hom(instance, doc, depth):
-    Xp = poset_from_doc(doc["X_poset"], depth)
-    Yp = poset_from_doc(doc["Y_poset"], depth)
-    X = proobj_from_doc(instance, doc["X"], Xp)
-    Y = proobj_from_doc(instance, doc["Y"], Yp)
-    if instance.exhaustive_homs and Xp.regime == FINITE and Yp.regime == FINITE:
-        from .suites import brute_force_hom
-        threads = brute_force_hom(X, Y)
-        if len(threads) != doc["count"]:
-            raise VerificationFailure(
-                f"brute-force count {len(threads)} != recorded {doc['count']}")
-    return {"kind": "hom", "count": doc["count"]}
+    X = _load_proobj(instance, doc["X"], doc["X_poset"], depth)
+    Y = _load_proobj(instance, doc["Y"], doc["Y_poset"], depth)
+    hs = hom_pro(X, Y)
+    _oracle(X, Y, len(hs.maps))
+    _agrees(doc, certs.hom_cert(X, Y, hs))
+    return {"kind": "hom", "count": len(hs.maps)}
 
 
 _HANDLERS = {

@@ -790,3 +790,36 @@ def test_the_command_table_readme_and_depth_tests_name_the_same_commands():
     in_readme = {line.split()[1] for line in block.splitlines()
                  if line.startswith("promc ")}
     assert set(COMMANDS) == in_readme == {argv[0] for argv in EVERY_COMMAND}
+
+
+def _edited(tmp_path, fixture, edit):
+    doc = json.loads(open(fx(fixture)).read())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _add_general(doc, general):
+    doc["maps"]["g"] = {"source": "Y", "target": "X", "general": general}
+
+
+@pytest.mark.parametrize("fixture,edit,argv,message", [
+    ("collapse.json", lambda d: d["posets"]["I"]["covers"].__setitem__(0, ["0"]),
+     ("hom", "X", "Y"), "error: poset covers must be [lower, upper] pairs\n"),
+    ("collapse.json", lambda d: d["maps"]["f"].__setitem__("level", [1]),
+     ("hom", "Y", "X"), "error: pro-map f: level must be an object, not list\n"),
+    ("collapse.json", lambda d: _add_general(d, [1, 2]),
+     ("hom", "Y", "X"), "error: pro-map g: general must be an object, not list\n"),
+    ("collapse.json", lambda d: d["objects"]["X"].__setitem__("values", ["a"]),
+     ("hom", "Y", "X"), "error: object: values must be an object, not list\n"),
+    ("chainf2.json", lambda d: d["maps"]["p"]["level"]["pt"].__setitem__("0", ["1"]),
+     ("factor", "p", "--mode", "L1"),
+     "error: matrix in degree 0: a row is '1', not a list\n"),
+], ids=["cover-not-a-pair", "level-not-an-object", "general-not-an-object",
+        "values-not-an-object", "chainf2-row-a-string"])
+def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, fixture, edit,
+                                                  argv, message):
+    path = _edited(tmp_path, fixture, edit)
+    code, out = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, message)

@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from promc.errors import MalformedError, UnsupportedRegimeError
-from promc.indexing import (MAX_DEPTH, CofinalMap, IndexViolation, chain_poset,
-                            from_covers, index_violation, is_cofinal,
-                            linear_extension, omega, point_poset,
-                            validate_index)
+from promc.indexing import (MAX_DEPTH, IndexViolation, chain_poset, from_covers,
+                            index_violation, linear_extension, omega,
+                            point_poset, validate_index)
 
 
 def closure(elements, pairs):
@@ -135,35 +134,3 @@ def test_omega_depth_owned_by_the_index():
     assert omega(4).elements == (0, 1, 2, 3)
     assert omega(4).covers() == ((0, 1), (1, 2), (2, 3))
     assert omega(1).covers() == ()
-
-
-def test_is_cofinal_identity():
-    p = chain_poset(3)
-    F = CofinalMap(p, p, {e: e for e in p.elements})
-    assert is_cofinal(F).ok
-
-
-def test_is_cofinal_max_inclusion():
-    p = from_covers(["0", "a", "b", "2"],
-                    [("0", "a"), ("0", "b"), ("a", "2"), ("b", "2")])
-    sub = point_poset("2")
-    F = CofinalMap(sub, p, {"2": "2"})
-    assert is_cofinal(F).ok
-
-
-def test_is_cofinal_failure_witness():
-    big = chain_poset(2)
-    sub = point_poset("0")
-    F = CofinalMap(sub, big, {"0": "0"})
-    rep = is_cofinal(F)
-    assert not rep.ok and rep.witness == "1"
-
-
-def test_is_cofinal_omega_depth_qualified():
-    w = omega(8)
-    doubled = CofinalMap(w, w, lambda n: 2 * n)
-    rep = is_cofinal(doubled)
-    assert rep.ok and rep.depth == 8
-    bounded = CofinalMap(w, w, lambda n: min(n, 2))
-    rep = is_cofinal(bounded)
-    assert not rep.ok and rep.witness == 3 and rep.depth == 8

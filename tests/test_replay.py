@@ -236,3 +236,146 @@ def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 3
     assert out == "internal error: RuntimeError: something broke\n"
+
+
+# ------------------------------------------- answer kinds: rerun and compare
+
+def _forge(doc, **fields):
+    doc.update(fields)
+
+
+def _raise_stabilized_at(doc):
+    doc["stabilized_at"] += 1
+
+
+# (fixture run, change): forged answers that replay once accepted, since
+# only a finite SetBij hom was recounted and an ω adjunction only had its
+# two sizes compared
+FORGERIES = {
+    "chainf2-hom-count": (
+        ("hom", "chainf2.json", "cD", "cS"), lambda d: _forge(d, count=999)),
+    "omega-hom-count": ("hom-omega-P-T", lambda d: _forge(d, count=999)),
+    "omega-hom-stabilized-at": ("hom-omega-P-T", _raise_stabilized_at),
+    "omega-adjunction-sizes": (
+        "adjunction-omega-T",
+        lambda d: _forge(d, left_size=999, right_size=999, assignments=[])),
+}
+
+
+def _answer(tmp_path, capsys, run):
+    if isinstance(run, str):
+        return certificate(tmp_path, capsys, run)
+    command, fixture, *rest = run
+    out_file = tmp_path / "cert.json"
+    assert run_command([command, os.path.join(FIX, fixture), *rest,
+                        "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    return json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(FORGERIES))
+def test_a_forged_answer_fails_replay(tmp_path, capsys, case):
+    run, change = FORGERIES[case]
+    doc = _answer(tmp_path, capsys, run)
+    assert replay(tmp_path, capsys, doc)[0] == 0
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 1, out
+    assert out.count("\n") == 1 and out.startswith("FAIL: recorded "), out
+
+
+def test_the_first_differing_key_is_the_witness(tmp_path, capsys):
+    doc = certificate(tmp_path, capsys, "hom-omega-P-T")
+    doc["count"] += 1
+    doc["stabilized_at"] += 1
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (1, "FAIL: recorded count differs from the rerun "
+                              "(witness: count)\n")
+
+
+def test_a_recorded_value_of_another_json_type_is_malformed(tmp_path, capsys):
+    doc = certificate(tmp_path, capsys, "hom-collapse-X-Y")
+    doc["count"] = True
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, "error: certificate field count is a boolean, "
+                              "not an integer\n")
+
+
+# ------------------------------------- cocell and tower-limit certificates
+
+def _presented_entry(doc):
+    doc["source_presentation"]["level"]["pt"]["0"] = [[0]]
+
+
+def _limit_value(doc):
+    doc["limit_value"].pop()
+
+
+def _swap_stages(doc):
+    doc["stages"].reverse()
+
+
+@pytest.mark.parametrize("run,change", [
+    ("cocell-chainf2-fib", _presented_entry),
+    ("tower-chainf2-fib", _presented_entry),
+    ("tower-special-fib", _limit_value),
+    ("cocell-special-acyclic", _swap_stages),
+], ids=["cocell-presented-map", "tower-presented-map", "tower-limit-value",
+        "cocell-stage-order"])
+def test_a_tower_certificate_is_tied_to_the_map_it_presents(
+        tmp_path, capsys, run, change):
+    doc = certificate(tmp_path, capsys, run)
+    if run.startswith("cocell-chainf2"):
+        assert doc["source_presentation"]["level"]["pt"]["0"] == [[1]]
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 1, out
+    assert out.count("\n") == 1 and out.startswith("FAIL:"), out
+
+
+@pytest.mark.parametrize("run", ["cocell-special-fib", "tower-special-fib"])
+def test_a_tower_certificate_without_its_presented_map_exits_2(
+        tmp_path, capsys, run):
+    doc = certificate(tmp_path, capsys, run)
+    del doc["source_presentation"]
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, "error: a JSON object lacks the key "
+                              "'source_presentation'\n")
+
+
+# ------------------------------------------------ levelwise-we certificates
+
+@pytest.mark.parametrize("run", ["zigzag-we", "two-of-three", "proper-pullback"])
+def test_a_levelwise_we_certificate_carries_exactly_its_isos(tmp_path, capsys, run):
+    doc = certificate(tmp_path, capsys, run)
+    doc["isos"].pop()
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 1, out
+    assert out.startswith(f"FAIL: {doc['construction']} certifies "), out
+
+
+def test_an_unknown_levelwise_we_construction_exits_2(tmp_path, capsys):
+    doc = certificate(tmp_path, capsys, "zigzag-we")
+    doc["construction"] = "zigzag"
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, "error: unknown levelwise-we construction 'zigzag'\n")
+
+
+def test_a_levelwise_we_iso_must_share_an_end_with_the_map(tmp_path, capsys):
+    doc = certificate(tmp_path, capsys, "two-of-three")
+    other = _answer(tmp_path, capsys, ("levelize", "special.json", "bottom"))
+    doc["isos"] = [other["source_cert"]]
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (1, "FAIL: the pro-iso shares no end with the map "
+                              "(witness: isos.0)\n")
+
+
+def test_a_certificate_without_a_key_its_replay_reads_exits_2(tmp_path, capsys):
+    command = ("levelize", os.path.join(FIX, "omega_maps.json"), "g")
+    out_file = tmp_path / "cert.json"
+    assert run_command([*command, "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out_file.read_text())
+    del doc["map"]
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, "error: a JSON object lacks the key 'map'\n")
