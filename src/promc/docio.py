@@ -295,7 +295,7 @@ def load_document(path, depth=None):
     """The document at *path*; *depth*, when given, overrides its own."""
     try:
         with open(path) as fh:
-            raw = json.load(fh, object_hook=Record)
+            raw = json.load(fh)
     except OSError as e:
         raise MalformedError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:

@@ -32,13 +32,14 @@ class ProObject:
     the rest: ``struct`` composes a missing one when it is asked for and
     keeps it."""
 
-    __slots__ = ("index", "_values", "_structs")
+    __slots__ = ("index", "instance", "_values", "_structs")
 
     def __init__(self, index, values, structs=None):
         self.index = index
         self._values = dict(values)
         if set(self._values) != set(index.elements):
             raise MalformedError("values must cover the index carrier")
+        self.instance = next(iter(self._values.values())).instance
         self._structs = self._closure(structs or {})
 
     def _closure(self, given):
@@ -84,10 +85,6 @@ class ProObject:
     def validate(self):
         """Functoriality: the closure pass again over the stored maps."""
         self._closure(self._structs)
-
-    @property
-    def instance(self):
-        return next(iter(self._values.values())).instance
 
     def value(self, s):
         return self._values[s]
@@ -254,7 +251,7 @@ class ProMap:
         level of the source index."""
         t, g = self.component(s)
         M = at if at is not None else self._refinement_index()
-        return compose(g, self.source.struct(M, t))
+        return g if t == M else compose(g, self.source.struct(M, t))
 
     def equals(self, other):
         """Pro-hom equality of presentations with the same endpoints."""

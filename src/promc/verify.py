@@ -7,7 +7,7 @@ certificate embeds.  Replay rebuilds the inputs, reruns the construction
 (``hom_pro``, ``adjunction_check``, ``detect_special``, ``matching_map``)
 and compares the certificate key by key with what ``certs`` emits for
 that result: the first differing key is the witness of a failed claim,
-and a recorded value of another JSON type than the emitted one is
+and a recorded field of another JSON type than the emitted one is
 malformed.  The brute-force oracle recounts the hom sets of exhaustive
 finite instances on top.
 
@@ -32,12 +32,10 @@ payload at its own recorded depth), else at the depth replay is given.
 
 from __future__ import annotations
 
-import json
-
 from . import certs
 from .base import instance_of
 from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
-                    poset_from_doc, promap_from_doc, proobj_from_doc)
+                    obj_to_doc, poset_from_doc, promap_from_doc, proobj_from_doc)
 from .errors import MalformedError, VerificationFailure, fail_on
 from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
 from .prohom import IsoCertificate, constant_embed, hom_pro
@@ -53,9 +51,17 @@ def _load_proobj(instance, doc, poset_doc, depth):
 
 
 def _load_promap(instance, payload, depth=DEFAULT_DEPTH):
-    src = _load_proobj(instance, payload["source_object"], payload["poset"], depth)
-    tgt = _load_proobj(instance, payload["target_object"],
-                       payload.get("target_poset", payload["poset"]), depth)
+    """The pro-map of a payload with its endpoints embedded; a poset or
+    an end that the payload records twice is read once."""
+    poset = payload["poset"]
+    src = _load_proobj(instance, payload["source_object"], poset, depth)
+    if payload.get("target_poset", poset) != poset:
+        tgt = _load_proobj(instance, payload["target_object"],
+                           payload["target_poset"], depth)
+    elif payload["target_object"] != payload["source_object"]:
+        tgt = proobj_from_doc(instance, payload["target_object"], src.index)
+    else:
+        tgt = src
     return promap_from_doc(instance, payload, src, tgt)
 
 
@@ -64,7 +70,7 @@ def _agrees(recorded, emitted, where=""):
     values of the document *emitted* for the rerun construction; else
     VerificationFailure naming the first differing key (in sorted order,
     after the path *where*), or MalformedError for a recorded value of
-    another JSON type."""
+    another JSON type.  Below the keys values compare as Python values."""
     if not isinstance(recorded, dict):
         raise MalformedError(f"certificate field {where[:-1]} is not an object")
     for key in sorted(recorded.keys() | emitted.keys()):
@@ -73,15 +79,9 @@ def _agrees(recorded, emitted, where=""):
             raise MalformedError(f"certificate field {where}{key} is "
                                  f"{_json_type(recorded[key])}, "
                                  f"not {_json_type(emitted[key])}")
-        if key not in recorded or key not in emitted or \
-                _canonical(recorded[key]) != _canonical(emitted[key]):
+        if key not in recorded or key not in emitted or recorded[key] != emitted[key]:
             raise VerificationFailure(
                 f"recorded {where}{key} differs from the rerun", witness=where + key)
-
-
-def _canonical(value):
-    """*value* as JSON text, which tells true from 1 where == does not."""
-    return json.dumps(value, sort_keys=True)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
@@ -256,15 +256,14 @@ def _verify_cocell(instance, doc, depth):
     pro-iso runs from f's source to that limit."""
     f = _load_promap(instance, doc["source_presentation"], depth)
     levels = linear_extension(f.source.index).order
-    prev = obj_from_doc(instance, doc["base_value"])
-    if prev != f.target.max_value() or len(doc["stages"]) != len(levels):
+    prev = f.target.max_value()
+    if doc["base_value"] != obj_to_doc(prev) or len(doc["stages"]) != len(levels):
         raise VerificationFailure("the tower is not one stage per level of the "
                                   "presented map from its target's top value")
     stages = []
     for s, st in zip(levels, doc["stages"]):
         attach = matching_map(f, s).map
-        if st["level"] != str(s) or \
-                _canonical(st["attach"]) != _canonical(certs.base_map_doc(attach)):
+        if st["level"] != str(s) or st["attach"] != certs.base_map_doc(attach):
             raise VerificationFailure(
                 f"the stage at level {s} does not attach its matching map", witness=s)
         value = obj_from_doc(instance, st["stage_value"])
@@ -283,7 +282,7 @@ def _verify_cocell(instance, doc, depth):
     if doc["kind"] == "cocell":
         return {"kind": "cocell", "stages": len(stages)}
     fwd = _iso_replay(instance, doc["iso"], depth)
-    if obj_from_doc(instance, doc["limit_value"]) != prev or \
+    if doc["limit_value"] != obj_to_doc(prev) or \
             fwd.source != f.source or fwd.target.max_value() != prev:
         raise VerificationFailure("the limit is not the last stage, or its "
                                   "pro-iso does not start at the presented source")
