@@ -38,9 +38,8 @@ def spread_from_max(X, Y, phi):
     N = Y.index.max_element()
     if phi.source != X.value(M) or phi.target != Y.value(N):
         raise PreconditionError("spread needs a map between the top values")
-    return general_map(
-        X, Y, lambda s: (M, phi if s == N else compose(Y.struct(N, s), phi)),
-        check=False)
+    comps = {s: (M, compose(Y.struct(N, s), phi)) for s in Y.index.elements}
+    return general_map(X, Y, comps, check=False)
 
 
 @dataclass

@@ -32,14 +32,13 @@ class ProObject:
     the rest: ``struct`` composes a missing one when it is asked for and
     keeps it."""
 
-    __slots__ = ("index", "instance", "_values", "_structs")
+    __slots__ = ("index", "_values", "_structs")
 
     def __init__(self, index, values, structs=None):
         self.index = index
         self._values = dict(values)
         if set(self._values) != set(index.elements):
             raise MalformedError("values must cover the index carrier")
-        self.instance = next(iter(self._values.values())).instance
         self._structs = self._closure(structs or {})
 
     def _closure(self, given):
@@ -85,6 +84,10 @@ class ProObject:
     def validate(self):
         """Functoriality: the closure pass again over the stored maps."""
         self._closure(self._structs)
+
+    @property
+    def instance(self):
+        return next(iter(self._values.values())).instance
 
     def value(self, s):
         return self._values[s]

@@ -240,10 +240,6 @@ def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
 
 # ------------------------------------------- answer kinds: rerun and compare
 
-def _forge(doc, **fields):
-    doc.update(fields)
-
-
 def _raise_stabilized_at(doc):
     doc["stabilized_at"] += 1
 
@@ -253,12 +249,12 @@ def _raise_stabilized_at(doc):
 # two sizes compared
 FORGERIES = {
     "chainf2-hom-count": (
-        ("hom", "chainf2.json", "cD", "cS"), lambda d: _forge(d, count=999)),
-    "omega-hom-count": ("hom-omega-P-T", lambda d: _forge(d, count=999)),
+        ("hom", "chainf2.json", "cD", "cS"), lambda d: d.update(count=999)),
+    "omega-hom-count": ("hom-omega-P-T", lambda d: d.update(count=999)),
     "omega-hom-stabilized-at": ("hom-omega-P-T", _raise_stabilized_at),
     "omega-adjunction-sizes": (
         "adjunction-omega-T",
-        lambda d: _forge(d, left_size=999, right_size=999, assignments=[])),
+        lambda d: d.update(left_size=999, right_size=999, assignments=[])),
 }
 
 
