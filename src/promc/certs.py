@@ -18,6 +18,11 @@ def classes_doc(cls):
     return {"we": cls.is_we, "cof": cls.is_cof, "fib": cls.is_fib}
 
 
+def verdicts_doc(classes):
+    """Class verdicts by level."""
+    return {str(s): classes_doc(c) for s, c in classes.items()}
+
+
 def _promap_payload(f):
     """A pro-map with its endpoints embedded."""
     doc = promap_to_doc(f, "src", "tgt")
@@ -39,36 +44,35 @@ def _iso_payload(cert):
     return out
 
 
-def _base(instance, kind):
-    return {"schema": CERT_SCHEMA, "kind": kind, "instance": instance.tag}
+def _base(instance, kind, depth=None):
+    """The keys every certificate has, and the ω depth it was built at
+    when it was built at one."""
+    doc = {"schema": CERT_SCHEMA, "kind": kind, "instance": instance.tag}
+    if depth is not None:
+        doc["depth"] = depth
+    return doc
 
 
 def detect_special_cert(f, result):
-    doc = _base(f.source.instance, "detect-special")
+    doc = _base(f.source.instance, "detect-special", result.depth)
     doc["mode"] = result.mode
     doc["ok"] = result.ok
     doc["map"] = _promap_payload(f)
-    doc["verdicts"] = {str(s): classes_doc(c) for s, c in result.verdicts.items()}
+    doc["verdicts"] = verdicts_doc(result.verdicts)
     if result.failing is not None:
         doc["failing"] = str(result.failing)
-    if result.depth is not None:
-        doc["depth"] = result.depth
     return doc
 
 
 def factorization_cert(fs):
-    doc = _base(fs.input.source.instance, "factorization")
+    doc = _base(fs.input.source.instance, "factorization", fs.depth)
     doc["mode"] = fs.mode
     doc["input"] = _promap_payload(fs.input)
     doc["middle"] = proobj_to_doc(fs.middle)
     doc["left"] = promap_to_doc(fs.left, "src", "mid")
     doc["right"] = promap_to_doc(fs.right, "mid", "tgt")
-    doc["left_verdicts"] = {str(s): classes_doc(c)
-                            for s, c in fs.left_classes.items()}
-    doc["matching_verdicts"] = {str(s): classes_doc(c)
-                                for s, c in fs.special.verdicts.items()}
-    if fs.depth is not None:
-        doc["depth"] = fs.depth
+    doc["left_verdicts"] = verdicts_doc(fs.left_classes)
+    doc["matching_verdicts"] = verdicts_doc(fs.special.verdicts)
     return doc
 
 
@@ -93,10 +97,8 @@ def pro_factor_iso_cert(out, witnesses):
     doc["witnesses"] = hfamily_to_doc(witnesses)
     doc["left_family"] = hfamily_to_doc(out.left_cert.hfamily)
     doc["right_family"] = hfamily_to_doc(out.right_cert.hfamily)
-    doc["left_verdicts"] = {str(s): classes_doc(c)
-                            for s, c in out.left_classes.items()}
-    doc["right_verdicts"] = {str(s): classes_doc(c)
-                             for s, c in out.right_classes.items()}
+    doc["left_verdicts"] = verdicts_doc(out.left_classes)
+    doc["right_verdicts"] = verdicts_doc(out.right_classes)
     return doc
 
 
@@ -104,7 +106,7 @@ def levelwise_we_cert(construction, m, classes, iso_certs):
     doc = _base(m.source.instance, "levelwise-we")
     doc["construction"] = construction
     doc["map"] = _promap_payload(m)
-    doc["verdicts"] = {str(s): classes_doc(c) for s, c in classes.items()}
+    doc["verdicts"] = verdicts_doc(classes)
     doc["isos"] = [_iso_payload(c) for c in iso_certs]
     return doc
 
@@ -116,18 +118,16 @@ def iso_cert_doc(cert):
 
 
 def levelize_cert(lv):
-    doc = _base(lv.map.source.instance, "levelize")
+    doc = _base(lv.map.source.instance, "levelize", lv.original.source.index.depth)
     doc["map"] = _promap_payload(lv.map)
     doc["original"] = _promap_payload(lv.original)
-    if lv.original.source.index.depth is not None:
-        doc["depth"] = lv.original.source.index.depth
     doc["source_cert"] = _iso_payload(lv.source_cert)
     doc["target_cert"] = _iso_payload(lv.target_cert)
     return doc
 
 
 def hom_cert(X, Y, hs):
-    doc = _base(X.instance, "hom")
+    doc = _base(X.instance, "hom", hs.depth)
     doc["count"] = len(hs.maps)
     doc["X"] = proobj_to_doc(X)
     doc["Y"] = proobj_to_doc(Y)
@@ -138,22 +138,19 @@ def hom_cert(X, Y, hs):
         doc["realized"] = X.instance.map_set_doc(
             [rep.realize(top) for rep in hs.maps])
     else:
-        doc["depth"] = hs.depth
         doc["stabilized_at"] = hs.stabilized_at
     return doc
 
 
 def matching_cert(f, t, data):
     from .base import classify_map
-    doc = _base(f.source.instance, "matching")
+    doc = _base(f.source.instance, "matching", f.source.index.depth)
     doc["level"] = str(t)
     doc["map"] = _promap_payload(f)
     doc["matching_map"] = map_to_doc(data.map)
     doc["matching_source"] = obj_to_doc(data.map.source)
     doc["matching_target"] = obj_to_doc(data.map.target)
     doc["classes"] = classes_doc(classify_map(data.map))
-    if f.source.index.depth is not None:
-        doc["depth"] = f.source.index.depth
     return doc
 
 
@@ -194,7 +191,7 @@ def tower_limit_cert(tower, tl):
 
 
 def adjunction_cert(X, Y, witness):
-    doc = _base(X.instance, "adjunction")
+    doc = _base(X.instance, "adjunction", witness.depth)
     doc["base_object"] = obj_to_doc(X)
     doc["Y"] = proobj_to_doc(Y)
     doc["Y_poset"] = poset_to_doc(Y.index)
@@ -202,6 +199,5 @@ def adjunction_cert(X, Y, witness):
     doc["right_size"] = witness.right_size
     doc["assignments"] = [map_to_doc(phi) for _, phi in witness.pairs]
     if witness.depth is not None:
-        doc["depth"] = witness.depth
         doc["stabilized_at"] = witness.stabilized_at
     return doc

@@ -57,9 +57,10 @@ class ChainObject(BaseObject):
         self._dims = dims
         diff = dict(diff or {})
         self._diff = {}
-        for n in range(lo, hi):
-            self._diff[n] = _read(diff.get(n, []), dims[n + 1], dims[n],
-                                  f"boundary out of degree {n}")
+        for n in range(lo, hi):  # an absent boundary is zero
+            self._diff[n] = (_read(diff[n], dims[n + 1], dims[n],
+                                   f"boundary out of degree {n}") if n in diff
+                             else gf2.zeros(dims[n + 1], dims[n]))
         for n in range(lo, hi - 1):
             if any(gf2.matmul(self._diff[n + 1], self._diff[n]).rows):
                 raise MalformedError(f"d∘d nonzero out of degree {n}")
@@ -137,7 +138,7 @@ def _read(M, rows, cols, what):
     *what*, for anything else.  A list (document input) may hold only the
     integers 0 and 1, and is packed by ``gf2.pack01``; other inputs are
     read mod 2; a row that is not a list is refused, never read entry by
-    entry."""
+    entry, and ``[]`` is only the matrix with no rows."""
     packed = gf2.pack01(M)
     if packed is None and isinstance(M, list):
         bad = [r for r in M if not isinstance(r, list)]
@@ -146,6 +147,8 @@ def _read(M, rows, cols, what):
         bad = [x for r in M for x in r if type(x) is not int or x not in (0, 1)]
         if bad:
             raise MalformedError(f"{what}: not a 0/1 entry: {bad[0]!r}")
+        if not M and rows:
+            raise MalformedError(f"{what} is [], not a {rows}x{cols} matrix")
     try:
         M = packed if packed is not None else gf2.asmat(M, rows, cols)
     except ValueError as e:

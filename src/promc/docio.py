@@ -102,7 +102,7 @@ def proobj_from_doc(instance, doc, index):
     if set(values) != set(index.elements):
         raise MalformedError("object values do not match the poset carrier")
     structs = {}
-    for key, payload in doc.get("structure", {}).items():
+    for key, payload in _object(doc, "structure", "object").items():
         t, _, s = key.partition(">")
         if t not in values or s not in values:
             raise MalformedError(f"structure key {key} names an unknown element")
@@ -183,13 +183,20 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
 
 
 def _object(doc, key, what):
-    """doc[key], a JSON object in the finite regime; MalformedError,
-    naming *what*, for anything else."""
-    value = doc[key]
+    """doc[key], a JSON object, or {} when *doc* lacks *key*;
+    MalformedError, naming *what*, for anything else."""
+    value = doc.get(key, {})
     if not isinstance(value, dict):
         raise MalformedError(f"{what}: {key} must be an object, "
                              f"not {type(value).__name__}")
     return value
+
+
+def _entries(raw, section):
+    """(name, entry) of the document section raw[section], each entry a
+    JSON object."""
+    entries = _object(raw, section, "document")
+    return [(name, _object(entries, name, section)) for name in entries]
 
 
 def _general_entry(entry, where):
@@ -207,6 +214,8 @@ def hfamily_to_doc(fam):
 def hfamily_from_doc(instance, doc, f):
     """Witness pairs for the pro-map f (maps Y_t -> X_s), one per key
     "t>s" with s < t in the source index."""
+    if not isinstance(doc, dict):
+        raise MalformedError(f"witness pairs must be an object, not {type(doc).__name__}")
     X, Y = f.source, f.target
     levels = {str(s): s for s in X.index.elements}
     pairs = {}
@@ -234,61 +243,51 @@ class Document:
             raise MalformedError(f"unknown document schema {raw.get('schema')!r}")
         self.instance = instance_of(raw.get("instance"))
         self.depth = raw.get("depth", DEFAULT_DEPTH) if depth is None else depth
-        self.posets = {}
-        for name, doc in raw.get("posets", {}).items():
-            self.posets[name] = poset_from_doc(doc, depth=self.depth)
-        self.base_objects = {}
-        for name, doc in raw.get("base_objects", {}).items():
-            self.base_objects[name] = obj_from_doc(self.instance, doc)
-        self.base_maps = {}
-        for name, doc in raw.get("base_maps", {}).items():
-            src = self.base_object_named(doc.get("source"))
-            tgt = self.base_object_named(doc.get("target"))
-            self.base_maps[name] = map_from_doc(self.instance, doc["payload"],
-                                                src, tgt)
-        self.objects = {}
-        for name, doc in raw.get("objects", {}).items():
-            index = self.posets.get(doc.get("index"))
-            if index is None:
-                raise MalformedError(f"object {name} references unknown poset "
-                                     f"{doc.get('index')!r}")
-            self.objects[name] = proobj_from_doc(self.instance, doc, index)
-        self.maps = {}
-        for name, doc in raw.get("maps", {}).items():
-            src = self.objects.get(doc.get("source"))
-            tgt = self.objects.get(doc.get("target"))
-            if src is None or tgt is None:
-                raise MalformedError(f"map {name} references unknown objects")
-            self.maps[name] = promap_from_doc(self.instance, doc, src, tgt,
-                                              name=name)
-        self.witnesses = {}
-        for name, doc in raw.get("witnesses", {}).items():
-            f = self.maps.get(doc.get("map"))
-            if f is None:
-                raise MalformedError(f"witness bundle {name} references "
-                                     f"unknown map {doc.get('map')!r}")
-            self.witnesses[name] = hfamily_from_doc(self.instance,
-                                                    doc.get("pairs", {}), f)
+        self.posets = {name: poset_from_doc(doc, depth=self.depth)
+                       for name, doc in _object(raw, "posets", "document").items()}
+        self.base_objects = {
+            name: obj_from_doc(self.instance, doc)
+            for name, doc in _object(raw, "base_objects", "document").items()}
+        self.base_maps = {
+            name: map_from_doc(self.instance, doc["payload"],
+                               self.base_object_named(doc.get("source")),
+                               self.base_object_named(doc.get("target")))
+            for name, doc in _entries(raw, "base_maps")}
+        self.objects = {
+            name: proobj_from_doc(self.instance, doc, _named(
+                self.posets, doc.get("index"), f"object {name} references unknown poset"))
+            for name, doc in _entries(raw, "objects")}
+        self.maps = {
+            name: promap_from_doc(self.instance, doc, *(
+                _named(self.objects, doc.get(end), f"map {name} references unknown object")
+                for end in ("source", "target")), name=name)
+            for name, doc in _entries(raw, "maps")}
+        self.witnesses = {
+            name: hfamily_from_doc(
+                self.instance, _object(doc, "pairs", f"witness bundle {name}"),
+                _named(self.maps, doc.get("map"),
+                       f"witness bundle {name} references unknown map"))
+            for name, doc in _entries(raw, "witnesses")}
 
     def base_object_named(self, name):
-        if name not in self.base_objects:
-            raise MalformedError(f"no base object named {name!r}")
-        return self.base_objects[name]
+        return _named(self.base_objects, name, "no base object named")
 
     def map_named(self, name):
-        if name not in self.maps:
-            raise MalformedError(f"document has no map named {name!r}")
-        return self.maps[name]
+        return _named(self.maps, name, "document has no map named")
 
     def object_named(self, name):
-        if name not in self.objects:
-            raise MalformedError(f"document has no object named {name!r}")
-        return self.objects[name]
+        return _named(self.objects, name, "document has no object named")
 
     def witnesses_named(self, name):
-        if name not in self.witnesses:
-            raise MalformedError(f"no witness bundle named {name!r}")
-        return self.witnesses[name]
+        return _named(self.witnesses, name, "no witness bundle named")
+
+
+def _named(table, name, what):
+    """table[name]; MalformedError "<what> <name>" when *name* names no
+    entry of *table*."""
+    if not isinstance(name, str) or name not in table:
+        raise MalformedError(f"{what} {name!r}")
+    return table[name]
 
 
 def load_document(path, depth=None):

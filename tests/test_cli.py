@@ -241,7 +241,7 @@ def test_lift_certificate_level_index_is_replayed(tmp_path, capsys):
     out_file.write_text(json.dumps(doc, sort_keys=True, indent=2))
     code, out = run(capsys, "verify", str(out_file))
     assert code == 1
-    assert "level_index" in out and f"witness: {levels[0]}" in out
+    assert "level_index" in out and f"witness: level_index.{levels[0]}" in out
 
 
 UNKNOWN_TAGS = [None, -1, 2.5, [], True, "bogus"]
@@ -816,10 +816,42 @@ def _add_general(doc, general):
     ("chainf2.json", lambda d: d["maps"]["p"]["level"]["pt"].__setitem__("0", ["1"]),
      ("factor", "p", "--mode", "L1"),
      "error: matrix in degree 0: a row is '1', not a list\n"),
+    ("chainf2.json", lambda d: d["maps"]["p"]["level"]["pt"].__setitem__("0", []),
+     ("factor", "p", "--mode", "L1"),
+     "error: matrix in degree 0 is [], not a 1x1 matrix\n"),
 ], ids=["cover-not-a-pair", "level-not-an-object", "general-not-an-object",
-        "values-not-an-object", "chainf2-row-a-string"])
+        "values-not-an-object", "chainf2-row-a-string", "chainf2-empty-for-a-row"])
 def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, fixture, edit,
                                                   argv, message):
     path = _edited(tmp_path, fixture, edit)
     code, out = run(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (2, message)
+
+
+# A document section, an entry of one, a finite object's structure or a
+# witness bundle's pairs that is not a JSON object
+NOT_AN_OBJECT = {
+    "objects.X.structure": [1], "witnesses.h.pairs": [1],
+    **{section: [1] for section in ("posets", "base_objects", "objects", "maps",
+                                    "witnesses")},
+    "objects.X": [1], "maps.f": 5,
+}
+
+
+def _set(path, value):
+    """The edit that sets the dotted *path* of a document to *value*."""
+    *keys, last = path.split(".")
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("path", sorted(NOT_AN_OBJECT))
+def test_a_document_part_that_is_no_object_exits_2(tmp_path, capsys, path):
+    doc = _edited(tmp_path, "collapse.json", _set(path, NOT_AN_OBJECT[path]))
+    code, out = run(capsys, "hom", doc, "X", "Y")
+    assert code == 2, out
+    assert out.count("\n") == 1 and "must be an object" in out, out

@@ -15,8 +15,11 @@ its ``pairs``, ``covers()`` and ``predecessors()``.  No function in
 ``proobj``, ``prohom``, ``strict``, ``proiso`` or ``towers`` takes a
 parameter named ``depth``: the ω depth belongs to the index, and only
 ``omega_pro_object`` and ``omega_constant_tower``, which build an ω index,
-take one.  No module imports a name it does not use, except re-exports
-marked ``# noqa``.
+take one.  In ``verify`` only the class ``Loader`` calls the ``docio``
+readers, and no replay handler (a value of ``_HANDLERS``) takes an
+``instance`` or ``depth`` parameter: a handler reads every payload
+through the loader it is given.  No module imports a name it does not
+use, except re-exports marked ``# noqa``.
 """
 
 import ast
@@ -42,6 +45,8 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DEPTH_FREE_MODULES = {"proobj", "prohom", "strict", "proiso", "towers"}
 OMEGA_BUILDERS = {"omega_pro_object", "omega_constant_tower"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+READERS = {"poset_from_doc", "proobj_from_doc", "promap_from_doc",
+           "hfamily_from_doc", "obj_from_doc", "map_from_doc"}
 
 
 def _is_tag(node):
@@ -153,6 +158,11 @@ def pair_picks(module, source):
     return sorted(out)
 
 
+def _parameters(fn):
+    a = fn.args
+    return {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+
+
 def depth_parameters(module, source):
     """(line, name) of every function or lambda in DEPTH_FREE_MODULES with
     a parameter named ``depth``, apart from OMEGA_BUILDERS."""
@@ -163,11 +173,37 @@ def depth_parameters(module, source):
         if not isinstance(node, FUNCTIONS):
             continue
         name = getattr(node, "name", "<lambda>")
-        a = node.args
-        if name not in OMEGA_BUILDERS and "depth" in {
-                p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
+        if name not in OMEGA_BUILDERS and "depth" in _parameters(node):
             out.append((node.lineno, name))
     return sorted(out)
+
+
+def reader_calls(source):
+    """(line, name) of every call of a docio reader outside the class
+    ``Loader``."""
+    tree = ast.parse(source)
+    loader = {id(n) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "Loader"
+              for n in ast.walk(cls)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in loader:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in READERS:
+                out.append((node.lineno, name))
+    return out
+
+
+def handler_parameters(source):
+    """The names of the functions in ``_HANDLERS``, and (line, name) of
+    those with a parameter named ``instance`` or ``depth``."""
+    tree = ast.parse(source)
+    handlers = {v.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_HANDLERS" for t in node.targets)
+                for v in node.value.values if isinstance(v, ast.Name)}
+    return handlers, [(fn.lineno, fn.name) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name in handlers
+                      and {"instance", "depth"} & _parameters(fn)]
 
 
 def unused_imports(source):
@@ -225,6 +261,13 @@ def test_only_the_omega_builders_take_a_depth():
     assert not bad
 
 
+def test_only_the_loader_reads_payloads_in_verify():
+    source = (SRC / "verify.py").read_text()
+    handlers, bad = handler_parameters(source)
+    assert "_verify_hom" in handlers and not bad
+    assert not reader_calls(source)
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     bad = {m: names for m, src in _modules().items() if (names := unused_imports(src))}
     assert not bad
@@ -274,6 +317,15 @@ def test_the_checks_see_what_they_forbid():
               'def g(X, d=None):\n    pass\n')
     assert depth_parameters("strict", depths) == [(1, "f"), (2, "<lambda>"), (6, "m")]
     assert depth_parameters("verify", depths) == []
+    replay = ('class Loader:\n    def obj(self, d):\n'
+              '        return obj_from_doc(self.instance, d)\n'
+              'def _verify_a(instance, doc):\n    return docio.map_from_doc(doc)\n'
+              'def _verify_b(load, doc, *, depth):\n    pass\n'
+              'def _verify_c(load, doc):\n    return poset_from_doc(doc)\n'
+              '_HANDLERS = {"a": _verify_a, "b": _verify_b, "c": _verify_c}\n')
+    assert reader_calls(replay) == [(5, "map_from_doc"), (9, "poset_from_doc")]
+    assert handler_parameters(replay) == ({"_verify_a", "_verify_b", "_verify_c"},
+                                          [(4, "_verify_a"), (6, "_verify_b")])
 
 
 def _last_line(code, *argv):

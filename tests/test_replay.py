@@ -297,6 +297,28 @@ def test_a_recorded_value_of_another_json_type_is_malformed(tmp_path, capsys):
                               "not an integer\n")
 
 
+@pytest.mark.parametrize("run,path", [
+    (("levelize", "chainf2.json", "p"),
+     "target_cert.forward.target_object.values.pt.lo"),
+    (("matching", "chainf2.json", "p", "--level", "pt"), "matching_source.lo"),
+], ids=["levelize-copy-of-an-end", "matching-answer-field"])
+def test_false_recorded_for_0_is_malformed(tmp_path, capsys, run, path):
+    """Python's equality takes false for 0, so replay once read the
+    retyped copy of an end as the copy beside it and accepted the
+    retyped answer field."""
+    doc = _answer(tmp_path, capsys, run)
+    assert replay(tmp_path, capsys, doc)[0] == 0
+    *keys, last = path.split(".")
+    node = doc
+    for key in keys:
+        node = node[key]
+    assert node[last] == 0 and type(node[last]) is int
+    node[last] = False
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 2, out
+    assert out.count("\n") == 1 and out.startswith("error:"), out
+
+
 # ------------------------------------- cocell and tower-limit certificates
 
 def _presented_entry(doc):

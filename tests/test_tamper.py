@@ -2,7 +2,8 @@
 
 One certificate of every kind, instance and regime that the CLI sweep
 (``test_cli_sweep``) emits is changed one leaf at a time: an integer
-gets +1, a boolean is flipped, a non-empty list loses its last entry.
+gets +1, a boolean is flipped, a non-empty list loses its last entry,
+and an integer 0 or 1 is retyped to the boolean false or true.
 Each variant must make ``verify`` exit 1 (a claim failed) or 2 (the
 data are malformed); none may verify or crash.  The variants are
 enumerated in a fixed order from the certificates, which the seeded
@@ -60,12 +61,14 @@ def _leaves(node, path=()):
 def variants(doc):
     """(path, change) of every one-leaf change of *doc*: *path* is the
     tuple of keys and list positions down to the leaf, *change* one of
-    "+1", "flip" and "drop"."""
+    "+1", "flip", "drop" and "retype"."""
     for path, value in _leaves(doc):
         if isinstance(value, bool):
             yield path, "flip"
         elif isinstance(value, int):
             yield path, "+1"
+            if value in (0, 1):
+                yield path, "retype"
         elif isinstance(value, list) and value:
             yield path, "drop"
 
@@ -81,6 +84,8 @@ def changed(doc, path, change):
         node[last] = not node[last]
     elif change == "+1":
         node[last] += 1
+    elif change == "retype":
+        node[last] = bool(node[last])
     else:
         node[last].pop()
     return out
@@ -128,9 +133,6 @@ EXEMPT = {
         "input.level",
         "input.source_object.steps", "input.source_object.values",
         "input.target_object.steps", "input.target_object.values")},
-    ("pro-factor-iso-chainf2", "middle.structure.1>0.-1", "drop"):
-        "turns the 1x1 zero matrix [[0]] into [], which the reader takes "
-        "for the zero matrix of the shape the complexes give",
     ("pro-factor-iso-chainf2", "right.level.0.0.1.1", "+1"):
         "changes the right factor at level 0 only on the basis vector 1 of "
         "the middle's degree 0, which neither the left factor nor the "
