@@ -8,6 +8,7 @@ so the universal property can be checked on demand.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .base import BaseObject, compose
@@ -18,7 +19,9 @@ class Diagram:
     """A finite diagram: named nodes and a list of edges (src, tgt, map).
 
     Parallel edges and empty diagrams are allowed; loops are permitted
-    for limits but then apex elements are named by full tuples.
+    for limits but then apex elements are named by full tuples.  Each
+    node's in- and out-edges are listed once, in edge order, when the
+    diagram is built.
     """
 
     def __init__(self, nodes, edges=()):
@@ -28,36 +31,38 @@ class Diagram:
         if len(insts) > 1:
             raise MalformedError("diagram mixes instances")
         self.instance = insts.pop() if insts else None
-        for src, tgt, f in self.edges:
+        self._ins = {v: [] for v in self.nodes}
+        self._outs = {v: [] for v in self.nodes}
+        for e in self.edges:
+            src, tgt, f = e
             if src not in self.nodes or tgt not in self.nodes:
                 raise MalformedError(f"edge {src}->{tgt} references unknown node")
             if f.source != self.nodes[src] or f.target != self.nodes[tgt]:
                 raise MalformedError(f"edge {src}->{tgt} map endpoints disagree")
+            self._ins[tgt].append(e)
+            self._outs[src].append(e)
 
     def in_edges(self, v):
-        return [e for e in self.edges if e[1] == v]
+        return self._ins[v]
 
     def toposort(self):
-        """Node order with edge sources before targets, or None if cyclic."""
+        """Node order with edge sources before targets, the least ready
+        node first, or None if cyclic."""
         order = []
-        outs = {v: [e[1] for e in self.edges if e[0] == v] for v in self.nodes}
-        indeg = {v: 0 for v in self.nodes}
-        for _, tgt, _ in self.edges:
-            indeg[tgt] += 1
-        ready = sorted(v for v in self.nodes if indeg[v] == 0)
+        indeg = {v: len(es) for v, es in self._ins.items()}
+        ready = [v for v in self.nodes if indeg[v] == 0]
+        heapq.heapify(ready)
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            for w in outs[v]:
+            for _, w, _ in self._outs[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
+                    heapq.heappush(ready, w)
         return order if len(order) == len(self.nodes) else None
 
     def free_nodes(self):
-        withins = {e[1] for e in self.edges}
-        return sorted(v for v in self.nodes if v not in withins)
+        return sorted(v for v, es in self._ins.items() if not es)
 
 
 @dataclass

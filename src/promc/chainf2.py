@@ -270,22 +270,37 @@ class ChainF2:
         return None if sol is None else map_from_vector(B, X, sol, offs)
 
     def limit(self, diagram):
+        """In each degree the apex is the kernel of the edge equations
+        inside the product of the nodes, with the basis of
+        ``gf2.null_vectors``: the vector of free column fc is 1 at fc and
+        0 at every other free column, and fc is its highest set bit.  So
+        the apex coordinates of a vector of the kernel are its entries at
+        the free columns, and the differential and every mediating map are
+        read off those rows, then checked to lie in the kernel."""
         nodes, degs, span, width = _layout(diagram)
-        basis = {}
+        basis, free = {}, {}
         for n in degs:
             # one row per target coordinate of an edge: f(x_src) + x_tgt = 0
             rows = []
             for src, tgt, f in diagram.edges:
                 a, b = span[n][src].start, span[n][tgt].start
                 rows += [(r << a) ^ (1 << (b + k)) for k, r in enumerate(f.mat(n).rows)]
-            basis[n] = gf2.null_space(gf2.Mat(tuple(rows), width[n]))
+            vecs = gf2.null_vectors(gf2.Mat(tuple(rows), width[n]))
+            free[n] = [v.bit_length() - 1 for v in vecs]
+            basis[n] = gf2.transpose(gf2.Mat(tuple(vecs), width[n]))
+
+        def coordinates(n, M):
+            """The X with basis[n]·X = M, or None when a column of M is
+            not in the kernel."""
+            X = gf2.Mat(tuple(M.rows[fc] for fc in free[n]), M.ncols)
+            return X if gf2.matmul(basis[n], X) == M else None
+
         lo, hi = degs[0], degs[-1]
         diff = {}
         for n in range(lo, hi):
             # its block rows are every leg's boundary commutation: legs skip it
-            image = gf2.matmul(_block_diff(diagram, nodes, n), basis[n])
-            sol = gf2.solve(basis[n + 1], image)
-            if sol is None or gf2.matmul(basis[n + 1], sol) != image:
+            sol = coordinates(n + 1, gf2.matmul(_block_diff(diagram, nodes, n), basis[n]))
+            if sol is None:
                 raise AssertionError("product differential does not preserve the limit")
             diff[n] = sol
         apex = ChainObject(lo, hi, {n: basis[n].shape[1] for n in degs}, diff)
@@ -299,7 +314,7 @@ class ChainF2:
             for n in degs:
                 stacked = gf2.Mat(tuple(r for v in nodes for r in cone.legs[v].mat(n).rows),
                                   cone.apex.dim(n))
-                sol = gf2.solve(basis[n], stacked)
+                sol = coordinates(n, stacked)
                 if sol is None:
                     raise PreconditionError("cone does not factor through the limit")
                 mats[n] = sol
@@ -583,7 +598,9 @@ def chain_map_system(S, T, blocks=()):
     ascending; h_n starts at offs[n].  The rows say L·h_n·R = out for each
     (n, L, R, out) in *blocks*, in order, through vec(L·h·R) = (L ⊗ Rᵀ)·
     vec(h); then d_T·h_n + h_{n+1}·d_S = 0, from the highest degree down,
-    each degree's rows reversed.
+    each degree's rows reversed.  A row of L ⊗ Rᵀ is a column of R copied
+    to the rows of h_n that a row of L picks; the copies do not overlap,
+    so the row is one multiplication of the column by an int.
 
     ``gf2`` eliminates by inserting the rows in this order, and the order
     sets the fill-in, hence the cost, but not the result: the RREF is
@@ -602,22 +619,21 @@ def chain_map_system(S, T, blocks=()):
         total += T.dim(n) * S.dim(n)
 
     def kron(n, L, R):
-        """The rows of L·h_n·R, in the entries of x: row (p, q) XORs, over
-        the set bits i of row p of L, column q of R placed at row i of h_n."""
+        """The rows of L·h_n·R, in the entries of x: row (p, q) holds, for
+        each set bit i of row p of L, column q of R placed at row i of h_n.
+        A column has s = S.dim(n) bits and its copies sit s bits apart, so
+        they never overlap and the row is q · spread, where spread has one
+        bit at o + i·s per set bit i."""
         s, o = S.dim(n), offs[n]
         rcols = gf2.transpose(R).rows
         out = []
         for a in L.rows:
-            at = []
+            spread = 0
             while a:
                 low = a & -a
-                at.append(o + (low.bit_length() - 1) * s)
+                spread |= 1 << (o + (low.bit_length() - 1) * s)
                 a ^= low
-            for q in rcols:
-                acc = 0
-                for shift in at:
-                    acc ^= q << shift
-                out.append(acc)
+            out += [q * spread for q in rcols]
         return out
 
     rows, b = [], 0

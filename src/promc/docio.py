@@ -81,6 +81,7 @@ def proobj_to_doc(X):
 
 
 def proobj_from_doc(instance, doc, index):
+    _as_object(doc, "pro-object payload")
     if index.regime == OMEGA:
         d = index.depth
         vals = [obj_from_doc(instance, v) for v in _head(doc, "values", d)]
@@ -143,6 +144,7 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
     it in the refusal of a GENERAL map entry that is not a [level, map]
     pair, and of an ω GENERAL map that lists too few components or one
     from a source level not below the depth."""
+    _as_object(doc, "pro-map payload")
     if source.index.regime == OMEGA:
         d = target.index.depth
         if "level" in doc:
@@ -182,14 +184,18 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
     raise MalformedError("pro-map payload needs 'level' or 'general'")
 
 
+def _as_object(value, what):
+    """*value*, a JSON object; MalformedError "<what> must be an object"
+    for anything else."""
+    if not isinstance(value, dict):
+        raise MalformedError(f"{what} must be an object, not {type(value).__name__}")
+    return value
+
+
 def _object(doc, key, what):
     """doc[key], a JSON object, or {} when *doc* lacks *key*;
     MalformedError, naming *what*, for anything else."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise MalformedError(f"{what}: {key} must be an object, "
-                             f"not {type(value).__name__}")
-    return value
+    return _as_object(doc.get(key, {}), f"{what}: {key}")
 
 
 def _entries(raw, section):
@@ -214,8 +220,7 @@ def hfamily_to_doc(fam):
 def hfamily_from_doc(instance, doc, f):
     """Witness pairs for the pro-map f (maps Y_t -> X_s), one per key
     "t>s" with s < t in the source index."""
-    if not isinstance(doc, dict):
-        raise MalformedError(f"witness pairs must be an object, not {type(doc).__name__}")
+    _as_object(doc, "witness pairs")
     X, Y = f.source, f.target
     levels = {str(s): s for s in X.index.elements}
     pairs = {}

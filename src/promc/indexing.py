@@ -118,6 +118,12 @@ class IndexPoset:
         ω regime the pairs (n, n + 1) below the depth."""
         return self._covers
 
+    def lower_covers(self, t):
+        """The elements that t covers, in element order."""
+        if self.regime == OMEGA:
+            return (t - 1,) if t > 0 else ()
+        return tuple(s for s, u in self._covers if u == t)
+
     @cached_property
     def _covers(self):
         if self.regime == OMEGA:

@@ -303,24 +303,29 @@ def _set_limit(diagram):
         key_nodes = nodes
     else:
         key_nodes = diagram.free_nodes()
-    solutions = []
+    solutions, assignment = [], {}
 
-    def extend(i, assignment):
-        if i == len(order):
-            solutions.append(dict(assignment))
-            return
-        v = order[i]
+    def choices(v):
         # the values the assigned in-edges force at v; two disagree: none
         forced = {f.mapping[assignment[src]] for src, _, f in diagram.in_edges(v)
                   if src in assignment}
-        if len(forced) > 1:
-            return
-        for x in forced or diagram.nodes[v].elements:
-            assignment[v] = x
-            extend(i + 1, assignment)
-            del assignment[v]
+        return () if len(forced) > 1 else forced or diagram.nodes[v].elements
 
-    extend(0, {})
+    # depth first, one iterator of choices per node assigned so far, so
+    # the solutions come in the order of a recursive search
+    stack = [iter(choices(order[0]))]
+    while stack:
+        v = order[len(stack) - 1]
+        for x in stack[-1]:
+            assignment[v] = x
+            if len(stack) == len(order):
+                solutions.append(dict(assignment))
+            else:
+                stack.append(iter(choices(order[len(stack)])))
+                break
+        else:  # v's choices are exhausted: back up
+            stack.pop()
+            assignment.pop(v, None)
     names, rows = [], []
     for sol in solutions:
         key = tuple(sol[v] for v in key_nodes)

@@ -120,9 +120,12 @@ class MatchingData:
 
 def _matching_limit(label, Y, t, apex, top, side, struct):
     """The limit of W_s -> Y_s <- Y_t over the strict predecessors s of t,
-    with the structure maps W_s -> W_u and Y_s -> Y_u for u < s, and the
-    mediating map into it from the cone with legs top: apex -> Y_t and
-    a_s: apex -> W_s.  Returns (limit cone, mediating map).
+    with the structure maps W_s -> W_u and Y_s -> Y_u for each u that s
+    covers, and the mediating map into it from the cone with legs top:
+    apex -> Y_t and a_s: apex -> W_s.  Returns (limit cone, mediating
+    map).  W and Y are functors on the predecessors, a down-set whose
+    covers are the index's own, so the cover edges cut out the same limit
+    as every edge u < s would, in O(t) edges at ω level t.
 
     *side* maps each predecessor s to (W_s, p_s: W_s -> Y_s, a_s);
     struct(s, u) is W_s -> W_u.  W_s is the node "{label}:{s}", beside
@@ -138,10 +141,9 @@ def _matching_limit(label, Y, t, apex, top, side, struct):
         nodes[f"Y:{s}"] = Y.value(s)
         edges.append((w, f"Y:{s}", p))
         edges.append((f"Y.top:{t}", f"Y:{s}", Y.struct(t, s)))
-        for u in side:
-            if idx.lt(u, s):
-                edges.append((w, f"{label}:{u}", struct(s, u)))
-                edges.append((f"Y:{s}", f"Y:{u}", Y.struct(s, u)))
+        for u in idx.lower_covers(s):
+            edges.append((w, f"{label}:{u}", struct(s, u)))
+            edges.append((f"Y:{s}", f"Y:{u}", Y.struct(s, u)))
         legs[w] = a
         legs[f"Y:{s}"] = compose(p, a)
     dia = Diagram(nodes, edges)
@@ -167,7 +169,8 @@ def matching_map(f, t):
 class SpecialResult:
     """Per-level classification of the matching maps of a presentation;
     *matching* keeps the MatchingData of every level classified, for the
-    cocell tower built from the same map."""
+    cocell tower and the lifts built against the same map
+    (``kept_matching``)."""
     mode: str
     ok: bool
     verdicts: dict
@@ -199,6 +202,13 @@ def detect_special(f, mode):
     return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
                          failing=None if bad is None else bad[0],
                          depth=f.source.index.depth, matching=matching)
+
+
+def kept_matching(f, special, t):
+    """The MatchingData of f at level t that *special*, a detect_special
+    certificate of f, kept; computed afresh when it kept none."""
+    m = (special.matching or {}).get(t)
+    return matching_map(f, t) if m is None else m
 
 
 # ------------------------------------------------------------ factor_strict
@@ -345,6 +355,12 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
     B_{a(s)} -> X_s, where a(s) is the smallest well-order index
     dominating s and all previous a(t) at which the inputs commute on
     the nose.
+
+    Level s lifts against p's relative matching map at s, taken from
+    *special*, p's detect_special certificate (``kept_matching``).  A
+    supplied certificate must be one of p; without one, detect_special
+    runs once here, for the square check and the matching maps alike.
+    The triangles are re-checked on the finished lift.
     """
     for m, name in ((i, "i"), (p, "p"), (top, "top"), (bottom, "bottom")):
         if m.kind != LEVEL:
@@ -354,6 +370,8 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
         raise UnsupportedRegimeError("lift_strict runs in the finite regime")
     if p.source.index != idx:
         raise PreconditionError("square must share one index; levelize first")
+    if special is None:
+        special = detect_special(p, mode_classes(mode)[2])
     fail_on(square_failure(i, p, top, bottom, mode, special), PreconditionError)
 
     A, B = i.source, i.target
@@ -364,7 +382,7 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
     a_of, comps = {}, {}
 
     for s in order:
-        m = matching_map(p, s)
+        m = kept_matching(p, special, s)
         floor = pos[s]
         for t in a_of:
             if idx.lt(t, s):

@@ -24,7 +24,7 @@ from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
 from .proobj import (LEVEL, ProObject, compose_pro, constant_over, general_map,
                      identity_pro, level_map, omega_pro_object)
-from .strict import FIB, class_test, detect_special, matching_map
+from .strict import FIB, class_test, detect_special, kept_matching
 
 
 @dataclass
@@ -124,13 +124,9 @@ def build_cocell_tower(f, special=None, class_tag=None):
     cur = Y.value(M)
     mu = identity(cur)
     lam = {}
-    kept = special.matching or {}
     for s in linear_extension(idx):
-        if s in kept:
-            m, attach_class = kept[s], special.verdicts[s]
-        else:
-            m = matching_map(f, s)
-            attach_class = classify_map(m.map)
+        m = kept_matching(f, special, s)
+        attach_class = special.verdicts.get(s) or classify_map(m.map)
         psi = m.mediate(cur, compose(Y.struct(M, s), mu),
                         {t: lam[t] for t in idx.predecessors(s)}, f)
         lim = pullback(psi, m.map)

@@ -292,6 +292,9 @@ def _verify_cocell(load, doc):
     levels = linear_extension(f.source.index).order
     prev = f.target.max_value()
     _agrees(doc["base_value"], obj_to_doc(prev), "base_value")
+    if not (isinstance(doc["stages"], list)
+            and all(isinstance(st, dict) for st in doc["stages"])):
+        raise MalformedError("tower stages must be a list of objects")
     if len(doc["stages"]) != len(levels):
         raise VerificationFailure("the tower is not one stage per level of the "
                                   "presented map")

@@ -74,6 +74,31 @@ def test_mediate_rejects_noncone():
         lim.mediate(bad)
 
 
+def test_chain_limit_factor_refuses_legs_outside_the_kernel():
+    # called directly, past the cone check of ``mediate``: the legs
+    # (id, 0) into X -id-> X do not lie in the kernel {(x, x)}
+    X = disk1()
+    dia = Diagram({"a": X, "b": X}, [("a", "b", identity(X))])
+    lim = finite_limit(dia)
+    zero = chain_map(X, X, {})
+    with pytest.raises(PreconditionError, match="does not factor"):
+        lim.factor(Cone(dia, X, {"a": identity(X), "b": zero}))
+    assert lim.factor(Cone(dia, X, {"a": identity(X), "b": identity(X)})) == \
+        lim.mediate(Cone(dia, X, {"a": identity(X), "b": identity(X)}))
+
+
+def test_setbij_limit_of_a_long_chain_needs_no_recursion():
+    # one node per level of the search: 1,500 would exceed Python's
+    # recursion limit in a recursive search
+    names = [f"v{k:04d}" for k in range(1500)]
+    one = set_obj(["*"])
+    dia = Diagram({v: one for v in names},
+                  [(a, b, identity(one)) for a, b in zip(names, names[1:])])
+    lim = finite_limit(dia)
+    assert lim.apex.elements == ("(*)",)
+    assert lim.check_limit_cone() is None
+
+
 def test_empty_colimit_is_initial():
     col = finite_colimit(Diagram({}, []))
     assert col.apex.elements == ()

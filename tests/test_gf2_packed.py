@@ -201,3 +201,74 @@ def test_chain_map_system_has_the_row_space_of_the_dense_build(seed):
     for X, Y in ((P, D), (aug_p, aug_d)):
         r = np_rank(X)
         assert r == np_rank(Y) == np_rank(np.concatenate([X, Y]))
+
+
+def bitwise_system(S, T, blocks):
+    """``chain_map_system`` with each Kronecker row XORed together one
+    shifted column at a time: the rows of L·h_n·R, row (p, q) the XOR,
+    over the set bits i of row p of L, of column q of R placed at row i
+    of h_n; the reference for its one-multiplication rows."""
+    degs = sorted(set(S.degrees) | set(T.degrees) | {blk[0] for blk in blocks})
+    offs, total = {}, 0
+    for n in degs:
+        offs[n] = total
+        total += T.dim(n) * S.dim(n)
+
+    def kron(n, L, R):
+        s, o = S.dim(n), offs[n]
+        rcols = gf2.transpose(R).rows
+        out = []
+        for a in L.rows:
+            at = []
+            while a:
+                low = a & -a
+                at.append(o + (low.bit_length() - 1) * s)
+                a ^= low
+            for q in rcols:
+                acc = 0
+                for shift in at:
+                    acc ^= q << shift
+                out.append(acc)
+        return out
+
+    rows, b = [], 0
+    for n, L, R, out in blocks:
+        for p, r in enumerate(out.rows):
+            b |= r << (len(rows) + p * out.ncols)
+        rows += kron(n, L, R)
+    for n in reversed(degs):
+        if T.dim(n + 1) and S.dim(n):
+            nat = [x ^ y for x, y in zip(kron(n, T.d(n), gf2.eye(S.dim(n))),
+                                         kron(n + 1, gf2.eye(T.dim(n + 1)), S.d(n)))]
+            rows += reversed(nat)
+    return gf2.Mat(tuple(rows), total), b, offs
+
+
+def system_case(seed):
+    """(S, T, blocks): seeded complexes, max_dim 4 so that some degrees
+    are zero-dimensional, and blocks that may reach degrees outside both
+    complexes, where h_n has no entries."""
+    rng = np.random.default_rng(900 + seed)
+    S = random_complex(rng, max_deg=3, max_dim=4)
+    T = shifted(random_complex(rng, max_deg=3, max_dim=4), int(rng.integers(-1, 2)))
+    blocks = []
+    for _ in range(int(rng.integers(0, 5))):
+        n = int(rng.integers(-1, 5))
+        a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        blocks.append((n, mat(rand(rng, a, T.dim(n))), mat(rand(rng, S.dim(n), b)),
+                       mat(rand(rng, a, b))))
+    return S, T, blocks
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_chain_map_system_equals_the_bitwise_build(seed):
+    S, T, blocks = system_case(seed)
+    assert chain_map_system(S, T, blocks) == bitwise_system(S, T, blocks)
+
+
+def test_the_bitwise_cases_hold_zero_dimensional_degrees():
+    cases = [system_case(seed) for seed in range(30)]
+    assert sum(any(X.dim(n) == 0 for X in (S, T) for n in X.degrees)
+               for S, T, _ in cases) >= 10
+    assert sum(any(n not in S.degrees for n, *_ in blocks)
+               for S, _, blocks in cases) >= 5

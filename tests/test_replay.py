@@ -17,7 +17,8 @@ from test_cert_bytes import CLI_RUNS
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 RUNS = dict(CLI_RUNS, **{
-    "factor-chainf2-L2": ("factor", "chainf2.json", "p", "--mode", "L2")})
+    "factor-chainf2-L2": ("factor", "chainf2.json", "p", "--mode", "L2"),
+    "matching-chainf2-pt": ("matching", "chainf2.json", "p", "--level", "pt")})
 
 # The fixtures' pro-isos have singleton targets, so an h-family map there
 # has no well-formed alternative; this document widens level 0.
@@ -361,6 +362,19 @@ def test_a_tower_certificate_without_its_presented_map_exits_2(
                               "'source_presentation'\n")
 
 
+@pytest.mark.parametrize("run", ["cocell-special-fib", "tower-special-fib"])
+@pytest.mark.parametrize("change", [
+    lambda d: d.__setitem__("stages", "ab"),
+    lambda d: d.__setitem__("stages", [5] * len(d["stages"])),
+], ids=["stages-string", "stages-numbers"])
+def test_tower_stages_that_are_not_objects_exit_2(tmp_path, capsys, run, change):
+    doc = certificate(tmp_path, capsys, run)
+    assert len(doc["stages"]) == 2  # so the string "ab" has a stage's length
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, "error: tower stages must be a list of objects\n")
+
+
 # ------------------------------------------------ levelwise-we certificates
 
 @pytest.mark.parametrize("run", ["zigzag-we", "two-of-three", "proper-pullback"])
@@ -397,3 +411,21 @@ def test_a_certificate_without_a_key_its_replay_reads_exits_2(tmp_path, capsys):
     del doc["map"]
     code, out = replay(tmp_path, capsys, doc)
     assert (code, out) == (2, "error: a JSON object lacks the key 'map'\n")
+
+
+@pytest.mark.parametrize("payload", [[1], "level", 5])
+def test_a_pro_object_payload_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
+    doc = certificate(tmp_path, capsys, "matching-chainf2-pt")
+    doc["map"]["source_object"] = payload
+    code, out = replay(tmp_path, capsys, doc)
+    kind = type(payload).__name__
+    assert (code, out) == (2, f"error: pro-object payload must be an object, not {kind}\n")
+
+
+@pytest.mark.parametrize("payload", [[1], "level"])
+def test_a_pro_map_payload_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
+    doc = certificate(tmp_path, capsys, "lift-special")
+    doc["top"] = payload
+    code, out = replay(tmp_path, capsys, doc)
+    kind = type(payload).__name__
+    assert (code, out) == (2, f"error: pro-map payload must be an object, not {kind}\n")

@@ -1,10 +1,14 @@
 import hashlib
+import json
+import os
 
 import pytest
 
+from promc import strict
 from promc.base import (classify_map, compose, identity, set_map, set_obj,
                         chain_map, zero_complex)
 from promc.chainf2 import ChainF2, ChainMap
+from promc.docio import Document
 from promc.errors import PreconditionError, VerificationFailure
 from promc.indexing import chain_poset, from_covers, point_poset
 from promc.prohom import constant_embed
@@ -15,6 +19,8 @@ from promc.strict import (ACYCLIC_FIB, FIB, MODE_L1, MODE_L2, detect_special,
 from promc.suites import POSET_SHAPES, Rng, gen_level_map, gen_pro_object
 
 from helpers import disk1, disk_to_sphere, sphere0
+
+FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def detect_example_pair():
@@ -207,6 +213,43 @@ def test_lift_from_factorizations_random():
             res = lift_strict(j, p, j, p, mode=MODE_L1, special=fsq.special)
             assert compose_pro(res.lift, j).equals(j)
             assert compose_pro(p, res.lift).equals(p)
+
+
+def _lift_square(inst):
+    """(j, p, special, levels): the square (j, p, j, p) of an L1 strict
+    factorization over a three-element chain, with p's certificate."""
+    q = gen_level_map(Rng(5), chain_poset(3), inst, max_size=3, max_deg=1, max_dim=2)
+    fs = factor_strict(q, MODE_L1)
+    return fs.left, fs.right, fs.special, len(q.source.index.elements)
+
+
+@pytest.mark.parametrize("inst", ["set-bij", "chain-f2"])
+@pytest.mark.parametrize("kept", [True, False], ids=["certificate", "none"])
+def test_lift_computes_each_matching_map_at_most_once(monkeypatch, inst, kept):
+    # with p's certificate every matching map is the one it kept; without
+    # one, detect_special computes each once for the square check and the
+    # lift reuses them; both give the same lift
+    j, p, special, levels = _lift_square(inst)
+    ref = lift_strict(j, p, j, p, mode=MODE_L1, special=special)
+    calls = []
+    original = strict.matching_map
+    monkeypatch.setattr(strict, "matching_map",
+                        lambda f, t: calls.append(t) or original(f, t))
+    res = lift_strict(j, p, j, p, mode=MODE_L1, special=special if kept else None)
+    assert len(calls) == (0 if kept else levels)
+    if not kept:
+        assert sorted(calls) == sorted(j.source.index.elements)
+    assert (res.level_index, res.components) == (ref.level_index, ref.components)
+
+
+def test_omega_matching_diagram_keeps_only_cover_edges():
+    with open(os.path.join(FIX, "omega_maps.json")) as fh:
+        raw = json.load(fh)
+    del raw["maps"]["g"]  # a GENERAL map listed only up to the fixture's depth
+    f = Document(raw, depth=24).map_named("f")
+    for t in range(1, 24):
+        edges = matching_map(f, t).cone.diagram.edges
+        assert len(edges) <= 4 * t, (t, len(edges))
 
 
 def test_lift_rejects_noncommuting():
