@@ -318,7 +318,9 @@ def solve(A, B):
 def null_vectors(M):
     """A basis of the right null space, each vector an int; one per free
     column fc, in increasing order: the vector that is 1 at fc and 0 at
-    the other free columns."""
+    the other free columns.  Its other ones are at pivots below fc (a
+    pivot's RREF row holds only columns above it), so fc is its highest
+    set bit."""
     pivots, rows = _back_substitute(_basis(M.rows))
     vecs = {fc: 1 << fc for fc in _free_columns(pivots, M.ncols)}
     # the RREF row of pivot c holds, besides c, the free columns whose

@@ -95,6 +95,11 @@ def test_rank_image_basis_and_null_space(seed):
         assert N.shape == (n, n - len(piv))
         assert not np_mul(A, N).any()
         assert np_rank(N) == n - len(piv)
+        # each vector's highest set bit is its free column, where every
+        # other vector is 0: the coordinates ``ChainF2.limit`` reads
+        free = [c for c in range(n) if c not in piv]
+        assert [v.bit_length() - 1 for v in gf2.null_vectors(mat(A))] == free
+        assert N[free].tolist() == np.eye(len(free), dtype=np.uint8).tolist()
 
 
 @pytest.mark.parametrize("seed", range(3))
