@@ -54,7 +54,7 @@ def _base(instance, kind, depth=None):
 
 
 def detect_special_cert(f, result):
-    doc = _base(f.source.instance, "detect-special", result.depth)
+    doc = _base(f.source.instance, "detect-special", f.source.index.depth)
     doc["mode"] = result.mode
     doc["ok"] = result.ok
     doc["map"] = _promap_payload(f)
@@ -127,13 +127,13 @@ def levelize_cert(lv):
 
 
 def hom_cert(X, Y, hs):
-    doc = _base(X.instance, "hom", hs.depth)
+    doc = _base(X.instance, "hom", X.index.depth)
     doc["count"] = len(hs.maps)
     doc["X"] = proobj_to_doc(X)
     doc["Y"] = proobj_to_doc(Y)
     doc["X_poset"] = poset_to_doc(X.index)
     doc["Y_poset"] = poset_to_doc(Y.index)
-    if hs.depth is None:
+    if X.index.depth is None:
         top = Y.index.max_element()
         doc["realized"] = X.instance.map_set_doc(
             [rep.realize(top) for rep in hs.maps])
@@ -191,13 +191,13 @@ def tower_limit_cert(tower, tl):
 
 
 def adjunction_cert(X, Y, witness):
-    doc = _base(X.instance, "adjunction", witness.depth)
+    doc = _base(X.instance, "adjunction", Y.index.depth)
     doc["base_object"] = obj_to_doc(X)
     doc["Y"] = proobj_to_doc(Y)
     doc["Y_poset"] = poset_to_doc(Y.index)
     doc["left_size"] = witness.left_size
     doc["right_size"] = witness.right_size
     doc["assignments"] = [map_to_doc(phi) for _, phi in witness.pairs]
-    if witness.depth is not None:
+    if Y.index.depth is not None:
         doc["stabilized_at"] = witness.stabilized_at
     return doc

@@ -11,9 +11,10 @@ boundary or map degree, is a ``gf2.Mat``: an immutable tuple of int
 rows (bit c = column c) with its column count, so composing is XORing
 rows and comparing or hashing maps compares or hashes tuples; a degree
 with no stored matrix reads as the shared zero matrix of its shape.
-All linear algebra is exact, through ``gf2``; limits and colimits work
-degreewise with kernels and cokernels, assembling their block matrices
-by shifting rows.  Maps are classified from ranks alone: f is a
+All linear algebra is exact, through ``gf2``; limits, colimits and
+images work degreewise, each reading every coordinate off one canonical
+basis (the null basis of ``gf2.null_vectors`` or a reduced row echelon
+form), and assemble their block matrices by shifting rows.  Maps are classified from ranks alone: f is a
 quasi-isomorphism iff its mapping cone is acyclic.  Chain-map systems
 (lifts, hom spaces) are emitted as int rows straight from the Kronecker
 structure of L·h·R, so no dense system is built.  Documents carry the
@@ -323,19 +324,26 @@ class ChainF2:
         return LimitCone(diagram, apex, legs, factor)
 
     def colimit(self, diagram):
+        """In each degree the apex is the coproduct of the nodes modulo the
+        edge relations x_src + f(x_src).  The rows of the quotient map Q
+        are the ``gf2.null_vectors`` of the relations: the row of free
+        column fc is 1 at fc and 0 at the other free columns, so picking
+        the free columns is a section R (Q·R = I).  The differential
+        Q·D·R and every mediating map stacked·R do not depend on the
+        section, since D maps relations to relations and a cocone kills
+        them; a mediating map is checked by m·Q = stacked."""
         nodes, degs, span, width = _layout(diagram)
         quotients, sections = {}, {}
         for n in degs:
-            # U's columns, one per source coordinate of an edge: x_src + f(x_src)
-            cols = []
+            # one row per source coordinate of an edge: x_src + f(x_src)
+            rows = []
             for src, tgt, f in diagram.edges:
                 a, b = span[n][src].start, span[n][tgt].start
-                cols += [(1 << (a + k)) ^ (c << b)
+                rows += [(1 << (a + k)) ^ (c << b)
                          for k, c in enumerate(gf2.transpose(f.mat(n)).rows)]
-            U = gf2.transpose(gf2.Mat(tuple(cols), width[n]))
-            Q, k = gf2.quotient_map(gf2.image_basis(U), width[n])
-            quotients[n] = Q
-            sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width[n], 0)  # Q R = I
+            vecs = gf2.null_vectors(gf2.Mat(tuple(rows), width[n]))
+            quotients[n] = gf2.Mat(tuple(vecs), width[n])
+            sections[n] = _selection([v.bit_length() - 1 for v in vecs], width[n])
         lo, hi = degs[0], degs[-1]
         diff = {n: gf2.matmul(gf2.matmul(quotients[n + 1],
                                          _block_diff(diagram, nodes, n)),
@@ -379,23 +387,24 @@ class ChainF2:
         return out
 
     def image(self, f):
-        dims, bases = {}, {}
+        """One ``gf2.row_echelon`` of f's matrix M per degree.  Its pivot
+        columns, picked by the selection S, are the basis B = M·S of the
+        image, and its nonzero rows C are the corestriction: M = B·C.  B
+        has independent columns, so the boundary is the one X with
+        B_{n+1}·X = d·B_n, which is C_{n+1}·d_src·S_n."""
+        sel, core = {}, {}
         for n in _degrees(f.source, f.target):
-            bases[n] = gf2.image_basis(f.mat(n))
-            dims[n] = bases[n].shape[1]
-        degs = sorted(bases)
+            R, piv = gf2.row_echelon(f.mat(n))
+            sel[n] = _selection(piv, f.source.dim(n))
+            core[n] = gf2.Mat(R.rows[:len(piv)], R.ncols)
+        degs = sorted(sel)
         lo, hi = degs[0], degs[-1]
-        diff = {}
-        for n in range(lo, hi):
-            sol = gf2.solve(bases[n + 1], gf2.matmul(f.target.d(n), bases[n]))
-            if sol is None:
-                raise AssertionError("boundary does not preserve an image")
-            diff[n] = sol
-        img = ChainObject(lo, hi, dims, diff)
-        incl = ChainMap(img, f.target, bases, check=False)
-        core = ChainMap(f.source, img, {n: gf2.solve(bases[n], f.mat(n)) for n in degs},
+        diff = {n: gf2.matmul(gf2.matmul(core[n + 1], f.source.d(n)), sel[n])
+                for n in range(lo, hi)}
+        img = ChainObject(lo, hi, {n: len(core[n].rows) for n in degs}, diff)
+        incl = ChainMap(img, f.target, {n: gf2.matmul(f.mat(n), sel[n]) for n in degs},
                         check=False)
-        return img, core, incl
+        return img, ChainMap(f.source, img, core, check=False), incl
 
     def corestrict(self, f, incl):
         mats = {}
@@ -559,6 +568,14 @@ def _blocks(rows, cols, parts):
     return gf2.Mat(tuple(itertools.chain.from_iterable(grid)), c[-1])
 
 
+def _selection(cols, n):
+    """The n x len(cols) matrix whose column j picks coordinate cols[j]."""
+    rows = [0] * n
+    for j, c in enumerate(cols):
+        rows[c] = 1 << j
+    return gf2.Mat(tuple(rows), len(cols))
+
+
 def _columns(M, span):
     """The columns of *M* in the slice *span*."""
     mask = (1 << (span.stop - span.start)) - 1
@@ -679,7 +696,7 @@ def gen_complex(rng, max_deg=2, max_dim=3):
         if prev is None or not any(prev.rows):
             D = rng.mat(rows, cols)
         else:
-            Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
+            Q, k = gf2.quotient_map(prev, cols)
             D = gf2.matmul(rng.mat(rows, k), Q)
         diff[n] = D
         prev = D

@@ -89,10 +89,11 @@ def _hom(args):
     from .prohom import hom_pro
     hs = hom_pro(args.X, args.Y)
     line = f"{len(hs.maps)} class" + ("es" if len(hs.maps) != 1 else "")
-    if hs.depth is not None:
+    depth = args.X.index.depth
+    if depth is not None:
         line += (f", stabilized at depth {hs.stabilized_at}"
                  if hs.stabilized_at is not None
-                 else f", verified to depth {hs.depth} (not stabilized)")
+                 else f", verified to depth {depth} (not stabilized)")
     print(line)
     return 0, certs.hom_cert(args.X, args.Y, hs)
 
@@ -119,7 +120,8 @@ def _matching(args):
 def _detect_special(args):
     from .strict import detect_special
     res = detect_special(args.map, args.mode)
-    note = f" (verified to depth {res.depth})" if res.depth is not None else ""
+    depth = args.map.source.index.depth
+    note = f" (verified to depth {depth})" if depth is not None else ""
     print(f"special {args.mode}: " + (f"yes{note}" if res.ok
                                       else f"no, failing level {res.failing}"))
     return (0 if res.ok else 1), certs.detect_special_cert(args.map, res)
@@ -197,10 +199,11 @@ def _adjunction(args):
     from .towers import adjunction_check
     w = adjunction_check(args.base, args.object)
     line = f"bijection verified: {w.left_size} classes on both sides"
-    if w.depth is not None:
+    depth = args.object.index.depth
+    if depth is not None:
         line += (f", stabilized at depth {w.stabilized_at}"
                  if w.stabilized_at is not None
-                 else f", to depth {w.depth}")
+                 else f", to depth {depth}")
     print(line)
     return 0, certs.adjunction_cert(args.base, args.object, w)
 

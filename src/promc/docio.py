@@ -48,7 +48,10 @@ def map_to_doc(m):
 
 
 def map_from_doc(instance, doc, source, target):
-    return instance_of(instance).map_from_doc(doc, source, target)
+    """The base map *doc* between *source* and *target*: a JSON object in
+    both instances; MalformedError for anything else."""
+    return instance_of(instance).map_from_doc(_as_object(doc, "base map payload"),
+                                              source, target)
 
 
 def poset_to_doc(p):
@@ -178,6 +181,9 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
         comps = {}
         for s, entry in _object(doc, "general", f"pro-map {name}").items():
             t, payload = _general_entry(entry, f"general map {name}: component at {s}")
+            if t not in source.index.elements:
+                raise MalformedError(f"general map {name}: component at {s} has source "
+                                     f"level {t!r}, not an element of the source index")
             comps[s] = (t, map_from_doc(instance, payload,
                                         source.value(t), target.value(s)))
         return general_map(source, target, comps)

@@ -363,25 +363,12 @@ def image_basis(M):
 
 
 def quotient_map(U, dim):
-    """Projection F_2^dim -> F_2^dim/span(columns of U), as a matrix.
+    """Projection F_2^dim -> F_2^dim/span(columns of U), as (Q, k).
 
-    Returns (Q, k) with Q of shape (k, dim); Q is surjective with
-    kernel exactly the column span of U.  Coordinates are the non-pivot
-    positions after reducing U.
+    Q has shape (k, dim), is surjective and its kernel is exactly the
+    column span of U: its rows are the ``null_vectors`` of Uᵀ, so the row
+    of free column fc is 1 at fc and 0 at the other free columns, and
+    picking the free columns is a section R of Q (Q·R = I).
     """
-    if dim == 0:
-        return zeros(0, 0), 0
-    if not U.ncols:
-        return eye(dim), dim
-    R, piv = row_echelon(transpose(U))  # row space of U.T = column space of U
-    # R's rows (the pivot rows) span the subspace; v |-> v - sum v[pc]*R[i]
-    # eliminates the pivot coordinates, then read off the free ones:
-    # Q[i, piv[j]] = R[j, free[i]]
-    free = _free_columns(piv, dim)
-    Q = []
-    for fc in free:
-        v = 1 << fc
-        for r, pc in zip(R.rows, piv):
-            v |= (r >> fc & 1) << pc
-        Q.append(v)
-    return Mat(tuple(Q), dim), len(free)
+    Q = null_vectors(transpose(U))
+    return Mat(tuple(Q), dim), len(Q)

@@ -46,8 +46,7 @@ def spread_from_max(X, Y, phi):
 class HomSet:
     """Representatives of pro-hom classes, one GENERAL map per class."""
     maps: list
-    depth: int | None = None
-    stabilized_at: int | None = None
+    stabilized_at: int | None = None  # ω regime; the depth is the index's
 
     def __len__(self):
         return len(self.maps)
@@ -63,7 +62,7 @@ def hom_pro(X, Y):
         reps = [spread_from_max(X, Y, phi)
                 for phi in enumerate_base_maps(X.max_value(), Y.max_value())]
         return HomSet(maps=reps)
-    return _omega_hom(X, Y, X.index.depth)
+    return _omega_hom(X, Y)
 
 
 def _shared_regime(X, Y, what):
@@ -78,7 +77,7 @@ def _shared_regime(X, Y, what):
     return X.index.regime
 
 
-def _omega_hom(X, Y, d):
+def _omega_hom(X, Y):
     """Depth-d evaluation of the hom inverse system, with a conservative
     Mittag-Leffler stabilization marker.
 
@@ -86,7 +85,9 @@ def _omega_hom(X, Y, d):
     system is declared stable when their postcomposition images were
     already stable one tower step earlier, the maps induced between the
     stable images are bijections, and the X side can no longer identify
-    germs (precomposition with the top step is injective)."""
+    germs (precomposition with the top step is injective); d is the
+    depth of X's index."""
+    d = X.index.depth
     top = d - 1
     germs_top = enumerate_base_maps(X.value(top), Y.value(top))
     stable = {s: list(dict.fromkeys(compose(Y.struct(top, s), g)
@@ -124,7 +125,7 @@ def _omega_hom(X, Y, d):
         for g in germs_top:
             comps = {n: (top, compose(Y.struct(top, n), g)) for n in range(d)}
             reps.append(general_map(X, Y, comps, check=False))
-        return HomSet(maps=reps, depth=d, stabilized_at=None)
+        return HomSet(maps=reps, stabilized_at=None)
     # threads through the stable system, one per stable germ at level 0
     reps = []
     for psi0 in stable[0]:
@@ -142,7 +143,7 @@ def _omega_hom(X, Y, d):
                == set(stable[s]) for s in range(min(k, pinned))):
             stab_at = k
             break
-    return HomSet(maps=reps, depth=d, stabilized_at=stab_at)
+    return HomSet(maps=reps, stabilized_at=stab_at)
 
 
 # ------------------------------------------------------------------ iso
@@ -485,7 +486,6 @@ def constant_embed(obj):
 class LimResult:
     value: BaseObject
     stabilized_at: int | None = None
-    depth: int | None = None
     inclusion: object = None  # ω regime: the stable image into level 0
 
 
@@ -500,7 +500,7 @@ def lim_functor(Y):
     d = Y.index.depth
     stable = _stable_images(Y, d)
     stab_at = _image_stabilization(Y, d, stable)
-    return LimResult(value=stable[0][0], stabilized_at=stab_at, depth=d,
+    return LimResult(value=stable[0][0], stabilized_at=stab_at,
                      inclusion=stable[0][2])
 
 

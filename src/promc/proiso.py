@@ -161,7 +161,6 @@ class ZigzagWeResult:
     level_classes: dict
     source_cert: IsoCertificate   # B ≅ X
     target_cert: IsoCertificate   # W ≅ C
-    factorization: ProIsoFactorization
 
     def replay_composite_identity(self, f, h_witnesses, g):
         """κ_ts ∘ composite_t = g_s ∘ h_ts ∘ f_t ∘ π_t exactly, t > s."""
@@ -214,8 +213,7 @@ def compose_zigzag_we(f, h, g, witnesses):
     cert_tgt = IsoCertificate(forward=push.legs["w"], hfamily=kappa)
     cert_tgt.replay()
     out = ZigzagWeResult(map=composite, level_classes=classes,
-                         source_cert=cert_src, target_cert=cert_tgt,
-                         factorization=pf)
+                         source_cert=cert_src, target_cert=cert_tgt)
     out.replay_composite_identity(f, witnesses, g)
     return out
 
@@ -225,7 +223,6 @@ class TwoOfThreeResult:
     map: object
     level_classes: dict
     cancel_cert: IsoCertificate   # output's far end ≅ the cancelled side
-    factorization: ProIsoFactorization
 
 
 def two_of_three(side, top, left, right, bottom, witnesses):
@@ -285,8 +282,7 @@ def two_of_three(side, top, left, right, bottom, witnesses):
             "x": compose(left.level_component(s), X.struct(t, s))})
         cert = IsoCertificate(forward=push.legs["y"], hfamily=fam)
     cert.replay()
-    return TwoOfThreeResult(map=out, level_classes=classes, cancel_cert=cert,
-                            factorization=pf)
+    return TwoOfThreeResult(map=out, level_classes=classes, cancel_cert=cert)
 
 
 # --------------------------------------------------------------- retracts
@@ -373,8 +369,6 @@ class ProperPullbackResult:
     map: object                  # f' on the pullbacks, levelwise we
     level_classes: dict
     glue_cert: IsoCertificate    # the pulled-back pro-iso
-    pullback_zw: object
-    pullback_wx: object
 
 
 def proper_pullback(p, f, g, witnesses):
@@ -409,4 +403,4 @@ def proper_pullback(p, f, g, witnesses):
     cert = IsoCertificate(forward=wx.legs["x"], hfamily=fam)
     cert.replay()
     return ProperPullbackResult(map=fprime, level_classes=classes,
-                                glue_cert=cert, pullback_zw=zx, pullback_wx=wx)
+                                glue_cert=cert)

@@ -238,6 +238,9 @@ class SetBij:
     def obj_from_doc(self, doc):
         if not isinstance(doc, list):
             raise MalformedError("SetBij object payload must be a list")
+        bad = [e for e in doc if not isinstance(e, str)]
+        if bad:
+            raise MalformedError(f"SetBij object: element {bad[0]!r} is not a string")
         return set_obj(doc)
 
     def map_to_doc(self, f):

@@ -167,16 +167,16 @@ def matching_map(f, t):
 
 @dataclass
 class SpecialResult:
-    """Per-level classification of the matching maps of a presentation;
-    *matching* keeps the MatchingData of every level classified, for the
-    cocell tower and the lifts built against the same map
-    (``kept_matching``)."""
+    """Per-level classification of the matching maps of a presentation.
+    *matching* holds the MatchingData of every level classified, so a
+    certificate that is ok holds every level's: the cocell tower and the
+    lifts against the same map attach these and compute none.  The ω
+    depth is that of the presentation's index."""
     mode: str
     ok: bool
     verdicts: dict
+    matching: dict
     failing: object = None
-    depth: int | None = None
-    matching: dict = None
 
     def require(self):
         if not self.ok:
@@ -200,15 +200,7 @@ def detect_special(f, mode):
     bad = class_failure("matching map", component, mode,
                         linear_extension(f.source.index), verdicts)
     return SpecialResult(mode=mode, ok=bad is None, verdicts=verdicts,
-                         failing=None if bad is None else bad[0],
-                         depth=f.source.index.depth, matching=matching)
-
-
-def kept_matching(f, special, t):
-    """The MatchingData of f at level t that *special*, a detect_special
-    certificate of f, kept; computed afresh when it kept none."""
-    m = (special.matching or {}).get(t)
-    return matching_map(f, t) if m is None else m
+                         matching=matching, failing=None if bad is None else bad[0])
 
 
 # ------------------------------------------------------------ factor_strict
@@ -224,7 +216,6 @@ class StrictFactorization:
     middle: ProObject
     left: ProMap
     right: ProMap
-    matching: dict = None
     left_classes: dict = None
     special: SpecialResult = None
 
@@ -273,7 +264,7 @@ def factor_strict(f, mode):
     base_mode = mode_classes(mode)[0]
     X, Y = f.source, f.target
     idx = X.index
-    zvals, zstructs, ivals, pvals, matching = {}, {}, {}, {}, {}
+    zvals, zstructs, ivals, pvals = {}, {}, {}, {}
     for s in linear_extension(idx):
         preds = [t for t in zvals if idx.lt(t, s)]
         lim, cmp_map = None, f.level_component(s)
@@ -283,7 +274,7 @@ def factor_strict(f, mode):
             lim, cmp_map = _matching_limit("Z", Y, s, X.value(s), cmp_map, side,
                                            lambda t, u: zstructs[(t, u)])
         fp = factor_map(cmp_map, base_mode)
-        zvals[s], ivals[s], matching[s] = fp.middle, fp.left, fp.right
+        zvals[s], ivals[s] = fp.middle, fp.left
         pvals[s] = fp.right if lim is None else compose(lim.legs[f"Y.top:{s}"],
                                                         fp.right)
         for t in preds:
@@ -291,7 +282,7 @@ def factor_strict(f, mode):
     Z = ProObject(idx, values=zvals, structs=zstructs)
     out = StrictFactorization(input=f, mode=mode, middle=Z,
                               left=level_map(X, Z, ivals),
-                              right=level_map(Z, Y, pvals), matching=matching)
+                              right=level_map(Z, Y, pvals))
     fail_on(out.failure())
     return out
 
@@ -356,10 +347,10 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
     dominating s and all previous a(t) at which the inputs commute on
     the nose.
 
-    Level s lifts against p's relative matching map at s, taken from
-    *special*, p's detect_special certificate (``kept_matching``).  A
-    supplied certificate must be one of p; without one, detect_special
-    runs once here, for the square check and the matching maps alike.
+    Level s lifts against p's relative matching map at s, the one that
+    *special*, p's detect_special certificate, holds.  A supplied
+    certificate must be one of p; without one, detect_special runs once
+    here, for the square check and the matching maps alike.
     The triangles are re-checked on the finished lift.
     """
     for m, name in ((i, "i"), (p, "p"), (top, "top"), (bottom, "bottom")):
@@ -382,7 +373,7 @@ def lift_strict(i, p, top, bottom, mode=MODE_L1, special=None):
     a_of, comps = {}, {}
 
     for s in order:
-        m = kept_matching(p, special, s)
+        m = special.matching[s]
         floor = pos[s]
         for t in a_of:
             if idx.lt(t, s):

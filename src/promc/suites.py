@@ -164,12 +164,12 @@ def conjugate_pro(rng, X, prefix="c"):
     return X2, level_map(X, X2, alphas)
 
 
-def gen_shift_iso(rng, instance, length=2, conjugate=True, **kw):
+def gen_shift_iso(rng, instance, length=2, **kw):
     """The tower-shift pro-isomorphism with its witness family.
 
     A tower over the (length+1)-chain shifted against itself: X_s is the
     tower one level up, f the connecting maps, h_ts the tower structure
-    maps; optionally conjugated by random level isos on both sides.
+    maps; conjugated by random level isos on both sides.
     """
     tower = gen_pro_object(rng, chain_poset(length + 1), instance, **kw)
     I = chain_poset(length)
@@ -181,8 +181,6 @@ def gen_shift_iso(rng, instance, length=2, conjugate=True, **kw):
                   structs={(t, s): tower.struct(t, s) for s, t in I.covers()})
     f = level_map(X, Y, {s: tower.struct(up[s], s) for s in I.elements})
     fam = {(t, s): tower.struct(t, up[s]) for t, s in I.pairs}
-    if not conjugate:
-        return f, HFamily(fam)
     X2, alpha = conjugate_pro(rng, X, prefix="x")
     Y2, beta = conjugate_pro(rng, Y, prefix="y")
     f2 = level_map(X2, Y2, {
@@ -352,14 +350,14 @@ def suite_properness(instance, trials, seed):
     return rep
 
 
-def suite_cocell(instance, trials, seed, max_elems=4):
+def suite_cocell(instance, trials, seed):
     """Cocell round trip on special (acyclic) fibrations from factor_strict."""
     from .strict import MODE_L1, MODE_L2, factor_strict
     from .towers import build_cocell_tower, tower_limit
     instance = instance_of(instance)
     rep = SuiteReport(name=f"cocell[{instance.tag}]", trials=trials)
     for k, rng in _gen_instances(seed, trials):
-        poset = gen_poset(rng, max_elems=max_elems)
+        poset = gen_poset(rng, max_elems=4)
         f = gen_level_map(rng, poset, instance, **instance.sizes)
         mode = (MODE_L1, MODE_L2)[k % 2]
         try:
@@ -373,15 +371,15 @@ def suite_cocell(instance, trials, seed, max_elems=4):
     return rep
 
 
-def hom_oracle_family(max3_sizes=(1, 2)):
+def hom_oracle_family():
     """The exhaustive SetBij family: every pro-object over each directed
     poset shape with <= 3 elements; all sizes <= 3 with all structure maps
-    on <= 2-element posets, sizes from *max3_sizes* on 3-element shapes."""
+    on <= 2-element posets, sizes 1 and 2 on 3-element shapes."""
     out = []
     for name in ("point", "chain2", "chain3", "vee3"):
         els, covers = POSET_SHAPES[name]
         poset = from_covers(els, covers)
-        sizes = (1, 2, 3) if len(els) <= 2 else tuple(max3_sizes)
+        sizes = (1, 2, 3) if len(els) <= 2 else (1, 2)
         out.extend(_all_pro_objects(poset, sizes))
     return out
 
@@ -474,7 +472,7 @@ def run_all_suites(trials, seed, depth=16):
         reports.append(suite_two_of_three(instance, max(1, trials // 2), seed + 3))
         reports.append(suite_properness(instance, max(1, trials // 2), seed + 4))
         reports.append(suite_cocell(instance, max(1, trials // 2), seed + 5))
-    small = hom_oracle_family(max3_sizes=(1, 2))
+    small = hom_oracle_family()
     reports.append(suite_hom_oracle(small[:40]))
     reports.append(suite_adjunction(depth=depth, family=small[:25]))
     return reports

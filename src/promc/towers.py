@@ -24,7 +24,7 @@ from .prohom import (IsoCertificate, constant_embed, enumerate_base_maps,
                      hom_pro, lim_functor, spread_from_max)
 from .proobj import (LEVEL, ProObject, compose_pro, constant_over, general_map,
                      identity_pro, level_map, omega_pro_object)
-from .strict import FIB, class_test, detect_special, kept_matching
+from .strict import FIB, class_test
 
 
 @dataclass
@@ -53,7 +53,6 @@ class Tower:
     final_legs: dict = None         # top stage -> X_s, set by the builder
     final_mu: BaseMap = None        # top stage -> stage 0
     omega_stages: ProObject = None  # ω towers: stage n's value and bondings
-    depth: int | None = None        # ω towers: the depth asked for
 
     def replay_base_changes(self):
         """Re-check every bonding square: it commutes, the stage embeds in
@@ -97,14 +96,13 @@ def stage_failure(attach, cone_map, bonding, new_leg):
     return None
 
 
-def build_cocell_tower(f, special=None, class_tag=None):
+def build_cocell_tower(f, special):
     """Present a special (acyclic) fibration as a cocell tower.
 
-    Needs a detect_special certificate on every matching map (supplied
-    or recomputed here).  A supplied certificate must be one of *f*: the
-    matching maps and classes it kept are reused, and only the levels it
-    lacks are recomputed.  Stages follow the linear extension; stage 0
-    is the value of the target at the maximum."""
+    *special* is f's detect_special certificate: each stage attaches the
+    matching map it holds for its level, with its verdict, so the tower
+    computes and classifies none.  Stages follow the linear extension;
+    stage 0 is the value of the target at the maximum."""
     if f.kind != LEVEL:
         raise PreconditionError("build_cocell_tower needs a LEVEL presentation")
     idx = f.source.index
@@ -112,10 +110,6 @@ def build_cocell_tower(f, special=None, class_tag=None):
         raise UnsupportedRegimeError(
             "ω cocell towers are only stored with constant stages given "
             "directly; build from finite presentations")
-    if special is None:
-        if class_tag is None:
-            raise PreconditionError("pass a certificate or a class tag")
-        special = detect_special(f, class_tag)
     special.require()
     X, Y = f.source, f.target
     M = idx.max_element()
@@ -125,13 +119,12 @@ def build_cocell_tower(f, special=None, class_tag=None):
     mu = identity(cur)
     lam = {}
     for s in linear_extension(idx):
-        m = kept_matching(f, special, s)
-        attach_class = special.verdicts.get(s) or classify_map(m.map)
+        m = special.matching[s]
         psi = m.mediate(cur, compose(Y.struct(M, s), mu),
                         {t: lam[t] for t in idx.predecessors(s)}, f)
         lim = pullback(psi, m.map)
         stage = TowerStage(level=s, attach=m.map,
-                           attach_class=attach_class,
+                           attach_class=special.verdicts[s],
                            cone_map=psi, bonding=lim.legs["a"],
                            new_leg=lim.legs["b"], square=lim,
                            new_stage_value=lim.apex)
@@ -153,7 +146,7 @@ def omega_constant_tower(value_fn, bonding_fn, depth=None):
     stage n, both evaluated below *depth* (``DEFAULT_DEPTH`` if None)."""
     stages = omega_pro_object(value_fn, bonding_fn, depth=depth or DEFAULT_DEPTH)
     return Tower(class_tag=FIB, base_value=stages.value(0), length=OMEGA,
-                 omega_stages=stages, depth=depth)
+                 omega_stages=stages)
 
 
 @dataclass
@@ -161,7 +154,6 @@ class TowerLimit:
     apex: ProObject
     projection: object          # pro-map apex -> the tower's base
     iso_cert: IsoCertificate | None
-    depth: int | None = None
 
 
 def tower_limit(tower):
@@ -173,8 +165,7 @@ def tower_limit(tower):
     projection with the presented map.  ω over constants: the pro-object
     n ↦ stage value n with the bondings."""
     if tower.length == OMEGA:
-        return TowerLimit(apex=tower.omega_stages, projection=None,
-                          iso_cert=None, depth=tower.depth)
+        return TowerLimit(apex=tower.omega_stages, projection=None, iso_cert=None)
     if tower.length == 0:
         apex = constant_embed(tower.base_value)
         return TowerLimit(apex=apex, projection=identity_pro(apex),
@@ -227,7 +218,6 @@ class AdjunctionWitness:
     left_size: int
     right_size: int
     pairs: list                # (pro-map rep, base map) mutually inverse
-    depth: int | None = None
     stabilized_at: int | None = None
 
     def verified(self):
@@ -292,5 +282,4 @@ def adjunction_check(X, Y, naturality_probes=()):
     if len({phi for _, phi in pairs}) != len(pairs):
         raise VerificationFailure("ω realization not injective")
     return AdjunctionWitness(left_size=len(hs.maps), right_size=len(rights),
-                             pairs=pairs, depth=d,
-                             stabilized_at=hs.stabilized_at)
+                             pairs=pairs, stabilized_at=hs.stabilized_at)

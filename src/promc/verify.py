@@ -48,8 +48,9 @@ import json
 
 from . import certs
 from .base import instance_of
-from .docio import (CERT_SCHEMA, hfamily_from_doc, map_from_doc, obj_from_doc,
-                    obj_to_doc, poset_from_doc, promap_from_doc, proobj_from_doc)
+from .docio import (CERT_SCHEMA, _as_object, hfamily_from_doc, map_from_doc,
+                    obj_from_doc, obj_to_doc, poset_from_doc, promap_from_doc,
+                    proobj_from_doc)
 from .errors import MalformedError, VerificationFailure, fail_on
 from .indexing import DEFAULT_DEPTH, FINITE, linear_extension
 from .prohom import IsoCertificate, constant_embed, hom_pro
@@ -103,6 +104,7 @@ class Loader:
 
     def promap(self, payload, depth=None):
         """The pro-map of a payload that embeds its ends and their posets."""
+        _as_object(payload, "pro-map payload")
         return self.between(
             payload,
             self.proobj(payload["source_object"], self.poset(payload["poset"], depth)),
@@ -120,6 +122,7 @@ class Loader:
     def iso(self, payload):
         """Replay an iso payload, at its own depth if it records one, as an
         IsoCertificate; returns its forward map."""
+        _as_object(payload, "iso payload")
         fwd = self.promap(payload["forward"], payload.get("depth"))
         back, fam = payload.get("backward"), payload.get("hfamily")
         IsoCertificate(
@@ -176,7 +179,7 @@ def verify_certificate(doc, depth=DEFAULT_DEPTH):
     if not isinstance(doc, dict) or doc.get("schema") != CERT_SCHEMA:
         raise MalformedError("not a certificate document")
     kind = doc.get("kind")
-    handler = _HANDLERS.get(kind)
+    handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
     if handler is None:
         raise MalformedError(f"unknown certificate kind {kind!r}")
     return handler(Loader(instance_of(doc.get("instance")), doc.get("depth", depth)),
@@ -238,7 +241,7 @@ _ISOS = {"zigzag-we": 2, "two-of-three/left-cancel": 1,
 
 def _verify_levelwise_we(load, doc):
     construction = doc.get("construction")
-    if construction not in _ISOS:
+    if not (isinstance(construction, str) and construction in _ISOS):
         raise MalformedError(f"unknown levelwise-we construction {construction!r}")
     m = load.promap(doc["map"])
     fresh = {}
@@ -246,6 +249,8 @@ def _verify_levelwise_we(load, doc):
                           m.source.index.elements, fresh))
     _agrees(doc["verdicts"], certs.verdicts_doc(fresh), "verdicts")
     isos = doc["isos"]
+    if not isinstance(isos, list):
+        raise MalformedError("levelwise-we isos must be a list")
     if len(isos) != _ISOS[construction]:
         raise VerificationFailure(f"{construction} certifies "
                                   f"{_ISOS[construction]} pro-isos, not {len(isos)}")
@@ -332,7 +337,7 @@ def _verify_adjunction(load, doc):
     w = adjunction_check(X, Y)
     _oracle(constant_embed(X), Y, w.left_size)
     _agrees(doc, certs.adjunction_cert(X, Y, w))
-    return {"kind": "adjunction", "size": w.left_size, "depth": w.depth}
+    return {"kind": "adjunction", "size": w.left_size, "depth": Y.index.depth}
 
 
 def _verify_hom(load, doc):

@@ -105,7 +105,7 @@ def test_criterion_5_special_implies_levelwise():
 def test_criterion_6_cocell_round_trip():
     total = 0
     for instance in (SET_BIJ, CHAIN_F2):
-        rep = suite_cocell(instance, 25, SEED + 5, max_elems=4)
+        rep = suite_cocell(instance, 25, SEED + 5)
         assert rep.ok, rep.failures[:5]
         total += rep.trials
     _report(6, "cocell round trip",

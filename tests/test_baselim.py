@@ -11,7 +11,7 @@ from promc.baselim import (Cone, Diagram, finite_colimit, finite_limit,
 from promc.errors import PreconditionError
 
 from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
-                     random_set_map, random_set_obj, sphere0)
+                     random_set_map, random_set_obj, shifted, sphere0)
 
 
 def test_empty_limit_is_terminal():
@@ -200,3 +200,133 @@ def test_chainf2_left_properness(seed):
     assert classify_map(i).is_cof
     col = pushout(j, i)
     assert classify_map(col.legs["b"]).is_we  # cobase change of j along i
+
+
+# ------------------------------------ ChainF2 colimits and images, by solve
+#
+# The colimit and image that ChainF2 built with ``gf2.image_basis``,
+# ``gf2.quotient_map`` and ``gf2.solve`` before it read them off one
+# canonical basis per degree, kept as the reference: the RREF is unique,
+# so both give the same bits.
+
+
+def solve_colimit(diagram):
+    """(apex, legs, factor) of the ChainF2 colimit, with a section of the
+    quotient map solved for."""
+    from promc.chainf2 import (ChainMap, ChainObject, _block_diff, _blocks,
+                               _columns, _layout)
+    nodes, degs, span, width = _layout(diagram)
+    quotients, sections = {}, {}
+    for n in degs:
+        cols = []
+        for src, tgt, f in diagram.edges:
+            a, b = span[n][src].start, span[n][tgt].start
+            cols += [(1 << (a + k)) ^ (c << b)
+                     for k, c in enumerate(gf2.transpose(f.mat(n)).rows)]
+        U = gf2.transpose(gf2.Mat(tuple(cols), width[n]))
+        Q, k = gf2.quotient_map(gf2.image_basis(U), width[n])
+        quotients[n] = Q
+        sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width[n], 0)
+    lo, hi = degs[0], degs[-1]
+    diff = {n: gf2.matmul(gf2.matmul(quotients[n + 1], _block_diff(diagram, nodes, n)),
+                          sections[n])
+            for n in range(lo, hi)}
+    apex = ChainObject(lo, hi, {n: quotients[n].shape[0] for n in degs}, diff)
+    legs = {v: ChainMap(diagram.nodes[v], apex,
+                        {n: _columns(quotients[n], span[n][v]) for n in degs})
+            for v in nodes}
+
+    def factor(cocone):
+        mats = {}
+        for n in degs:
+            stacked = _blocks([cocone.apex.dim(n)],
+                              [diagram.nodes[v].dim(n) for v in nodes],
+                              {(0, k): cocone.legs[v].mat(n) for k, v in enumerate(nodes)})
+            m = gf2.matmul(stacked, sections[n])
+            if gf2.matmul(m, quotients[n]) != stacked:
+                raise PreconditionError("cocone does not factor through the colimit")
+            mats[n] = m
+        return ChainMap(apex, cocone.apex, mats)
+
+    return apex, legs, factor
+
+
+def solve_image(f):
+    """(image, corestriction, inclusion) of a chain map, solved for."""
+    from promc.chainf2 import ChainMap, ChainObject, _degrees
+    bases = {n: gf2.image_basis(f.mat(n)) for n in _degrees(f.source, f.target)}
+    degs = sorted(bases)
+    diff = {n: gf2.solve(bases[n + 1], gf2.matmul(f.target.d(n), bases[n]))
+            for n in range(degs[0], degs[-1])}
+    img = ChainObject(degs[0], degs[-1], {n: bases[n].shape[1] for n in degs}, diff)
+    core = ChainMap(f.source, img, {n: gf2.solve(bases[n], f.mat(n)) for n in degs},
+                    check=False)
+    return img, core, ChainMap(img, f.target, bases, check=False)
+
+
+def chain_diagram(seed):
+    """A seeded ChainF2 diagram of 1-3 complexes over shifted degree
+    ranges (so some degrees are zero-dimensional), with no edges, one
+    edge or parallel edges between the nodes."""
+    rng = np.random.default_rng(1300 + seed)
+    names = ["a", "b", "c"][:1 + seed % 3]
+    nodes = {v: shifted(random_complex(rng), int(rng.integers(-1, 2))) for v in names}
+    edges = []
+    for i, src in enumerate(names):
+        for tgt in names[i + 1:]:
+            for _ in range(int(rng.integers(0, 3))):  # 0, 1 or 2 parallel edges
+                edges.append((src, tgt, random_chain_map(rng, nodes[src], nodes[tgt])))
+    return rng, Diagram(nodes, edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_colimit_equals_the_solved_colimit(seed):
+    rng, dia = chain_diagram(seed)
+    col = finite_colimit(dia)
+    apex, legs, factor = solve_colimit(dia)
+    assert col.apex == apex  # dimensions and boundaries
+    assert col.legs == legs
+    W = random_complex(rng)
+    g = random_chain_map(rng, col.apex, W)
+    cocone = Cone(dia, W, {v: compose(g, leg) for v, leg in col.legs.items()})
+    assert col.mediate(cocone) == factor(cocone) == g
+    bad = Cone(dia, W, {v: random_chain_map(rng, X, W) for v, X in dia.nodes.items()})
+    outcomes = []
+    for fac in (col.factor, factor):
+        try:
+            outcomes.append(fac(bad))
+        except PreconditionError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_image_equals_the_solved_image(seed):
+    from promc.base import COF_ACF, factor_map
+    rng = np.random.default_rng(1400 + seed)
+    X = shifted(random_complex(rng), int(rng.integers(-1, 2)))
+    Y = random_complex(rng)
+    f = random_chain_map(rng, X, Y) if seed % 4 else chain_map(X, Y, {})
+    # the cylinder's projection (x, x', y) -> f x + y has the zero columns
+    # of x' among its pivot columns
+    for m in (f, factor_map(f, COF_ACF).right):
+        img, core, incl = m.instance.image(m)
+        ref = solve_image(m)
+        assert img == ref[0]  # dimensions and boundaries
+        assert (core, incl) == ref[1:]
+        assert compose(incl, core) == m
+
+
+def test_chain_limits_colimits_and_images_solve_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gf2.solve called")
+
+    monkeypatch.setattr(gf2, "solve", refuse)
+    for seed in range(12):
+        rng, dia = chain_diagram(seed)
+        for cone in (finite_limit(dia), finite_colimit(dia)):
+            assert cone.mediate(Cone(dia, cone.apex, dict(cone.legs))) == \
+                identity(cone.apex)
+        src, tgt = dia.nodes["a"], random_complex(rng)
+        img, core, incl = src.instance.image(random_chain_map(rng, src, tgt))
+        assert img.instance.classify(incl).is_cof

@@ -828,6 +828,32 @@ def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, fixture, edi
     assert (code, out) == (2, message)
 
 
+def _set_general_payload(doc):
+    doc["maps"]["g"]["general"][1][1] = 5
+
+
+LIFT = ("lift", "--i", "i", "--p", "p", "--top", "top", "--bottom", "bottom")
+
+
+# A base map payload that is not a JSON object, in either instance and
+# regime, and a SetBij element that is not a string
+@pytest.mark.parametrize("fixture,edit,argv,message", [
+    ("special.json", lambda d: d["maps"]["p"]["level"].__setitem__("1", 5), LIFT,
+     "error: base map payload must be an object, not int\n"),
+    ("special.json", lambda d: d["objects"]["B"]["values"].__setitem__("1", [["a"], "b"]),
+     LIFT, "error: SetBij object: element ['a'] is not a string\n"),
+    ("chainf2.json", lambda d: d["maps"]["p"]["level"].__setitem__("pt", 1),
+     ("hom", "cD", "cS"), "error: base map payload must be an object, not int\n"),
+    ("omega_maps.json", _set_general_payload, ("hom", "P", "T"),
+     "error: base map payload must be an object, not int\n"),
+], ids=["setbij-level-payload", "setbij-element", "chainf2-level-payload",
+        "omega-general-payload"])
+def test_a_base_payload_of_the_wrong_shape_exits_2(tmp_path, capsys, fixture, edit,
+                                                   argv, message):
+    path = _edited(tmp_path, fixture, edit)
+    assert run(capsys, argv[0], path, *argv[1:]) == (2, message)
+
+
 # A document section, an entry of one, a finite object's structure or a
 # witness bundle's pairs that is not a JSON object
 NOT_AN_OBJECT = {

@@ -429,3 +429,33 @@ def test_a_pro_map_payload_that_is_not_an_object_exits_2(tmp_path, capsys, paylo
     code, out = replay(tmp_path, capsys, doc)
     kind = type(payload).__name__
     assert (code, out) == (2, f"error: pro-map payload must be an object, not {kind}\n")
+
+
+FACTOR_L1 = ("factor", "chainf2.json", "p", "--mode", "L1")
+
+
+@pytest.mark.parametrize("kind", [{}, ["factorization"], 5])
+def test_a_kind_that_is_not_a_string_is_unknown(tmp_path, capsys, kind):
+    doc = _answer(tmp_path, capsys, FACTOR_L1)
+    doc["kind"] = kind
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (2, f"error: unknown certificate kind {kind!r}\n")
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("input", True, "pro-map payload must be an object, not bool"),
+    ("construction", [], "unknown levelwise-we construction []"),
+    ("isos", 1, "levelwise-we isos must be a list"),
+    ("isos", [2.5], "iso payload must be an object, not float")])
+def test_a_payload_of_the_wrong_shape_exits_2(tmp_path, capsys, field, value, what):
+    doc = _answer(tmp_path, capsys, FACTOR_L1 if field == "input" else "two-of-three")
+    doc[field] = value
+    assert replay(tmp_path, capsys, doc) == (2, f"error: {what}\n")
+
+
+def test_a_general_component_from_no_source_level_exits_2(tmp_path, capsys):
+    doc = certificate(tmp_path, capsys, "lift-special")
+    first(doc["lift"]["general"])[0] = "bogus"
+    code, out = replay(tmp_path, capsys, doc)
+    assert code == 2 and out.count("\n") == 1
+    assert "has source level 'bogus', not an element of the source index" in out

@@ -150,7 +150,7 @@ def test_factor_omega_truncated():
                   check=False)
     fs = factor_strict(f, MODE_L1)
     assert fs.special.ok
-    assert fs.special.depth == 6
+    assert fs.depth == 6
 
 
 # ----------------------------------------------------------- lift_strict

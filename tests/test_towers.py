@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import sys
 
@@ -6,7 +5,7 @@ import pytest
 
 from promc import base, cli, strict
 from promc.base import chain_map, classify_map, identity, set_map, set_obj, zero_complex
-from promc.errors import PreconditionError, VerificationFailure
+from promc.errors import VerificationFailure
 from promc.indexing import chain_poset, point_poset
 from promc.prohom import constant_embed
 from promc.proobj import (constant_over, identity_pro, level_map,
@@ -39,7 +38,7 @@ def test_single_level_tower():
     P = point_poset()
     cD, cS = constant_over(P, disk1()), constant_over(P, S)
     f = level_map(cD, cS, {"pt": disk_to_sphere()})
-    t = build_cocell_tower(f, class_tag=FIB)
+    t = build_cocell_tower(f, special=detect_special(f, FIB))
     assert t.length == 1
     t.replay_base_changes()
     tl = tower_limit(t)
@@ -85,12 +84,6 @@ def test_tower_round_trip_random():
         t.replay_base_changes()
         tl = tower_limit(t)
         tl.iso_cert.replay()
-
-
-def test_tower_requires_certificate():
-    X, Y, f = special_acyclic_example()
-    with pytest.raises(PreconditionError):
-        build_cocell_tower(f)
 
 
 def test_corrupted_tower_detected():
@@ -177,18 +170,3 @@ def test_tower_commands_compute_each_matching_map_once(cmd, tmp_path, monkeypatc
                             "--out", str(tmp_path / "cert.json")])
     assert code == 0
     assert (len(matched), len(classified)) == (2, 4)
-
-
-@pytest.mark.parametrize("which", ["set-bij", "chain-f2"])
-def test_a_tower_without_kept_matching_maps_recomputes_them(which):
-    if which == "set-bij":
-        f = special_acyclic_example()[2]
-    else:
-        f = factor_strict(gen_level_map(Rng(1), chain_poset(3), which), MODE_L1).right
-    sp = detect_special(f, ACYCLIC_FIB)
-    assert sorted(sp.matching) == sorted(f.source.index.elements)
-    kept = build_cocell_tower(f, special=sp)
-    fresh = build_cocell_tower(f, special=dataclasses.replace(sp, matching=None))
-    for a, b in zip(kept.stages, fresh.stages, strict=True):
-        assert (a.level, a.attach, a.attach_class) == (b.level, b.attach, b.attach_class)
-    fresh.replay_base_changes()
