@@ -5,24 +5,29 @@ degreewise surjections, cofibrations the degreewise injections (every
 degreewise injection has projective cokernel over a field).
 
 Differentials raise degree by one: d_n maps degree n to degree n+1 and
-d_{n+1} ∘ d_n = 0.  Degrees run over a finite range [lo, hi].  A map is
-one matrix per degree, stored only where it is nonzero.  Every matrix,
-boundary or map degree, is a ``gf2.Mat``: an immutable tuple of int
-rows (bit c = column c) with its column count, so composing is XORing
-rows and comparing or hashing maps compares or hashes tuples; a degree
-with no stored matrix reads as the shared zero matrix of its shape.
-All linear algebra is exact, through ``gf2``; limits, colimits and
-images work degreewise, each reading every coordinate off one canonical
-basis (the null basis of ``gf2.null_vectors`` or a reduced row echelon
-form), and assemble their block matrices by shifting rows.  Maps are classified from ranks alone: f is a
-quasi-isomorphism iff its mapping cone is acyclic.  Chain-map systems
-(lifts, hom spaces) are emitted as int rows straight from the Kronecker
-structure of L·h·R, so no dense system is built.  Documents carry the
-same row-major 0/1 lists.
+d_{n+1} ∘ d_n = 0.  Degrees run over a finite range [lo, hi].  Every
+value is one block matrix over total spaces, the direct sums of all
+degrees, with degree-major coordinates: an object's boundary ``D`` is
+N x N with block (n+1, n) the boundary d_n, a map's ``F`` is block
+diagonal with block (n, n) its matrix in degree n.  Each is a
+``gf2.Mat``: an immutable tuple of int rows (bit c = column c) with its
+column count, so composing is one product, and comparing or hashing
+maps compares or hashes one tuple; ``d(n)`` and ``mat(n)`` read one
+block.  All linear algebra is exact, through ``gf2``, and takes one
+product or one elimination per value, not one per degree: a matrix
+whose rows each lie in one degree has the rank, the null basis and the
+reduced row echelon form of its degrees side by side.  Limits, colimits
+and images read every coordinate off one canonical basis (the null
+basis of ``gf2.null_vectors`` or a reduced row echelon form).  Maps are
+classified from ranks alone: f is a quasi-isomorphism iff its mapping
+cone is acyclic.  Chain-map systems (lifts, hom spaces) are emitted as
+int rows straight from the Kronecker structure of L·h·R, so no dense
+system is built.  Documents carry one row-major 0/1 list per degree.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 
@@ -40,41 +45,63 @@ MAX_DEGREE = 64  # max |degree| in a document (generated inputs reach -1 to 7)
 
 
 class ChainObject(BaseObject):
-    """A degree range [lo, hi], a dimension per degree and one boundary
-    matrix per degree (d_n maps degree n to degree n+1)."""
+    """A degree range [lo, hi], a dimension per degree and the boundary
+    ``D`` over the total space: degree n holds the coordinates from
+    ``_start(n)`` on, and block (n+1, n) of D is d_n (degree n to n+1)."""
 
-    __slots__ = ("lo", "hi", "_dims", "_diff")
+    __slots__ = ("lo", "hi", "_dims", "_offs", "D")
 
     def __init__(self, lo, hi, dims, diff=None):
         """*dims* maps each degree in [lo, hi] to its dimension, *diff*
         a source degree to its boundary matrix."""
         if lo > hi:
             raise MalformedError("empty degree range; use a zero complex instead")
-        self.instance = INSTANCE
-        self.lo, self.hi = int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
         dims = {n: int(dims[n]) for n in range(lo, hi + 1)}
         if any(d < 0 for d in dims.values()):
             raise MalformedError("negative dimension")
-        self._dims = dims
+        self._layout(lo, hi, dims)
         diff = dict(diff or {})
-        self._diff = {}
+        rows = [0] * self._offs[hi + 1]
         for n in range(lo, hi):  # an absent boundary is zero
-            self._diff[n] = (_read(diff[n], dims[n + 1], dims[n],
-                                   f"boundary out of degree {n}") if n in diff
-                             else gf2.zeros(dims[n + 1], dims[n]))
-        for n in range(lo, hi - 1):
-            if any(gf2.matmul(self._diff[n + 1], self._diff[n]).rows):
-                raise MalformedError(f"d∘d nonzero out of degree {n}")
+            if n in diff:
+                M = _read(diff[n], dims[n + 1], dims[n], f"boundary out of degree {n}")
+                _put(rows, M, self._offs[n + 1], self._offs[n])
+        self._set_boundary(gf2.Mat(tuple(rows), len(rows)))
+
+    def _layout(self, lo, hi, dims):
+        self.instance = INSTANCE
+        self.lo, self.hi, self._dims = lo, hi, dims
+        self._offs = dict(zip(range(lo, hi + 2),
+                              itertools.accumulate(dims.values(), initial=0)))
+
+    def _set_boundary(self, D):
+        """Keep *D*, refused if d∘d ≠ 0; only then is each degree tried,
+        to name the lowest one where it fails."""
+        self.D = D
+        if any(gf2.matmul(D, D).rows):
+            n = next(n for n in range(self.lo, self.hi - 1)
+                     if any(gf2.matmul(self.d(n + 1), self.d(n)).rows))
+            raise MalformedError(f"d∘d nonzero out of degree {n}")
+
+    @property
+    def N(self):
+        """The total dimension."""
+        return self.D.ncols
+
+    def _start(self, n):
+        """The first coordinate of degree n in the total space."""
+        return self._offs[min(max(n, self.lo), self.hi + 1)]
 
     def dim(self, n):
         return self._dims.get(n, 0)
 
     def d(self, n):
         """Boundary matrix degree n -> n+1 (zero outside the stored range)."""
-        M = self._diff.get(n)
-        if M is None:
+        if not self.lo <= n < self.hi:
             return gf2.zeros(self.dim(n + 1), self.dim(n))
-        return M
+        return _block(self.D, self._offs[n + 1], self.dim(n + 1), self._offs[n],
+                      self.dim(n))
 
     @property
     def degrees(self):
@@ -84,54 +111,101 @@ class ChainObject(BaseObject):
         return f"ChainObj[{self.lo},{self.hi}]dims={[self.dim(n) for n in self.degrees]}"
 
 
-class ChainMap(BaseMap):
-    """One matrix per degree, commuting with the boundaries.
+def _complex(lo, dims, D):
+    """The ChainObject with the dimensions *dims*, a list indexed from
+    *lo*, and the boundary *D*, a ``gf2.Mat`` over their total space."""
+    X = object.__new__(ChainObject)
+    X._layout(lo, lo + len(dims) - 1, dict(zip(itertools.count(lo), dims)))
+    X._set_boundary(D)
+    return X
 
-    With check=True every matrix is read into a fresh ``gf2.Mat`` by ``_read``,
-    its shape and the commutation are checked: every document input
-    takes this path.  With check=False a ``gf2.Mat`` of the expected
-    shape is kept as given (values are immutable, so nothing is copied);
-    anything else is read as with check=True.
+
+class ChainMap(BaseMap):
+    """The block diagonal matrix ``F`` from the source's total space to the
+    target's, commuting with the boundaries: block (n, n) is the map in
+    degree n.
+
+    *mats* maps degrees to matrices.  With check=True every matrix is read
+    into a fresh ``gf2.Mat`` by ``_read``, its shape and the commutation
+    are checked: every document input takes this path.  With check=False
+    a ``gf2.Mat`` of the expected shape is placed as given; anything else
+    is read as with check=True.
     """
 
-    __slots__ = ("_mats",)
+    __slots__ = ("F",)
 
     def __init__(self, source, target, mats=None, check=True):
         if check and not (isinstance(source, ChainObject)
                           and isinstance(target, ChainObject)):
             raise MalformedError("source and target from different instances")
+        self._set(source, target, _diagonal(source, target, mats or {}, check), check)
+
+    def _set(self, source, target, F, check):
+        """Keep *F*; with *check*, refused unless D_T·F = F·D_S, and only
+        then is each degree tried, to name the lowest one where it fails."""
         self.instance = INSTANCE
         self.source = source
         self.target = target
-        mats = mats or {}
-        self._mats = {}
-        if check:  # a document may name degrees outside both ranges: ignored
-            degs = set(source.degrees) | set(target.degrees)
-            mats = {n: mats[n] for n in degs if n in mats}
-        for n, M in mats.items():
-            if M is None:
-                continue
-            rows, cols = target.dim(n), source.dim(n)
-            if check or not (isinstance(M, gf2.Mat) and M.ncols == cols
-                             and len(M.rows) == rows):
-                M = _read(M, rows, cols, f"matrix in degree {n}")
-            if any(M.rows):
-                self._mats[n] = M
-        if check:
-            for n in degs:
-                lhs = gf2.matmul(target.d(n), self.mat(n))
-                rhs = gf2.matmul(self.mat(n + 1), source.d(n))
-                if lhs != rhs:
-                    raise MalformedError(f"does not commute with boundaries at degree {n}")
+        self.F = F
+        if check and gf2.matmul(target.D, F) != gf2.matmul(F, source.D):
+            n = next(n for n in sorted(_degrees(source, target))
+                     if gf2.matmul(target.d(n), self.mat(n))
+                     != gf2.matmul(self.mat(n + 1), source.d(n)))
+            raise MalformedError(f"does not commute with boundaries at degree {n}")
 
     def mat(self, n):
-        M = self._mats.get(n)
-        if M is None:
-            return gf2.zeros(self.target.dim(n), self.source.dim(n))
-        return M
+        S, T = self.source, self.target
+        if not (S.dim(n) and T.dim(n)):
+            return gf2.zeros(T.dim(n), S.dim(n))
+        return _block(self.F, T._start(n), T.dim(n), S._start(n), S.dim(n))
+
+    @property
+    def _mats(self):
+        """Degree -> matrix, for the degrees where the map is nonzero."""
+        mats = {n: self.mat(n) for n in sorted(_degrees(self.source, self.target))}
+        return {n: M for n, M in mats.items() if any(M.rows)}
 
     def __repr__(self):
         return f"ChainMap({self.source!r}->{self.target!r})"
+
+
+def _map(source, target, F, check=False):
+    """The ChainMap with the block diagonal ``gf2.Mat`` *F*."""
+    f = object.__new__(ChainMap)
+    f._set(source, target, F, check)
+    return f
+
+
+def _diagonal(source, target, mats, check):
+    """The block diagonal F with block (n, n) the matrix mats[n], read
+    as ``ChainMap`` describes; with *check*, a degree outside both ranges
+    is ignored (a document may name one)."""
+    if check:
+        degs = set(source.degrees) | set(target.degrees)
+        mats = {n: mats[n] for n in degs if n in mats}
+    rows = [0] * target.N
+    for n, M in mats.items():
+        if M is None:
+            continue
+        r, c = target.dim(n), source.dim(n)
+        if check or not (isinstance(M, gf2.Mat) and M.ncols == c and len(M.rows) == r):
+            M = _read(M, r, c, f"matrix in degree {n}")
+        if r and c:
+            _put(rows, M, target._start(n), source._start(n))
+    return gf2.Mat(tuple(rows), source.N)
+
+
+def _block(M, r0, rows, c0, cols):
+    """The *rows* x *cols* block of *M* whose top left corner is (r0, c0);
+    every row there has its bits inside the block's columns."""
+    return gf2.Mat(tuple(r >> c0 for r in M.rows[r0:r0 + rows]), cols)
+
+
+def _put(rows, M, r0, c0):
+    """XOR the ``gf2.Mat`` *M* into the int rows *rows* as the block
+    whose top left corner is (r0, c0)."""
+    for k, r in enumerate(M.rows):
+        rows[r0 + k] ^= r << c0
 
 
 def _read(M, rows, cols, what):
@@ -177,24 +251,6 @@ def _degrees(*objs):
     return set().union(*(X.degrees for X in objs))
 
 
-def _cone_acyclic(f):
-    """Whether f: X -> Y is a quasi-isomorphism, that is (over a field)
-    whether its mapping cone C is acyclic.  C_n = X_{n+1} ⊕ Y_n with
-    boundary D_n(x, y) = (dx, fx + dy); C is acyclic iff rank D_n +
-    rank D_{n-1} = dim C_n in every degree.  Stops at the first failure."""
-    X, Y = f.source, f.target
-    prev = 0  # rank D_{n-1}: C is zero below min(lo) - 1
-    for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 1):
-        a, width = X.dim(n + 1), X.dim(n + 1) + Y.dim(n)
-        rows = X.d(n + 1).rows + tuple(
-            x | y << a for x, y in zip(f.mat(n + 1).rows, Y.d(n).rows))
-        r = gf2.rank(gf2.Mat(rows, width))
-        if r + prev != width:
-            return False
-        prev = r
-    return True
-
-
 class ChainF2:
     """The ChainF2 instance."""
 
@@ -205,52 +261,49 @@ class ChainF2:
     small_sizes = {"max_deg": 1, "max_dim": 2}
 
     def obj_eq(self, X, other):
-        if not isinstance(other, ChainObject):
-            return False
-        degs = _degrees(X, other)
-        return all(X.dim(n) == other.dim(n) for n in degs) and all(
-            X.d(n) == other.d(n) for n in degs)
+        # equal nonzero dimensions place every degree alike
+        return (isinstance(other, ChainObject) and X.D == other.D
+                and _nonzero_dims(X) == _nonzero_dims(other))
 
     def obj_hash(self, X):
-        return hash((CHAIN_F2, tuple(sorted((n, d) for n, d in X._dims.items() if d))))
+        return hash((CHAIN_F2, _nonzero_dims(X)))
 
     def map_eq(self, f, other):
         if not isinstance(other, ChainMap):
             return False
-        if f.source != other.source or f.target != other.target:
-            return False
-        # zero degrees are never stored, and equal ends fix the shapes
-        return f._mats == other._mats
+        # equal ends fix the shapes
+        return f.F.rows == other.F.rows and f.source == other.source \
+            and f.target == other.target
 
     def map_hash(self, f):
-        return hash((CHAIN_F2, f.source, f.target, tuple(sorted(f._mats.items()))))
+        return hash((CHAIN_F2, f.source, f.target, f.F.rows))
 
     def identity(self, X):
-        return ChainMap(X, X, {n: gf2.eye(X.dim(n)) for n in X.degrees}, check=False)
+        return _map(X, X, gf2.eye(X.N))
 
     def compose(self, g, f):
-        gm = g._mats  # a degree where either map is zero composes to zero
-        return ChainMap(f.source, g.target,
-                        {n: gf2.matmul(gm[n], M) for n, M in f._mats.items() if n in gm},
-                        check=False)
+        return _map(f.source, g.target, gf2.matmul(g.F, f.F))
 
     def inverse(self, f):
-        degs = _degrees(f.source, f.target)
-        if any(f.source.dim(n) != f.target.dim(n) for n in degs):
-            return None
-        mats = {n: gf2.inverse(f.mat(n)) for n in degs}
-        if any(M is None for M in mats.values()):
-            return None
-        return ChainMap(f.target, f.source, mats, check=False)
+        """F is block diagonal, so it is invertible iff every block is
+        (a block that is not square makes it singular)."""
+        F = f.F
+        inv = gf2.inverse(F) if len(F.rows) == F.ncols else None
+        return None if inv is None else _map(f.target, f.source, inv)
 
     def classify(self, f):
-        """One rank of f per degree decides both degreewise classes; f is
-        a weak equivalence iff its mapping cone is acyclic (``_cone_acyclic``)."""
+        """F is block diagonal, so its rank is the sum of the degrees'
+        ranks: f is a degreewise injection iff it is N_X, a degreewise
+        surjection iff it is N_Y.  f is a weak equivalence iff its mapping
+        cone is acyclic.  Over the total spaces the cone's boundary is
+        C = [[D_X, 0], [F, D_Y]] on X ⊕ Y, and C∘C = 0, so the cone is
+        acyclic iff the image of C is its kernel: 2·rank C = N_X + N_Y."""
         X, Y = f.source, f.target
-        ranks = [(n, gf2.rank(f.mat(n))) for n in _degrees(X, Y)]
-        return MapClasses(is_we=_cone_acyclic(f),
-                          is_cof=all(r == X.dim(n) for n, r in ranks),
-                          is_fib=all(r == Y.dim(n) for n, r in ranks))
+        r = gf2.rank(f.F)
+        cone = gf2.Mat(X.D.rows + tuple(x | y << X.N for x, y in zip(f.F.rows, Y.D.rows)),
+                       X.N + Y.N)
+        return MapClasses(is_we=2 * gf2.rank(cone) == X.N + Y.N,
+                          is_cof=r == X.N, is_fib=r == Y.N)
 
     def factor(self, f, mode):
         """Mapping cylinder (cof-then-acyclicfib), resp. mapping path
@@ -271,100 +324,86 @@ class ChainF2:
         return None if sol is None else map_from_vector(B, X, sol, offs)
 
     def limit(self, diagram):
-        """In each degree the apex is the kernel of the edge equations
-        inside the product of the nodes, with the basis of
-        ``gf2.null_vectors``: the vector of free column fc is 1 at fc and
-        0 at every other free column, and fc is its highest set bit.  So
-        the apex coordinates of a vector of the kernel are its entries at
-        the free columns, and the differential and every mediating map are
-        read off those rows, then checked to lie in the kernel."""
-        nodes, degs, span, width = _layout(diagram)
-        basis, free = {}, {}
-        for n in degs:
-            # one row per target coordinate of an edge: f(x_src) + x_tgt = 0
-            rows = []
-            for src, tgt, f in diagram.edges:
-                a, b = span[n][src].start, span[n][tgt].start
-                rows += [(r << a) ^ (1 << (b + k)) for k, r in enumerate(f.mat(n).rows)]
-            vecs = gf2.null_vectors(gf2.Mat(tuple(rows), width[n]))
-            free[n] = [v.bit_length() - 1 for v in vecs]
-            basis[n] = gf2.transpose(gf2.Mat(tuple(vecs), width[n]))
+        """The apex is the kernel of the edge equations inside the product
+        of the nodes.  Every row of the relation matrix lies in one degree
+        of the product, so one ``gf2.null_vectors`` call gives each
+        degree's basis, in degree order.  The vector of free column fc is
+        1 at fc and 0 at every other free column, and fc is its highest
+        set bit, so the apex coordinates of a vector of the kernel are its
+        entries at the free columns: the differential and every mediating
+        map are read off those rows, then checked to lie in the kernel."""
+        nodes, lo, starts, place, D = _product(diagram)
+        rows = []
+        for src, tgt, f in diagram.edges:  # f(x_src) + x_tgt = 0, per target coordinate
+            rows += [_moved(r, place[src]) ^ (1 << p) for p, r in zip(place[tgt], f.F.rows)]
+        vecs = gf2.null_vectors(gf2.Mat(tuple(rows), D.ncols))
+        free = [v.bit_length() - 1 for v in vecs]
+        basis = gf2.transpose(gf2.Mat(tuple(vecs), D.ncols))
 
-        def coordinates(n, M):
-            """The X with basis[n]·X = M, or None when a column of M is
-            not in the kernel."""
-            X = gf2.Mat(tuple(M.rows[fc] for fc in free[n]), M.ncols)
-            return X if gf2.matmul(basis[n], X) == M else None
+        def coordinates(M):
+            """The X with basis·X = M, or None when a column of M is not
+            in the kernel."""
+            X = gf2.Mat(tuple(M.rows[fc] for fc in free), M.ncols)
+            return X if gf2.matmul(basis, X) == M else None
 
-        lo, hi = degs[0], degs[-1]
-        diff = {}
-        for n in range(lo, hi):
-            # its block rows are every leg's boundary commutation: legs skip it
-            sol = coordinates(n + 1, gf2.matmul(_block_diff(diagram, nodes, n), basis[n]))
-            if sol is None:
-                raise AssertionError("product differential does not preserve the limit")
-            diff[n] = sol
-        apex = ChainObject(lo, hi, {n: basis[n].shape[1] for n in degs}, diff)
-        legs = {v: ChainMap(apex, diagram.nodes[v],
-                            {n: gf2.Mat(basis[n].rows[span[n][v]], basis[n].ncols)
-                             for n in degs}, check=False)
+        # its rows are every leg's boundary commutation: legs skip it
+        diff = coordinates(gf2.matmul(D, basis))
+        if diff is None:
+            raise AssertionError("product differential does not preserve the limit")
+        apex = _complex(lo, _counts(starts, free), diff)
+        legs = {v: _map(apex, diagram.nodes[v],
+                        gf2.Mat(tuple(basis.rows[p] for p in place[v]), len(free)))
                 for v in nodes}
 
         def factor(cone):
-            mats = {}
-            for n in degs:
-                stacked = gf2.Mat(tuple(r for v in nodes for r in cone.legs[v].mat(n).rows),
-                                  cone.apex.dim(n))
-                sol = coordinates(n, stacked)
-                if sol is None:
-                    raise PreconditionError("cone does not factor through the limit")
-                mats[n] = sol
-            return ChainMap(cone.apex, apex, mats)
+            stacked = [0] * D.ncols
+            for v in nodes:
+                for p, r in zip(place[v], cone.legs[v].F.rows):
+                    stacked[p] = r
+            sol = coordinates(gf2.Mat(tuple(stacked), cone.apex.N))
+            if sol is None:
+                raise PreconditionError("cone does not factor through the limit")
+            return _map(cone.apex, apex, sol, check=True)
 
         return LimitCone(diagram, apex, legs, factor)
 
     def colimit(self, diagram):
-        """In each degree the apex is the coproduct of the nodes modulo the
-        edge relations x_src + f(x_src).  The rows of the quotient map Q
-        are the ``gf2.null_vectors`` of the relations: the row of free
-        column fc is 1 at fc and 0 at the other free columns, so picking
-        the free columns is a section R (Q·R = I).  The differential
-        Q·D·R and every mediating map stacked·R do not depend on the
-        section, since D maps relations to relations and a cocone kills
-        them; a mediating map is checked by m·Q = stacked."""
-        nodes, degs, span, width = _layout(diagram)
-        quotients, sections = {}, {}
-        for n in degs:
-            # one row per source coordinate of an edge: x_src + f(x_src)
-            rows = []
-            for src, tgt, f in diagram.edges:
-                a, b = span[n][src].start, span[n][tgt].start
-                rows += [(1 << (a + k)) ^ (c << b)
-                         for k, c in enumerate(gf2.transpose(f.mat(n)).rows)]
-            vecs = gf2.null_vectors(gf2.Mat(tuple(rows), width[n]))
-            quotients[n] = gf2.Mat(tuple(vecs), width[n])
-            sections[n] = _selection([v.bit_length() - 1 for v in vecs], width[n])
-        lo, hi = degs[0], degs[-1]
-        diff = {n: gf2.matmul(gf2.matmul(quotients[n + 1],
-                                         _block_diff(diagram, nodes, n)),
-                              sections[n])
-                for n in range(lo, hi)}
-        apex = ChainObject(lo, hi, {n: quotients[n].shape[0] for n in degs}, diff)
-        legs = {v: ChainMap(diagram.nodes[v], apex,
-                            {n: _columns(quotients[n], span[n][v]) for n in degs})
+        """The apex is the coproduct of the nodes modulo the edge relations
+        x_src + f(x_src); each lies in one degree, so one
+        ``gf2.null_vectors`` call gives the rows of the quotient map Q, in
+        degree order: the row of free column fc is 1 at fc and 0 at the
+        other free columns, so picking the free columns is a section R
+        (Q·R = I).  The differential Q·D·R and every mediating map
+        stacked·R do not depend on the section, since D maps relations to
+        relations and a cocone kills them; a mediating map is checked by
+        m·Q = stacked."""
+        nodes, lo, starts, place, D = _product(diagram)
+        rows = []
+        for src, tgt, f in diagram.edges:  # x_src + f(x_src), per source coordinate
+            rows += [(1 << p) ^ _moved(c, place[tgt])
+                     for p, c in zip(place[src], gf2.transpose(f.F).rows)]
+        vecs = gf2.null_vectors(gf2.Mat(tuple(rows), D.ncols))
+        free = [v.bit_length() - 1 for v in vecs]
+        quotient = gf2.Mat(tuple(vecs), D.ncols)
+        section = _selection(free, D.ncols)
+        apex = _complex(lo, _counts(starts, free),
+                        gf2.matmul(gf2.matmul(quotient, D), section))
+        columns = gf2.transpose(quotient).rows
+        legs = {v: _map(diagram.nodes[v], apex,
+                        gf2.transpose(gf2.Mat(tuple(columns[p] for p in place[v]),
+                                              len(free))), check=True)
                 for v in nodes}
 
         def factor(cocone):
-            mats = {}
-            for n in degs:
-                stacked = _blocks([cocone.apex.dim(n)],
-                                  [diagram.nodes[v].dim(n) for v in nodes],
-                                  {(0, k): cocone.legs[v].mat(n) for k, v in enumerate(nodes)})
-                m = gf2.matmul(stacked, sections[n])
-                if gf2.matmul(m, quotients[n]) != stacked:
-                    raise PreconditionError("cocone does not factor through the colimit")
-                mats[n] = m
-            return ChainMap(apex, cocone.apex, mats)
+            stacked = [0] * cocone.apex.N
+            for v in nodes:
+                for a, r in enumerate(cocone.legs[v].F.rows):
+                    stacked[a] ^= _moved(r, place[v])
+            stacked = gf2.Mat(tuple(stacked), D.ncols)
+            m = gf2.matmul(stacked, section)
+            if gf2.matmul(m, quotient) != stacked:
+                raise PreconditionError("cocone does not factor through the colimit")
+            return _map(apex, cocone.apex, m, check=True)
 
         return ColimitCone(diagram, apex, legs, factor)
 
@@ -387,33 +426,27 @@ class ChainF2:
         return out
 
     def image(self, f):
-        """One ``gf2.row_echelon`` of f's matrix M per degree.  Its pivot
-        columns, picked by the selection S, are the basis B = M·S of the
-        image, and its nonzero rows C are the corestriction: M = B·C.  B
+        """One ``gf2.row_echelon`` of F, whose rows each lie in one degree,
+        so its pivots are each degree's, in degree order.  The pivot
+        columns, picked by the selection S, are the basis B = F·S of the
+        image, and the nonzero rows C are the corestriction: F = B·C.  B
         has independent columns, so the boundary is the one X with
-        B_{n+1}·X = d·B_n, which is C_{n+1}·d_src·S_n."""
-        sel, core = {}, {}
-        for n in _degrees(f.source, f.target):
-            R, piv = gf2.row_echelon(f.mat(n))
-            sel[n] = _selection(piv, f.source.dim(n))
-            core[n] = gf2.Mat(R.rows[:len(piv)], R.ncols)
-        degs = sorted(sel)
-        lo, hi = degs[0], degs[-1]
-        diff = {n: gf2.matmul(gf2.matmul(core[n + 1], f.source.d(n)), sel[n])
-                for n in range(lo, hi)}
-        img = ChainObject(lo, hi, {n: len(core[n].rows) for n in degs}, diff)
-        incl = ChainMap(img, f.target, {n: gf2.matmul(f.mat(n), sel[n]) for n in degs},
-                        check=False)
-        return img, ChainMap(f.source, img, core, check=False), incl
+        B·X = D_T·B, which is C·D_S·S."""
+        S = f.source
+        R, piv = gf2.row_echelon(f.F)
+        sel = _selection(piv, S.N)
+        core = gf2.Mat(R.rows[:len(piv)], S.N)
+        lo, hi = min(S.lo, f.target.lo), max(S.hi, f.target.hi)
+        starts = [S._start(n) for n in range(lo, hi + 2)]
+        img = _complex(lo, _counts(starts, piv),
+                       gf2.matmul(gf2.matmul(core, S.D), sel))
+        return img, _map(S, img, core), _map(img, f.target, gf2.matmul(f.F, sel))
 
     def corestrict(self, f, incl):
-        mats = {}
-        for n in _degrees(f.source, incl.source):
-            sol = gf2.solve(incl.mat(n), f.mat(n))
-            if sol is None:
-                return None
-            mats[n] = sol
-        return ChainMap(f.source, incl.source, mats, check=False)
+        """One ``gf2.solve``: the rows of both sides each lie in one
+        degree, so the solution is each degree's, and block diagonal."""
+        sol = gf2.solve(incl.F, f.F)
+        return None if sol is None else _map(f.source, incl.source, sol)
 
     def obj_to_doc(self, X):
         return {"lo": X.lo, "hi": X.hi,
@@ -452,7 +485,13 @@ class ChainF2:
                 if f.source.dim(n) and f.target.dim(n)}
 
     def map_from_doc(self, doc, source, target):
-        return ChainMap(source, target, {int(k): v for k, v in doc.items()})
+        mats = {}
+        for k, v in doc.items():
+            try:
+                mats[int(k)] = v
+            except ValueError:
+                raise MalformedError(f"ChainF2 map: key {k!r} is not a degree") from None
+        return ChainMap(source, target, mats)
 
     def map_set_doc(self, maps):
         # map documents are dicts, so order them by their canonical JSON
@@ -480,13 +519,12 @@ class ChainF2:
         return zero_a, b
 
     def gen_iso(self, rng, X, prefix):
-        Ps = {n: rng.invertible(X.dim(n)) for n in X.degrees}
-        diff = {}
-        for n in range(X.lo, X.hi):
-            inv = gf2.inverse(Ps[n]) if X.dim(n) else gf2.zeros(0, 0)
-            diff[n] = gf2.matmul(gf2.matmul(Ps[n + 1], X.d(n)), inv)
-        X2 = ChainObject(X.lo, X.hi, {n: X.dim(n) for n in X.degrees}, diff)
-        return X2, ChainMap(X, X2, Ps, check=False)
+        """X2 with boundary P·D·P⁻¹, for P a random invertible matrix per
+        degree, and P: X -> X2."""
+        P = _diagonal(X, X, {n: rng.invertible(X.dim(n)) for n in X.degrees}, False)
+        X2 = _complex(X.lo, [X.dim(n) for n in X.degrees],
+                      gf2.matmul(gf2.matmul(P, X.D), gf2.inverse(P)))
+        return X2, _map(X, X2, P)
 
     def gen_we_level_map(self, rng, X, prefix):
         """The projection X ⊕ E -> X with E a levelwise contractible
@@ -509,7 +547,21 @@ class ChainF2:
         return level_map(big.apex, X, proj)
 
 
+def _nonzero_dims(X):
+    return tuple((n, d) for n, d in X._dims.items() if d)
+
+
 # ------------------------------------------------------- factorizations
+
+
+def _middle(lo, parts):
+    """(at, dims) for a complex whose degree lo + k is the direct sum of
+    summands of the sizes parts[k]: at(n) lists where each summand of
+    degree n starts in the total space, dims the degree dimensions."""
+    dims = [sum(p) for p in parts]
+    starts = itertools.accumulate(dims, initial=0)
+    firsts = [list(itertools.accumulate(p[:-1], initial=s)) for s, p in zip(starts, parts)]
+    return (lambda n: firsts[n - lo]), dims
 
 
 def _cylinder_factor(f):
@@ -517,22 +569,25 @@ def _cylinder_factor(f):
     d(x, x', y) = (dx + x', dx', dy + f x'); all signs +1 over GF(2)."""
     X, Y = f.source, f.target
     lo, hi = min(X.lo - 1, Y.lo), max(X.hi, Y.hi)
-
-    def parts(n):
-        return X.dim(n), X.dim(n + 1), Y.dim(n)
-
-    mid = ChainObject(lo, hi, {n: sum(parts(n)) for n in range(lo, hi + 1)}, {
-        n: _blocks(parts(n + 1), parts(n), {
-            (0, 0): X.d(n), (0, 1): gf2.eye(X.dim(n + 1)), (1, 1): X.d(n + 1),
-            (2, 1): f.mat(n + 1), (2, 2): Y.d(n)})
-        for n in range(lo, hi)})
-    degs = range(lo, hi + 1)
-    left = {n: _blocks(parts(n), [X.dim(n)], {(0, 0): gf2.eye(X.dim(n))})
-            for n in degs}
-    right = {n: _blocks([Y.dim(n)], parts(n),
-                        {(0, 0): f.mat(n), (0, 2): gf2.eye(Y.dim(n))}) for n in degs}
-    return FactorizationPair(left=ChainMap(X, mid, left),
-                             right=ChainMap(mid, Y, right), mode=COF_ACF)
+    at, dims = _middle(lo, [(X.dim(n), X.dim(n + 1), Y.dim(n))
+                            for n in range(lo, hi + 1)])
+    D, left, right = [0] * sum(dims), [0] * sum(dims), [0] * Y.N
+    for n in range(lo, hi + 1):
+        x, x1, y = at(n)
+        _put(left, gf2.eye(X.dim(n)), x, X._start(n))
+        _put(right, f.mat(n), Y._start(n), x)
+        _put(right, gf2.eye(Y.dim(n)), Y._start(n), y)
+        if n < hi:  # the boundary into degree n + 1
+            u, u1, v = at(n + 1)
+            _put(D, X.d(n), u, x)
+            _put(D, gf2.eye(X.dim(n + 1)), u, x1)
+            _put(D, X.d(n + 1), u1, x1)
+            _put(D, f.mat(n + 1), v, x1)
+            _put(D, Y.d(n), v, y)
+    mid = _complex(lo, dims, gf2.Mat(tuple(D), len(D)))
+    return FactorizationPair(left=_map(X, mid, gf2.Mat(tuple(left), X.N), check=True),
+                             right=_map(mid, Y, gf2.Mat(tuple(right), mid.N), check=True),
+                             mode=COF_ACF)
 
 
 def _path_factor(f):
@@ -540,32 +595,25 @@ def _path_factor(f):
     d(x, b, c) = (dx, db, fx + b + dc)."""
     X, Y = f.source, f.target
     lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi + 1)
-
-    def parts(n):
-        return X.dim(n), Y.dim(n), Y.dim(n - 1)
-
-    mid = ChainObject(lo, hi, {n: sum(parts(n)) for n in range(lo, hi + 1)}, {
-        n: _blocks(parts(n + 1), parts(n), {
-            (0, 0): X.d(n), (1, 1): Y.d(n), (2, 0): f.mat(n),
-            (2, 1): gf2.eye(Y.dim(n)), (2, 2): Y.d(n - 1)})
-        for n in range(lo, hi)})
-    degs = range(lo, hi + 1)
-    left = {n: _blocks(parts(n), [X.dim(n)],
-                       {(0, 0): gf2.eye(X.dim(n)), (1, 0): f.mat(n)}) for n in degs}
-    right = {n: _blocks([Y.dim(n)], parts(n), {(0, 1): gf2.eye(Y.dim(n))})
-             for n in degs}
-    return FactorizationPair(left=ChainMap(X, mid, left),
-                             right=ChainMap(mid, Y, right), mode=ACOF_FIB)
-
-
-def _blocks(rows, cols, parts):
-    """The 0/1 matrix with row blocks of sizes *rows* and column blocks
-    of sizes *cols*, block (i, j) being parts[i, j] or zero."""
-    c = [0, *itertools.accumulate(cols)]
-    grid = [[0] * h for h in rows]
-    for (i, j), B in parts.items():
-        grid[i] = [a | b << c[j] for a, b in zip(grid[i], B.rows)]
-    return gf2.Mat(tuple(itertools.chain.from_iterable(grid)), c[-1])
+    at, dims = _middle(lo, [(X.dim(n), Y.dim(n), Y.dim(n - 1))
+                            for n in range(lo, hi + 1)])
+    D, left, right = [0] * sum(dims), [0] * sum(dims), [0] * Y.N
+    for n in range(lo, hi + 1):
+        x, b, c = at(n)
+        _put(left, gf2.eye(X.dim(n)), x, X._start(n))
+        _put(left, f.mat(n), b, X._start(n))
+        _put(right, gf2.eye(Y.dim(n)), Y._start(n), b)
+        if n < hi:  # the boundary into degree n + 1
+            u, v, w = at(n + 1)
+            _put(D, X.d(n), u, x)
+            _put(D, Y.d(n), v, b)
+            _put(D, f.mat(n), w, x)
+            _put(D, gf2.eye(Y.dim(n)), w, b)
+            _put(D, Y.d(n - 1), w, c)
+    mid = _complex(lo, dims, gf2.Mat(tuple(D), len(D)))
+    return FactorizationPair(left=_map(X, mid, gf2.Mat(tuple(left), X.N), check=True),
+                             right=_map(mid, Y, gf2.Mat(tuple(right), mid.N), check=True),
+                             mode=ACOF_FIB)
 
 
 def _selection(cols, n):
@@ -576,32 +624,44 @@ def _selection(cols, n):
     return gf2.Mat(tuple(rows), len(cols))
 
 
-def _columns(M, span):
-    """The columns of *M* in the slice *span*."""
-    mask = (1 << (span.stop - span.start)) - 1
-    return gf2.Mat(tuple(r >> span.start & mask for r in M.rows), span.stop - span.start)
+def _counts(starts, cols):
+    """How many of the sorted coordinates *cols* lie in each degree, the
+    degree k running from starts[k] to starts[k + 1]."""
+    cuts = [bisect.bisect_left(cols, s) for s in starts]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def _layout(diagram):
-    """(nodes, degrees, span, width): the coordinates of the product of
-    the node objects, span[n][v] the slice of node v in degree n and
-    width[n] the dimension of the product there."""
+def _moved(r, place):
+    """The int row *r*, whose bits lie in one degree of a complex, with
+    bit j moved to place[j]: one shift, since *place* keeps the order
+    and the gaps inside a degree."""
+    if not r:
+        return 0
+    j = (r & -r).bit_length() - 1
+    return r << (place[j] - j)
+
+
+def _product(diagram):
+    """(nodes, lo, starts, place, D) of the product of the node objects:
+    its coordinates are degree-major and node by node within a degree,
+    degree lo + k starting at starts[k] (the total dimension last);
+    place[v][i] is the coordinate of node v's coordinate i, and D is the
+    product's boundary."""
     nodes = sorted(diagram.nodes)
-    degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
-    span, width = {}, {}
-    for n in degs:
-        ends = [0, *itertools.accumulate(diagram.nodes[v].dim(n) for v in nodes)]
-        span[n] = {v: slice(ends[k], ends[k + 1]) for k, v in enumerate(nodes)}
-        width[n] = ends[-1]
-    return nodes, degs, span, width
-
-
-def _block_diff(diagram, nodes, n):
-    """The block-diagonal boundary degree n -> n+1 of the product of the
-    node objects."""
     objs = [diagram.nodes[v] for v in nodes]
-    return _blocks([X.dim(n + 1) for X in objs], [X.dim(n) for X in objs],
-                   {(k, k): X.d(n) for k, X in enumerate(objs)})
+    lo, hi = min(X.lo for X in objs), max(X.hi for X in objs)
+    place, starts, w = {v: [] for v in nodes}, [], 0
+    for n in range(lo, hi + 1):
+        starts.append(w)
+        for v, X in zip(nodes, objs):
+            place[v] += range(w, w + X.dim(n))
+            w += X.dim(n)
+    starts.append(w)
+    D = [0] * w
+    for v, X in zip(nodes, objs):
+        for p, r in zip(place[v], X.D.rows):
+            D[p] = _moved(r, place[v])
+    return nodes, lo, starts, place, gf2.Mat(tuple(D), w)
 
 
 # ------------------------------------------------- chain-map linear systems
@@ -669,12 +729,13 @@ def chain_map_system(S, T, blocks=()):
 def map_from_vector(S, T, x, offs, check=True):
     """The chain map S -> T whose entries, laid out as in
     ``chain_map_system``, are the bits of the vector *x*."""
-    mats = {}
+    rows = [0] * T.N
     for n, o in offs.items():
-        s = S.dim(n)
-        mask, h = (1 << s) - 1, x >> o
-        mats[n] = gf2.Mat(tuple(h >> (i * s) & mask for i in range(T.dim(n))), s)
-    return ChainMap(S, T, mats, check=check)
+        s, t = S.dim(n), T.dim(n)
+        if s and t:
+            mask, h, a, b = (1 << s) - 1, x >> o, T._start(n), S._start(n)
+            rows[a:a + t] = [(h >> (i * s) & mask) << b for i in range(t)]
+    return _map(S, T, gf2.Mat(tuple(rows), S.N), check)
 
 
 def hom_space(X, Y):
@@ -718,18 +779,21 @@ def _solve_b(rng, v_up, want):
 
 def _path_middle(V):
     """The middle of the path factorization of 0 -> V, a contractible
-    complex."""
+    complex: V_n ⊕ V_{n-1} in degree n."""
     return factor_map(chain_map(zero_complex(), V, {}), ACOF_FIB).middle
 
 
 def _path_functor_map(w):
-    """The induced map on path middles E(V_t) -> E(V_s) of w: V_t -> V_s."""
+    """The induced map on path middles E(V_t) -> E(V_s) of w: V_t -> V_s,
+    w on both summands."""
     src, tgt = _path_middle(w.source), _path_middle(w.target)
     V, W = w.source, w.target
-    mats = {n: _blocks([W.dim(n), W.dim(n - 1)], [V.dim(n), V.dim(n - 1)],
-                       {(0, 0): w.mat(n), (1, 1): w.mat(n - 1)})
-            for n in _degrees(src, tgt)}
-    return ChainMap(src, tgt, mats)
+    rows = [0] * tgt.N
+    for n in _degrees(src, tgt):
+        a, b = tgt._start(n), src._start(n)
+        _put(rows, w.mat(n), a, b)
+        _put(rows, w.mat(n - 1), a + W.dim(n), b + V.dim(n))
+    return _map(src, tgt, gf2.Mat(tuple(rows), src.N), check=True)
 
 
 INSTANCE = ChainF2()

@@ -142,6 +142,13 @@ def promap_to_doc(f, source_name, target_name):
     return out
 
 
+def _in_index(s, obj, what, end):
+    """Refuse the key *s* of *what* unless it is an element of the index
+    of *obj*, the map's *end*."""
+    if s not in obj.index.elements:
+        raise MalformedError(f"{what}: level {s!r} is not an element of the {end} index")
+
+
 def promap_from_doc(instance, doc, source, target, name="pro-map"):
     """The pro-map of *doc* between *source* and *target*; *name* names
     it in the refusal of a GENERAL map entry that is not a [level, map]
@@ -174,12 +181,15 @@ def promap_from_doc(instance, doc, source, target, name="pro-map"):
             comps[n] = (t, map_from_doc(instance, p, source.value(t), target.value(n)))
         return general_map(source, target, comps)
     if "level" in doc:
-        comps = {s: map_from_doc(instance, c, source.value(s), target.value(s))
-                 for s, c in _object(doc, "level", f"pro-map {name}").items()}
+        comps = {}
+        for s, c in _object(doc, "level", f"pro-map {name}").items():
+            _in_index(s, source, f"level map {name}", "source")
+            comps[s] = map_from_doc(instance, c, source.value(s), target.value(s))
         return level_map(source, target, comps)
     if "general" in doc:
         comps = {}
         for s, entry in _object(doc, "general", f"pro-map {name}").items():
+            _in_index(s, target, f"general map {name}", "target")
             t, payload = _general_entry(entry, f"general map {name}: component at {s}")
             if t not in source.index.elements:
                 raise MalformedError(f"general map {name}: component at {s} has source "

@@ -210,11 +210,48 @@ def test_chainf2_left_properness(seed):
 # so both give the same bits.
 
 
+def _blocks(rows, cols, parts):
+    """The 0/1 matrix with row blocks of sizes *rows* and column blocks
+    of sizes *cols*, block (i, j) being parts[i, j] or zero."""
+    c = [0, *itertools.accumulate(cols)]
+    grid = [[0] * h for h in rows]
+    for (i, j), B in parts.items():
+        grid[i] = [a | b << c[j] for a, b in zip(grid[i], B.rows)]
+    return gf2.Mat(tuple(itertools.chain.from_iterable(grid)), c[-1])
+
+
+def _columns(M, span):
+    """The columns of *M* in the slice *span*."""
+    mask = (1 << (span.stop - span.start)) - 1
+    return gf2.Mat(tuple(r >> span.start & mask for r in M.rows), span.stop - span.start)
+
+
+def _layout(diagram):
+    """(nodes, degrees, span, width) of the product of the node objects,
+    degree by degree: span[n][v] the slice of node v in degree n and
+    width[n] the dimension of the product there."""
+    nodes = sorted(diagram.nodes)
+    degs = sorted({n for v in nodes for n in diagram.nodes[v].degrees})
+    span, width = {}, {}
+    for n in degs:
+        ends = [0, *itertools.accumulate(diagram.nodes[v].dim(n) for v in nodes)]
+        span[n] = {v: slice(ends[k], ends[k + 1]) for k, v in enumerate(nodes)}
+        width[n] = ends[-1]
+    return nodes, degs, span, width
+
+
+def _block_diff(diagram, nodes, n):
+    """The block-diagonal boundary degree n -> n+1 of the product of the
+    node objects."""
+    objs = [diagram.nodes[v] for v in nodes]
+    return _blocks([X.dim(n + 1) for X in objs], [X.dim(n) for X in objs],
+                   {(k, k): X.d(n) for k, X in enumerate(objs)})
+
+
 def solve_colimit(diagram):
     """(apex, legs, factor) of the ChainF2 colimit, with a section of the
     quotient map solved for."""
-    from promc.chainf2 import (ChainMap, ChainObject, _block_diff, _blocks,
-                               _columns, _layout)
+    from promc.chainf2 import ChainMap, ChainObject
     nodes, degs, span, width = _layout(diagram)
     quotients, sections = {}, {}
     for n in degs:

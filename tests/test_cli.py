@@ -854,6 +854,24 @@ def test_a_base_payload_of_the_wrong_shape_exits_2(tmp_path, capsys, fixture, ed
     assert run(capsys, argv[0], path, *argv[1:]) == (2, message)
 
 
+# A map key that names no degree, a level map key outside the source
+# index and a general map key outside the target index
+@pytest.mark.parametrize("fixture,edit,argv,message", [
+    ("chainf2.json", lambda d: d["maps"]["p"]["level"].__setitem__("pt", {"x": [[1]]}),
+     ("factor", "p", "--mode", "L1"), "error: ChainF2 map: key 'x' is not a degree\n"),
+    ("special.json", lambda d: d["maps"]["p"]["level"].__setitem__("9", {"a": "u"}),
+     LIFT, "error: level map p: level '9' is not an element of the source index\n"),
+    ("collapse.json", lambda d: _add_general(d, {"9": ["0", {"y": "x"}]}),
+     ("hom", "Y", "X"),
+     "error: general map g: level '9' is not an element of the target index\n"),
+], ids=["chainf2-degree-key", "level-key-outside-the-index",
+        "general-key-outside-the-index"])
+def test_a_key_outside_the_degrees_or_the_index_exits_2(tmp_path, capsys, fixture, edit,
+                                                       argv, message):
+    path = _edited(tmp_path, fixture, edit)
+    assert run(capsys, argv[0], path, *argv[1:]) == (2, message)
+
+
 # A document section, an entry of one, a finite object's structure or a
 # witness bundle's pairs that is not a JSON object
 NOT_AN_OBJECT = {

@@ -19,7 +19,10 @@ take one.  In ``verify`` only the class ``Loader`` calls the ``docio``
 readers, and no replay handler (a value of ``_HANDLERS``) takes an
 ``instance`` or ``depth`` parameter: a handler reads every payload
 through the loader it is given.  No module imports a name it does not
-use, except re-exports marked ``# noqa``.
+use, except re-exports marked ``# noqa``.  Only ``chainf2`` reads the
+block internals of its values (``D``, ``F``, ``_offs``, ``_start``): every
+other module, test, benchmark file and demo reads a complex or a chain
+map through ``dim``, ``d``, ``mat`` and the instance's operations.
 """
 
 import ast
@@ -45,6 +48,8 @@ COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 DEPTH_FREE_MODULES = {"proobj", "prohom", "strict", "proiso", "towers"}
 OMEGA_BUILDERS = {"omega_pro_object", "omega_constant_tower"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+BLOCK_NAMES = {"D", "F", "_offs", "_start"}
+ROOT = SRC.parents[1]
 READERS = {"poset_from_doc", "proobj_from_doc", "promap_from_doc",
            "hfamily_from_doc", "obj_from_doc", "map_from_doc"}
 
@@ -229,6 +234,15 @@ def unused_imports(source):
     return out
 
 
+def block_reads(module, source):
+    """(line, text) of every read of a ChainF2 block internal outside
+    ``chainf2``."""
+    if module == "chainf2":
+        return []
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in BLOCK_NAMES]
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -270,6 +284,14 @@ def test_only_the_loader_reads_payloads_in_verify():
 
 def test_no_module_imports_a_name_it_does_not_use():
     bad = {m: names for m, src in _modules().items() if (names := unused_imports(src))}
+    assert not bad
+
+
+def test_only_chainf2_reads_its_block_internals():
+    files = [p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rglob("*.py")]
+    assert SRC / "chainf2.py" in files and len(files) > 40
+    bad = {str(p.relative_to(ROOT)): reads for p in sorted(files)
+           if (reads := block_reads(p.stem, p.read_text()))}
     assert not bad
 
 
@@ -326,6 +348,11 @@ def test_the_checks_see_what_they_forbid():
     assert reader_calls(replay) == [(5, "map_from_doc"), (9, "poset_from_doc")]
     assert handler_parameters(replay) == ({"_verify_a", "_verify_b", "_verify_c"},
                                           [(4, "_verify_a"), (6, "_verify_b")])
+    blocks = ('def f(X, g):\n    return X.D, g.F.rows, X._offs[0], X._start(1),'
+              ' X.d(0), g.mat(0), X.dim(0)\n')
+    assert block_reads("strict", blocks) == [(2, "X.D"), (2, "g.F"), (2, "X._offs"),
+                                             (2, "X._start")]
+    assert block_reads("chainf2", blocks) == []
 
 
 def _last_line(code, *argv):

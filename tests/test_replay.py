@@ -352,6 +352,25 @@ def test_a_tower_certificate_is_tied_to_the_map_it_presents(
     assert out.count("\n") == 1 and out.startswith("FAIL:"), out
 
 
+def _rename_in_iso(old, new):
+    """The edit that renames the element *old* throughout a tower-limit
+    certificate's pro-iso, which stays an iso."""
+    def change(doc):
+        doc["iso"] = json.loads(json.dumps(doc["iso"]).replace(f'"{old}"', f'"{new}"'))
+    return change
+
+
+@pytest.mark.parametrize("change", [_rename_in_iso("a", "a2"),
+                                    _rename_in_iso("((u,x),a)", "((u,x),a2)")],
+                         ids=["source-end", "target-end"])
+def test_a_tower_limit_iso_wrong_at_one_end_fails(tmp_path, capsys, change):
+    doc = certificate(tmp_path, capsys, "tower-special-acyclic")
+    change(doc)
+    code, out = replay(tmp_path, capsys, doc)
+    assert (code, out) == (1, "FAIL: the limit's pro-iso does not run from the "
+                              "presented source to the last stage\n")
+
+
 @pytest.mark.parametrize("run", ["cocell-special-fib", "tower-special-fib"])
 def test_a_tower_certificate_without_its_presented_map_exits_2(
         tmp_path, capsys, run):

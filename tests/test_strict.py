@@ -15,7 +15,7 @@ from promc.prohom import constant_embed
 from promc.proobj import (compose_pro, constant_over, identity_pro, level_map,
                           pro_object, to_general)
 from promc.strict import (ACYCLIC_FIB, FIB, MODE_L1, MODE_L2, detect_special,
-                          factor_strict, lift_strict, matching_map)
+                          factor_strict, lift_strict, matching_map, square_failure)
 from promc.suites import POSET_SHAPES, Rng, gen_level_map, gen_pro_object
 
 from helpers import disk1, disk_to_sphere, sphere0
@@ -213,6 +213,30 @@ def test_lift_from_factorizations_random():
             res = lift_strict(j, p, j, p, mode=MODE_L1, special=fsq.special)
             assert compose_pro(res.lift, j).equals(j)
             assert compose_pro(p, res.lift).equals(p)
+
+
+def _special_square():
+    """(i, p, top, bottom) of the lifting square of ``special.json``."""
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "special.json")) as fh:
+        doc = Document(json.load(fh))
+    return tuple(doc.map_named(name) for name in ("i", "p", "top", "bottom"))
+
+
+def test_square_corners_are_compared_by_value():
+    i, p, top, bottom = _special_square()
+    assert square_failure(i, p, top, bottom, MODE_L1) is None
+    # a second reading of the document: equal corners, other objects
+    top2 = _special_square()[2]
+    assert top2.source is not i.source and top2.target is not p.source
+    assert square_failure(i, p, top2, bottom, MODE_L1) is None
+
+
+def test_a_square_corner_mismatch_is_named():
+    i, p, top, bottom = _special_square()
+    assert square_failure(i, p, identity_pro(top.source), bottom, MODE_L1) == \
+        ("top/right", "top/right corner mismatch")
+    assert square_failure(i, p, top, identity_pro(bottom.target), MODE_L1) == \
+        ("bottom/left", "bottom/left corner mismatch")
 
 
 def _lift_square(inst):
