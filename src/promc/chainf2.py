@@ -449,10 +449,13 @@ class ChainF2:
         return None if sol is None else _map(f.source, incl.source, sol)
 
     def obj_to_doc(self, X):
+        """Each boundary d_n is read off its rows of ``D``, unpacked from
+        the first column of degree n."""
+        rows, offs, dims = X.D.rows, X._offs, X._dims
         return {"lo": X.lo, "hi": X.hi,
-                "dims": [X.dim(n) for n in X.degrees],
-                "d": {str(n): X.d(n).tolist()
-                      for n in range(X.lo, X.hi) if X.dim(n) and X.dim(n + 1)}}
+                "dims": list(dims.values()),
+                "d": {str(n): gf2.unpack(rows[offs[n + 1]:offs[n + 2]], dims[n], offs[n])
+                      for n in range(X.lo, X.hi) if dims[n] and dims[n + 1]}}
 
     def obj_from_doc(self, doc):
         """Every field is checked before anything is allocated."""
@@ -480,9 +483,16 @@ class ChainF2:
         return chain_obj(lo, hi, dims, diff)
 
     def map_to_doc(self, f):
-        return {str(n): f.mat(n).tolist()
-                for n in _degrees(f.source, f.target)
-                if f.source.dim(n) and f.target.dim(n)}
+        """Each f_n is read off the rows of degree n of ``F``, unpacked
+        from the source's first column of degree n."""
+        S, T, rows = f.source, f.target, f.F.rows
+        out = {}
+        for n in _degrees(S, T):
+            s, t = S.dim(n), T.dim(n)
+            if s and t:
+                a = T._start(n)
+                out[str(n)] = gf2.unpack(rows[a:a + t], s, S._start(n))
+        return out
 
     def map_from_doc(self, doc, source, target):
         mats = {}
@@ -667,6 +677,13 @@ def _product(diagram):
 # ------------------------------------------------- chain-map linear systems
 
 
+# max entries of h in one chain-map system, refused before any row is
+# built; the largest the test and benchmark suites build is 12,411.  The
+# refusal is a MalformedError, like MAX_DIM's: a PreconditionError inside
+# a lift reads as "no lift at this level" (strict._base_lift).
+MAX_UNKNOWNS = 1 << 15
+
+
 def chain_map_system(S, T, blocks=()):
     """The GF(2) linear system A·x = b in the entries x of a chain map
     h: S -> T, as (A, b, offs): A a ``gf2.Mat``, b and x vectors (ints).
@@ -687,13 +704,16 @@ def chain_map_system(S, T, blocks=()):
     the largest lift system of the ``chainf2-lift`` benchmark workload
     (8176 x 5977) the basis that elimination builds holds 9,794 ones in
     this order and 33,723 with the naturality rows first, degrees
-    ascending.
+    ascending.  A system of more than MAX_UNKNOWNS unknowns is refused.
     """
     degs = sorted(_degrees(S, T) | {blk[0] for blk in blocks})
     offs, total = {}, 0
     for n in degs:
         offs[n] = total
         total += T.dim(n) * S.dim(n)
+    if total > MAX_UNKNOWNS:
+        raise MalformedError(f"chain-map system: unknowns = {total} exceeds "
+                             f"MAX_UNKNOWNS = {MAX_UNKNOWNS}; refused")
 
     def kron(n, L, R):
         """The rows of L·h_n·R, in the entries of x: row (p, q) holds, for

@@ -8,10 +8,11 @@ Albrecht, Bard & Hart, ACM TOMS 2010), plus its column count.  A vector
 is one int, bit i holding entry i.  Values are immutable, so equality
 and hashing are tuple operations and the zero and identity matrices of
 a shape are shared.  ``asmat`` reads nested lists of integers (or
-anything with ``tolist``) mod 2, and ``pack01`` packs lists of 0/1 rows
-without a Python step per entry; every other routine takes and returns
-``Mat`` values and never unpacks them.  All routines are deterministic: pivots are the
-lowest columns, free variables are set to zero.
+anything with ``tolist``) mod 2, ``pack01`` packs lists of 0/1 rows
+without a Python step per entry, and ``unpack`` reads a range of bits of
+int rows back into 0/1 lists; every other routine takes and returns
+``Mat`` values and never unpacks them.  All routines are deterministic:
+pivots are the lowest columns, free variables are set to zero.
 
 A product XORs, for each row of A, the rows of B picked by its set
 bits, so a row operation is one int XOR whatever the width.
@@ -22,7 +23,6 @@ row echelon form (RREF); back substitution, highest pivot first, clears
 every other pivot column from each basis row and gives the RREF rows.
 The RREF and its pivot columns are unique for a matrix, so the result
 does not depend on the order in which rows are inserted.
-``image_basis`` reads only the keys and skips the back substitution;
 ``solve`` inserts the rows of [A | B] and reads X from the bits above
 A's columns of the reduced rows.  ``rank`` counts the pivots of
 ``row_echelon``, back substitution included, so that tracing that wraps
@@ -81,11 +81,7 @@ class Mat:
 
     def tolist(self):
         """The entries as a list of 0/1 row lists."""
-        if self.ncols <= _TABLE_WIDTH:
-            table = _bit_lists(self.ncols)
-            return [list(table[r]) for r in self.rows]
-        cols = range(self.ncols)
-        return [[r >> c & 1 for c in cols] for r in self.rows]
+        return unpack(self.rows, self.ncols)
 
     def copy(self):
         """A mutable copy, indexed [row, col]; ``asmat`` packs it back."""
@@ -99,6 +95,16 @@ _TABLE_WIDTH = 8  # rows up to this wide are (un)packed by table lookup
 def _bit_lists(n):
     """For every row r of width n, its entries as a tuple."""
     return [tuple(r >> c & 1 for c in range(n)) for r in range(1 << n)]
+
+
+def unpack(rows, ncols, shift=0):
+    """Bits shift to shift + ncols - 1 of each int of *rows*, as 0/1
+    lists; no bit above them may be set."""
+    if ncols <= _TABLE_WIDTH:
+        table = _bit_lists(ncols)
+        return [list(table[r >> shift]) for r in rows]
+    cols = range(shift, shift + ncols)
+    return [[r >> c & 1 for c in cols] for r in rows]
 
 
 class Grid(list):
@@ -334,11 +340,6 @@ def null_vectors(M):
     return list(vecs.values())
 
 
-def null_space(M):
-    """Basis of the right null space, as columns; deterministic order."""
-    return transpose(Mat(tuple(null_vectors(M)), M.ncols))
-
-
 def _free_columns(pivots, n):
     piv = set(pivots)
     return [c for c in range(n) if c not in piv]
@@ -353,13 +354,6 @@ def inverse(M):
     if X is None or matmul(M, X) != eye(n):
         return None
     return X
-
-
-def image_basis(M):
-    """Basis of the column space, as columns (pivot columns of M)."""
-    columns = transpose(M).rows
-    pivots = sorted(_basis(M.rows))
-    return transpose(Mat(tuple(columns[c] for c in pivots), len(M.rows)))
 
 
 def quotient_map(U, dim):

@@ -9,8 +9,10 @@ way, with rejection sampling for the commuting-square solves.  The
 brute-force hom oracle, ``brute_force_hom``, lives in ``setbij`` (it
 reads SetBij payloads) and is re-exported here; it evaluates the
 limit-of-colimits formula directly and is independent of the
-maxima-collapse code path it cross-checks.  Only ``Rng`` needs numpy,
-and imports it when one is made.
+maxima-collapse code path it cross-checks.  ``Rng`` draws its GF(2)
+entries from a pure-Python copy of numpy's default generator (PCG64
+seeded through ``SeedSequence``), bit for bit, so the recorded seeded
+documents stand and promc needs no numpy.
 """
 
 from __future__ import annotations
@@ -32,16 +34,18 @@ from .setbij import brute_force_hom, gen_set_obj  # noqa: F401  (public names he
 class Rng:
     """One seeded source for both discrete choices and GF(2) matrices.
 
-    The only numpy user in promc: its stream of 0/1 draws is what every
-    seeded document and test was recorded with, so each draw is made
-    as numpy makes it and then packed into ``gf2`` values.  numpy is
-    imported here, not with the module, so that the oracle and the
-    replay that reach ``suites`` never load it."""
+    ``randint`` and ``choice`` draw from ``random.Random(seed)``; ``mat``,
+    ``combination`` and ``invertible`` draw 0/1 entries from ``_PCG64``,
+    the stream that every seeded document and test was recorded with:
+    numpy's ``default_rng(seed).integers(0, 2, size=...)``, entries in
+    row-major order, each packed straight into its row's int.  numpy
+    draws from [0, 2) by Lemire's method (ACM TOMACS 29(1), 2019), (u·2)
+    >> 32 for a 32-bit output u, which never rejects at this range: each
+    entry is bit 31 of one ``next_uint32``."""
 
     def __init__(self, seed):
-        import numpy as np
         self.rnd = random.Random(seed)
-        self.np = np.random.default_rng(seed)
+        self._pcg = _PCG64(seed)
 
     def randint(self, a, b):
         return self.rnd.randint(a, b)
@@ -50,17 +54,23 @@ class Rng:
         return self.rnd.choice(list(xs))
 
     def mat(self, rows, cols):
-        return gf2.asmat(self.np.integers(0, 2, size=(rows, cols)).tolist(), rows, cols)
+        draw = self._pcg.next_uint32
+        out = []
+        for _ in range(rows):
+            r = 0
+            for c in range(cols):
+                r |= draw() >> 31 << c
+            out.append(r)
+        return gf2.Mat(tuple(out), cols)
 
     def combination(self, vectors):
-        """A random GF(2) combination of the int *vectors*, from one draw
-        of a 0/1 column (no draw when there are none)."""
+        """A random GF(2) combination of the int *vectors*: one draw per
+        vector, as a 0/1 column (no draw when there are none)."""
+        draw = self._pcg.next_uint32
         out = 0
-        if vectors:
-            coeff = self.np.integers(0, 2, size=(len(vectors), 1))
-            for (c,), v in zip(coeff.tolist(), vectors):
-                if c:
-                    out ^= v
+        for v in vectors:
+            if draw() >> 31:
+                out ^= v
         return out
 
     def invertible(self, n):
@@ -68,6 +78,84 @@ class Rng:
             M = self.mat(n, n)
             if gf2.rank(M) == n or n == 0:
                 return M
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_sequence(seed):
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)`` for an
+    int seed >= 0: the seed's 32-bit words, lowest first, hashed into a
+    pool of four words and mixed, then eight words hashed out and read
+    in pairs, low word first."""
+    if seed < 0:
+        raise ValueError("the seed must be non-negative")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931e8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], 0x8b51f9dd
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58f38ded & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class _PCG64:
+    """numpy's ``PCG64(seed)`` (O'Neill, HMC-CS-2014-0905): a 128-bit LCG
+    with XSL-RR output, seeded as ``pcg_setseq_128_srandom_r`` with the
+    initial state and sequence read off the four ``_seed_sequence`` words,
+    high word first."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    __slots__ = ("state", "inc", "_high")
+
+    def __init__(self, seed):
+        s0, s1, s2, s3 = _seed_sequence(seed)
+        initstate, initseq = s0 << 64 | s1, s2 << 64 | s3
+        self.inc = (initseq << 1 | 1) & _MASK128
+        self.state = ((self.inc + initstate) * self.MULT + self.inc) & _MASK128
+        self._high = None
+
+    def next_uint64(self):
+        self.state = s = (self.state * self.MULT + self.inc) & _MASK128
+        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def next_uint32(self):
+        """The low half of a 64-bit output, then its high half."""
+        if self._high is not None:
+            out, self._high = self._high, None
+            return out
+        x = self.next_uint64()
+        self._high = x >> 32
+        return x & _MASK32
 
 
 # --------------------------------------------------------------- posets

@@ -23,6 +23,19 @@ def mat(A):
     return gf2.asmat(A, *A.shape)
 
 
+def null_space(M):
+    """A basis of the right null space of the ``gf2.Mat`` *M*, as columns:
+    ``gf2.null_vectors`` side by side."""
+    return gf2.transpose(gf2.Mat(tuple(gf2.null_vectors(M)), M.ncols))
+
+
+def image_basis(M):
+    """A basis of the column space of *M*, as columns: its pivot columns."""
+    columns = gf2.transpose(M).rows
+    pivots = gf2.row_echelon(M)[1]
+    return gf2.transpose(gf2.Mat(tuple(columns[c] for c in pivots), len(M.rows)))
+
+
 def vec(b):
     """A 0/1 vector (a list or numpy array) as a ``gf2`` vector, an int."""
     return sum((int(x) & 1) << i for i, x in enumerate(b))
@@ -88,8 +101,8 @@ def we_by_cone(f):
 def homology_quotient(obj, n):
     """(Z, Q) with Z a cycle basis in degree n (columns) and Q the
     projection from cycle coordinates onto H_n coordinates."""
-    Z = gf2.null_space(obj.d(n))
-    B = gf2.image_basis(obj.d(n - 1))
+    Z = null_space(obj.d(n))
+    B = image_basis(obj.d(n - 1))
     if B.shape[1]:
         C = gf2.solve(Z, B)  # boundaries are cycles, so solvable
         assert C is not None, "boundary not a cycle"
@@ -136,7 +149,7 @@ def random_complex(rng, max_deg=2, max_dim=3):
         if prev is None or not any(prev.rows):
             D = mat(rng.integers(0, 2, size=(rows, cols)).astype(np.uint8))
         else:
-            Q, k = gf2.quotient_map(gf2.image_basis(prev), cols)
+            Q, k = gf2.quotient_map(image_basis(prev), cols)
             R = mat(rng.integers(0, 2, size=(rows, k)).astype(np.uint8))
             D = gf2.matmul(R, Q)
         diff[n] = D
@@ -175,7 +188,7 @@ def random_chain_map(rng, X, Y):
                         row[offs[n + 1] + r * X.dim(n + 1) + k] ^= 1
                 rows.append(row)
     A = gf2.asmat(rows, len(rows), total)
-    N = gf2.null_space(A) if total else gf2.zeros(0, 0)
+    N = null_space(A) if total else gf2.zeros(0, 0)
     coeffs = rng.integers(0, 2, size=N.shape[1]).astype(np.uint8)
     sol = to_np(gf2.matmul(N, mat(coeffs.reshape(-1, 1)))).ravel() if N.shape[1] \
         else np.zeros(total, np.uint8)

@@ -10,8 +10,8 @@ from promc.baselim import (Cone, Diagram, finite_colimit, finite_limit,
                            pullback, pushout)
 from promc.errors import PreconditionError
 
-from helpers import (disk1, disk_to_sphere, random_chain_map, random_complex,
-                     random_set_map, random_set_obj, shifted, sphere0)
+from helpers import (disk1, disk_to_sphere, image_basis, random_chain_map,
+                     random_complex, random_set_map, random_set_obj, shifted, sphere0)
 
 
 def test_empty_limit_is_terminal():
@@ -204,8 +204,8 @@ def test_chainf2_left_properness(seed):
 
 # ------------------------------------ ChainF2 colimits and images, by solve
 #
-# The colimit and image that ChainF2 built with ``gf2.image_basis``,
-# ``gf2.quotient_map`` and ``gf2.solve`` before it read them off one
+# The colimit and image that ChainF2 built with ``image_basis`` (now the
+# reference in ``helpers``), ``gf2.quotient_map`` and ``gf2.solve`` before it read them off one
 # canonical basis per degree, kept as the reference: the RREF is unique,
 # so both give the same bits.
 
@@ -261,7 +261,7 @@ def solve_colimit(diagram):
             cols += [(1 << (a + k)) ^ (c << b)
                      for k, c in enumerate(gf2.transpose(f.mat(n)).rows)]
         U = gf2.transpose(gf2.Mat(tuple(cols), width[n]))
-        Q, k = gf2.quotient_map(gf2.image_basis(U), width[n])
+        Q, k = gf2.quotient_map(image_basis(U), width[n])
         quotients[n] = Q
         sections[n] = gf2.solve(Q, gf2.eye(k)) if k else gf2.zeros(width[n], 0)
     lo, hi = degs[0], degs[-1]
@@ -291,7 +291,7 @@ def solve_colimit(diagram):
 def solve_image(f):
     """(image, corestriction, inclusion) of a chain map, solved for."""
     from promc.chainf2 import ChainMap, ChainObject, _degrees
-    bases = {n: gf2.image_basis(f.mat(n)) for n in _degrees(f.source, f.target)}
+    bases = {n: image_basis(f.mat(n)) for n in _degrees(f.source, f.target)}
     degs = sorted(bases)
     diff = {n: gf2.solve(bases[n + 1], gf2.matmul(f.target.d(n), bases[n]))
             for n in range(degs[0], degs[-1])}

@@ -5,12 +5,14 @@ composes, compares, classifies and takes limits with one product or one
 elimination.  The references here take one matrix per degree, through
 the ``d(n)`` and ``mat(n)`` views: composites and equality degree by
 degree, classes from the rank of each degree and the mapping cone
-degree by degree, limits from one null basis per degree.  The inputs
+degree by degree, limits from one null basis per degree, documents from
+the views of each degree.  The inputs
 are seeded complexes and maps over shifted, overlapping and disjoint
 degree ranges, with zero-dimensional degrees.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -114,6 +116,44 @@ def test_the_classify_cases_hold_every_verdict():
             for c in [classify_map(m)]}
     assert {we for we, _, _ in seen} == {cof for _, cof, _ in seen} \
         == {fib for _, _, fib in seen} == {False, True}
+
+
+# ------------------------------------------------------------------ writers
+
+
+def obj_doc_by_degree(X):
+    """The ChainF2 object document through the ``dim`` and ``d`` views."""
+    return {"lo": X.lo, "hi": X.hi,
+            "dims": [X.dim(n) for n in X.degrees],
+            "d": {str(n): X.d(n).tolist()
+                  for n in range(X.lo, X.hi) if X.dim(n) and X.dim(n + 1)}}
+
+
+def map_doc_by_degree(f):
+    """The ChainF2 map document through the ``mat`` views, degrees in the
+    writer's order."""
+    degs = set(f.source.degrees) | set(f.target.degrees)
+    return {str(n): f.mat(n).tolist() for n in degs
+            if f.source.dim(n) and f.target.dim(n)}
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_writers_match_the_degree_views(seed):
+    """Same documents, key order included, as the views give: maps over
+    equal, shifted and disjoint ranges, zero maps, and degrees wider than
+    the unpacking table."""
+    rng = np.random.default_rng(2400 + seed)
+    X, Y = (random_complex(rng, max_deg=3, max_dim=11) for _ in range(2))
+    cases = _maps(seed) + [("wide", random_chain_map(rng, X, Y), None),
+                           ("wide shifted", random_chain_map(rng, shifted(X, -2), Y), None),
+                           ("zero", chain_map(X, Y, {}), None)]
+    inst = X.instance
+    for name, f, g in cases:
+        for m in (f,) if g is None else (f, g):
+            assert json.dumps(inst.map_to_doc(m)) == json.dumps(map_doc_by_degree(m)), name
+            for Z in (m.source, m.target):
+                assert json.dumps(inst.obj_to_doc(Z)) == json.dumps(obj_doc_by_degree(Z)), \
+                    name
 
 
 # ------------------------------------------------------------------ limits

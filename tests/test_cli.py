@@ -1,10 +1,11 @@
 import json
+import math
 import os
 import time
 
 import pytest
 
-from promc.chainf2 import INSTANCE, MAX_DEGREE, MAX_DIM
+from promc.chainf2 import INSTANCE, MAX_DEGREE, MAX_DIM, MAX_UNKNOWNS
 from promc.cli import run_command
 from promc.indexing import MAX_DEPTH
 
@@ -337,6 +338,40 @@ def test_a_chainf2_degree_beyond_max_degree_exits_2_within_a_second(tmp_path, ca
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out.count("\n") == 1 and f"MAX_DEGREE = {MAX_DEGREE}" in out
+
+
+def _square_of_side(n, identity=True):
+    """The chainf2.json document with cD of dimension n in degrees 0 and 1
+    and zero boundary, p its identity (else zero) and z the zero map
+    cZ -> cD: the square (z, p, z, p) lifts through a system of 2 * n**2
+    unknowns, and Hom(cD, cD) has as many."""
+    doc = json.loads(open(fx("chainf2.json")).read())
+    doc["objects"]["cD"]["values"]["pt"] = {"lo": 0, "hi": 1, "dims": [n, n]}
+    eye = [[int(r == c) for c in range(n)] for r in range(n)] if identity else None
+    doc["maps"]["p"] = {"source": "cD", "target": "cD",
+                        "level": {"pt": {"0": eye, "1": eye} if identity else {}}}
+    doc["maps"]["z"]["target"] = "cD"
+    return doc
+
+
+@pytest.mark.parametrize("argv, side", [
+    (["hom", "cD", "cD"], "least"), (["hom", "cD", "cD"], "MAX_DIM"),
+    (["lift", "--i", "z", "--p", "p", "--top", "z", "--bottom", "p"], "least")],
+    ids=["hom-least", "hom-MAX_DIM", "lift-least"])
+def test_a_chain_map_system_beyond_max_unknowns_exits_2_within_a_second(tmp_path, capsys,
+                                                                         argv, side):
+    """At the smallest n with 2 * n**2 > MAX_UNKNOWNS each system is refused
+    before any row of it is built; ``hom`` also at cD's largest dimension,
+    MAX_DIM.  Inside a lift the refusal is not read as "no lift"."""
+    n = math.isqrt(MAX_UNKNOWNS // 2) + 1 if side == "least" else MAX_DIM
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(_square_of_side(n, identity=argv[0] == "lift")))
+    start = time.perf_counter()
+    code, out = run(capsys, argv[0], str(f), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1
+    assert f"unknowns = {2 * n * n} exceeds MAX_UNKNOWNS = {MAX_UNKNOWNS}" in out
 
 
 def test_a_chainf2_object_may_reach_max_degree():

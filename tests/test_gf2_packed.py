@@ -8,7 +8,8 @@ from uint8 arrays, and the packed values are compared through
 
 import numpy as np
 import pytest
-from helpers import mat, random_complex, shifted, to_np, unvec, vec
+from helpers import (image_basis, mat, null_space, random_complex, shifted, to_np,
+                     unvec, vec)
 
 from promc import gf2
 from promc.chainf2 import chain_map_system
@@ -90,8 +91,8 @@ def test_rank_image_basis_and_null_space(seed):
         m, n = A.shape
         piv = np_pivots(A)
         assert gf2.rank(mat(A)) == len(piv)
-        assert gf2.image_basis(mat(A)) == mat(A[:, piv])
-        N = to_np(gf2.null_space(mat(A)))
+        assert image_basis(mat(A)) == mat(A[:, piv])
+        N = to_np(null_space(mat(A)))
         assert N.shape == (n, n - len(piv))
         assert not np_mul(A, N).any()
         assert np_rank(N) == n - len(piv)
@@ -150,7 +151,7 @@ def test_quotient_map(seed):
             assert np_rank(Q) == k  # surjective
             assert not np_mul(Q, U).any()
             # the kernel of Q is exactly the column span of U
-            K = to_np(gf2.null_space(mat(Q))) if dim else U
+            K = to_np(null_space(mat(Q))) if dim else U
             assert np_rank(np.concatenate([U, K], axis=1)) == r
 
 

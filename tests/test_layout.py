@@ -4,10 +4,11 @@ Only the two instance modules know which instances exist: the tags
 ``SET_BIJ``/``CHAIN_F2`` ("set-bij"/"chain-f2") appear nowhere else,
 except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``instance_of`` reads) and where ``__init__`` re-exports them from
-``base``.  Only ``suites`` imports numpy, inside its seeded ``Rng``, so
-neither importing the CLI or ``suites`` nor replaying a SetBij ``hom``
-or ``adjunction`` certificate (which runs the brute-force oracle) loads
-it; only ``chainf2`` and ``suites`` import ``gf2``.  Only ``strict``,
+``base``.  No module imports numpy: with numpy made unimportable,
+``check-axioms`` runs and both instances' generators build level maps,
+and neither importing the CLI or ``suites`` nor replaying a SetBij
+``hom`` or ``adjunction`` certificate (which runs the brute-force
+oracle) loads it.  Only ``chainf2`` and ``suites`` import ``gf2``.  Only ``strict``,
 whose one table maps each mode to its classes, compares anything with a
 mode or class tag.  Only ``indexing``
 picks related pairs out of a poset's elements; the other modules read
@@ -38,7 +39,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 TAG_NAMES = {"SET_BIJ", "CHAIN_F2"}
 TAG_VALUES = {"set-bij", "chain-f2"}
 INSTANCE_MODULES = {"setbij", "chainf2"}
-NUMPY_MODULES = {"suites"}
+NUMPY_MODULES = set()
 GF2_MODULES = {"gf2", "chainf2", "suites"}
 MODE_NAMES = {"MODE_L1", "MODE_L2", "FIB", "ACYCLIC_FIB"}
 MODE_VALUES = {"L1", "L2", "fib", "acyclic-fib"}
@@ -302,7 +303,7 @@ def test_the_checks_see_what_they_forbid():
     assert len(tag_uses("strict", src)) == 3
     assert len(numeric_imports("strict", src)) == 3
     assert tag_uses("chainf2", src) == []
-    assert numeric_imports("suites", src) == []
+    assert numeric_imports("suites", src) == [(1, "numpy")]
     assert numeric_imports("chainf2", src) == [(1, "numpy")]
     assert numeric_imports("gf2", src) == [(1, "numpy")]
     assert numeric_imports("verify", "import numpy.linalg\nimport promc.gf2\n") \
@@ -369,6 +370,21 @@ def test_importing_the_cli_loads_no_numpy():
 
 def test_importing_suites_loads_no_numpy():
     assert _last_line("import sys, promc.suites; print('numpy' in sys.modules)") == "False"
+
+
+def test_promc_runs_with_numpy_unimportable():
+    """``check-axioms`` and one ``gen_level_map`` per shipped instance,
+    with ``sys.modules["numpy"] = None`` set before promc is imported,
+    so any numpy import would raise."""
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            "from promc import cli, suites\nfrom promc.base import SHIPPED\n"
+            "from promc.indexing import chain_poset\n"
+            "rc = cli.run_command(['check-axioms', '--trials', '2', '--seed', '0'])\n"
+            "maps = [suites.gen_level_map(suites.Rng(3), chain_poset(3), inst)"
+            " for inst in SHIPPED]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "print(rc, len(maps), sys.modules['numpy'] is None, loaded)")
+    assert _last_line(code) == "0 2 True ['numpy']"
 
 
 @pytest.mark.parametrize("argv", [["hom", "collapse.json", "Y", "X"],

@@ -16,7 +16,7 @@ from promc.proobj import (compose_pro, constant_over, identity_pro, level_map,
                           pro_object, to_general)
 from promc.strict import (ACYCLIC_FIB, FIB, MODE_L1, MODE_L2, detect_special,
                           factor_strict, lift_strict, matching_map, square_failure)
-from promc.suites import POSET_SHAPES, Rng, gen_level_map, gen_pro_object
+from promc.suites import POSET_SHAPES, Rng, gen_level_map, gen_poset, gen_pro_object
 
 from helpers import disk1, disk_to_sphere, sphere0
 
@@ -213,6 +213,29 @@ def test_lift_from_factorizations_random():
             res = lift_strict(j, p, j, p, mode=MODE_L1, special=fsq.special)
             assert compose_pro(res.lift, j).equals(j)
             assert compose_pro(p, res.lift).equals(p)
+
+
+def test_the_largest_known_lift_system_stays_under_max_unknowns(monkeypatch):
+    """The L2 square from ``Rng(7*1_000_003+15)`` over a 5-element poset
+    builds a 15237 x 10778 lift system, the largest found while choosing
+    the benchmark's lift inputs; it still lifts under the cap."""
+    from promc import chainf2
+    rng = Rng(7 * 1_000_003 + 15)
+    poset = gen_poset(rng, 5)
+    fs = factor_strict(gen_level_map(rng, poset, "chain-f2", max_deg=2, max_dim=3), MODE_L2)
+    shapes, build = [], chainf2.chain_map_system
+
+    def recorded(S, T, blocks=()):
+        out = build(S, T, blocks)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(chainf2, "chain_map_system", recorded)
+    res = lift_strict(fs.left, fs.right, fs.left, fs.right, mode=MODE_L2)
+    assert max(shapes, key=lambda s: s[1]) == (15237, 10778)
+    assert 10778 <= chainf2.MAX_UNKNOWNS
+    assert compose_pro(res.lift, fs.left).equals(fs.left)
+    assert compose_pro(fs.right, res.lift).equals(fs.right)
 
 
 def _special_square():
