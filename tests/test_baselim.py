@@ -205,9 +205,9 @@ def test_chainf2_left_properness(seed):
 # ------------------------------------ ChainF2 colimits and images, by solve
 #
 # The colimit and image that ChainF2 built with ``image_basis`` (now the
-# reference in ``helpers``), ``gf2.quotient_map`` and ``gf2.solve`` before it read them off one
-# canonical basis per degree, kept as the reference: the RREF is unique,
-# so both give the same bits.
+# reference in ``helpers``), ``gf2.quotient_map`` and ``gf2.solve``
+# before it read them off one canonical basis per degree, kept as the
+# reference: the RREF is unique, so both give the same bits.
 
 
 def _blocks(rows, cols, parts):

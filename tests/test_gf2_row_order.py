@@ -4,9 +4,10 @@
 ``gf2`` eliminates them in the order given.  The reduced row echelon
 form is unique, so every routine must return the same bits for any row
 order: ``row_echelon``, ``null_vectors`` and ``solve`` exactly, and the
-reference ``helpers.image_basis`` up to the same permutation of its rows.  Checked on the
-lift systems of seeded strict-factorization squares over chain4 and
-chain5, and on random sparse matrices above 64 columns.
+reference ``helpers.image_basis`` up to the same permutation of its
+rows.  Checked on the lift systems of seeded strict-factorization
+squares over chain4 and chain5, and on random sparse matrices above 64
+columns.
 """
 
 import random

@@ -8,10 +8,9 @@ except where ``base`` re-exports them beside ``SHIPPED`` (the table
 ``check-axioms`` runs and both instances' generators build level maps,
 and neither importing the CLI or ``suites`` nor replaying a SetBij
 ``hom`` or ``adjunction`` certificate (which runs the brute-force
-oracle) loads it.  Only ``chainf2`` and ``suites`` import ``gf2``.  Only ``strict``,
-whose one table maps each mode to its classes, compares anything with a
-mode or class tag.  Only ``indexing``
-picks related pairs out of a poset's elements; the other modules read
+oracle) loads it.  Only ``chainf2`` and ``suites`` import ``gf2``.
+Only ``strict``, whose one table maps each mode to its classes, compares
+anything with a mode or class tag.  Only ``indexing`` picks related pairs out of a poset's elements; the other modules read
 its ``pairs``, ``covers()`` and ``predecessors()``.  No function in
 ``proobj``, ``prohom``, ``strict``, ``proiso`` or ``towers`` takes a
 parameter named ``depth``: the ω depth belongs to the index, and only
