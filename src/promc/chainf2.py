@@ -21,8 +21,10 @@ and images read every coordinate off one canonical basis (the null
 basis of ``gf2.null_vectors`` or a reduced row echelon form).  Maps are
 classified from ranks alone: f is a quasi-isomorphism iff its mapping
 cone is acyclic.  Chain-map systems (lifts, hom spaces) are emitted as
-int rows straight from the Kronecker structure of L·h·R, so no dense
-system is built.  Documents carry one row-major 0/1 list per degree.
+int rows straight from the Kronecker structure of L·h·R, unknowns in
+descending order and the right side at bit 0, so no dense system is
+built and the rows are eliminated as written, pivoting on the highest
+bit.  Documents carry one row-major 0/1 list per degree.
 """
 
 from __future__ import annotations
@@ -312,15 +314,16 @@ class ChainF2:
 
     def lift(self, i, p, top, bottom):
         """Solves the GF(2) linear system in the entries of the lift (all
-        degrees at once); pivots are chosen lowest index first and free
-        entries are zero, so the lift is deterministic."""
+        degrees at once) with ``gf2.solve_high``; pivots are chosen lowest
+        unknown first and free entries are zero, so the lift is
+        deterministic."""
         B, X = i.target, p.source
         blocks = []
         for n in sorted(_degrees(B, X, i.source, p.target)):
             blocks.append((n, gf2.eye(X.dim(n)), i.mat(n), top.mat(n)))
             blocks.append((n, p.mat(n), gf2.eye(B.dim(n)), bottom.mat(n)))
-        A, b, offs = chain_map_system(B, X, blocks)
-        sol = gf2.solve(A, b)
+        M, offs = chain_map_system(B, X, blocks)
+        sol = gf2.solve_high(M)
         return None if sol is None else map_from_vector(B, X, sol, offs)
 
     def limit(self, diagram):
@@ -685,26 +688,33 @@ MAX_UNKNOWNS = 1 << 15
 
 
 def chain_map_system(S, T, blocks=()):
-    """The GF(2) linear system A·x = b in the entries x of a chain map
-    h: S -> T, as (A, b, offs): A a ``gf2.Mat``, b and x vectors (ints).
+    """The GF(2) linear system in the entries of a chain map h: S -> T,
+    as (M, offs): M a ``gf2.Mat`` of total + 1 columns whose rows go
+    straight to ``gf2.solve_high`` and ``gf2.null_vectors_high``.
 
-    x holds each h_n (T.dim(n) x S.dim(n)) flattened row-major, degrees
-    ascending; h_n starts at offs[n].  The rows say L·h_n·R = out for each
-    (n, L, R, out) in *blocks*, in order, through vec(L·h·R) = (L ⊗ Rᵀ)·
-    vec(h); then d_T·h_n + h_{n+1}·d_S = 0, from the highest degree down,
-    each degree's rows reversed.  A row of L ⊗ Rᵀ is a column of R copied
-    to the rows of h_n that a row of L picks; the copies do not overlap,
-    so the row is one multiplication of the column by an int.
+    The unknowns are each h_n (T.dim(n) x S.dim(n)) flattened row-major,
+    degrees ascending; h_n starts at unknown offs[n].  A row holds unknown
+    c at bit total - c and its right-hand side at bit 0, so its highest
+    bit is its lowest unknown: this is the mirror image of the standard
+    layout (unknown c at bit c, right side apart), and pivoting on the
+    highest bit here is pivoting on the lowest unknown there, with the
+    same pivots, row operations, solution and null vectors.  The rows say
+    L·h_n·R = out for each (n, L, R, out) in *blocks*, in order, through
+    vec(L·h·R) = (L ⊗ Rᵀ)·vec(h); then d_T·h_n + h_{n+1}·d_S = 0, from the
+    highest degree down, each degree's rows reversed.  A row of L ⊗ Rᵀ is
+    a column of R, bits reversed, copied to the rows of h_n that a row of
+    L picks; the copies do not overlap, so the row is one multiplication
+    of the column by an int.
 
-    ``gf2`` eliminates by inserting the rows in this order, and the order
-    sets the fill-in, hence the cost, but not the result: the RREF is
-    unique, so ``gf2.solve`` and ``gf2.null_vectors`` return the same
-    bits in any order.  Each block row involves one degree of h and makes a
-    sparse pivot for the naturality rows, which couple two degrees.  On
-    the largest lift system of the ``chainf2-lift`` benchmark workload
-    (8176 x 5977) the basis that elimination builds holds 9,794 ones in
-    this order and 33,723 with the naturality rows first, degrees
-    ascending.  A system of more than MAX_UNKNOWNS unknowns is refused.
+    ``gf2`` eliminates the rows in this order, and the order sets the
+    fill-in, hence the cost, but not the result.  Each block row involves
+    one degree of h and makes a sparse pivot for the naturality rows,
+    which couple two degrees.  On the largest lift system of the
+    ``chainf2-lift`` benchmark workload (8176 rows, 5977 unknowns) the
+    basis that elimination builds holds 9,725 ones in its unknowns in
+    this order and 33,695 with the naturality rows first, degrees
+    ascending.  A system of more than MAX_UNKNOWNS unknowns is refused
+    before any row is built.
     """
     degs = sorted(_degrees(S, T) | {blk[0] for blk in blocks})
     offs, total = {}, 0
@@ -716,39 +726,50 @@ def chain_map_system(S, T, blocks=()):
                              f"MAX_UNKNOWNS = {MAX_UNKNOWNS}; refused")
 
     def kron(n, L, R):
-        """The rows of L·h_n·R, in the entries of x: row (p, q) holds, for
-        each set bit i of row p of L, column q of R placed at row i of h_n.
-        A column has s = S.dim(n) bits and its copies sit s bits apart, so
-        they never overlap and the row is q · spread, where spread has one
-        bit at o + i·s per set bit i."""
-        s, o = S.dim(n), offs[n]
-        rcols = gf2.transpose(R).rows
+        """The rows of L·h_n·R, right sides zero: row (p, q) holds, for
+        each set bit i of row p of L, column q of R placed at row i of
+        h_n.  Entry (i, j) of h_n is at bit top - i·s + (s - 1 - j), with
+        s = S.dim(n), so a column reversed (bit s - 1 - j = entry j) has
+        its copies s bits apart, never overlapping: the row is q · spread,
+        where spread has one bit at top - i·s per set bit i."""
+        s = S.dim(n)
+        top = total - offs[n] - s + 1
+        rcols = gf2.transpose(gf2.Mat(R.rows[::-1], R.ncols)).rows
         out = []
         for a in L.rows:
             spread = 0
             while a:
                 low = a & -a
-                spread |= 1 << (o + (low.bit_length() - 1) * s)
+                spread |= 1 << (top - (low.bit_length() - 1) * s)
                 a ^= low
             out += [q * spread for q in rcols]
         return out
 
-    rows, b = [], 0
+    rows = []
     for n, L, R, out in blocks:
-        for p, r in enumerate(out.rows):
-            b |= r << (len(rows) + p * out.ncols)
+        first = len(rows)
         rows += kron(n, L, R)
+        # entry (p, q) of out is the right side of row first + p·ncols + q
+        for p, r in enumerate(out.rows):
+            while r:
+                low = r & -r
+                rows[first + p * out.ncols + low.bit_length() - 1] |= 1
+                r ^= low
     for n in reversed(degs):
         if T.dim(n + 1) and S.dim(n):
             nat = [x ^ y for x, y in zip(kron(n, T.d(n), gf2.eye(S.dim(n))),
                                          kron(n + 1, gf2.eye(T.dim(n + 1)), S.d(n)))]
             rows += reversed(nat)
-    return gf2.Mat(tuple(rows), total), b, offs
+    return gf2.Mat(tuple(rows), total + 1), offs
 
 
 def map_from_vector(S, T, x, offs, check=True):
     """The chain map S -> T whose entries, laid out as in
-    ``chain_map_system``, are the bits of the vector *x*."""
+    ``chain_map_system`` (unknown c at bit total - c), are the bits of the
+    vector *x*; x is reversed once, unknown c to bit c, and then read
+    row by row."""
+    total = sum(S.dim(n) * T.dim(n) for n in offs)
+    x = int(format(x, f"0{total + 1}b")[::-1], 2)
     rows = [0] * T.N
     for n, o in offs.items():
         s, t = S.dim(n), T.dim(n)
@@ -760,9 +781,9 @@ def map_from_vector(S, T, x, offs, check=True):
 
 def hom_space(X, Y):
     """(vecs, offs): the vectors *vecs* are a basis of Hom(X, Y), laid out
-    as in ``chain_map_system``."""
-    A, _, offs = chain_map_system(X, Y)
-    return gf2.null_vectors(A), offs
+    as in ``chain_map_system``, in ascending order of their free unknown."""
+    M, offs = chain_map_system(X, Y)
+    return gf2.null_vectors_high(M), offs
 
 
 # ------------------------------------------------------------ generators
@@ -789,11 +810,11 @@ def _solve_b(rng, v_up, want):
     U, V = v_up.target, want.target
     blocks = [(n, gf2.eye(V.dim(n)), v_up.mat(n), want.mat(n))
               for n in sorted(_degrees(U, V, v_up.source))]
-    A, rhs, offs = chain_map_system(U, V, blocks)
-    b_vec = gf2.solve(A, rhs)
+    M, offs = chain_map_system(U, V, blocks)
+    b_vec = gf2.solve_high(M)
     if b_vec is None:
         return None
-    b_vec ^= rng.combination(gf2.null_vectors(A))
+    b_vec ^= rng.combination(gf2.null_vectors_high(M))
     return map_from_vector(U, V, b_vec, offs)
 
 

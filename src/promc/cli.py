@@ -38,17 +38,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive(what):
-    """An argparse type: the text of a positive integer, else exit 2."""
+def _integer(what, least=1):
+    """An argparse type: the text of an integer >= *least* (1 or 0), else
+    exit 2."""
+    kind = "positive" if least else "non-negative"
+
     def read(text):
-        if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        if not (text.isascii() and text.isdigit()) or int(text) < least:
             raise argparse.ArgumentTypeError(
-                f"{what} must be a positive integer, not {text!r}")
+                f"{what} must be a {kind} integer, not {text!r}")
         return int(text)
     return read
 
 
-_depth = _positive("depth")
+_depth = _integer("depth")
+_seed = _integer("seed", least=0)
 
 
 class Arg(NamedTuple):
@@ -210,7 +214,12 @@ def _adjunction(args):
 
 def _check_axioms(args):
     from .suites import run_all_suites
-    seed = int(os.environ.get("PROMC_SEED", "0")) if args.seed is None else args.seed
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = _seed(os.environ.get("PROMC_SEED", "0"))
+        except argparse.ArgumentTypeError as e:
+            raise MalformedError(f"PROMC_SEED: {e}") from None
     bad = 0
     for rep in run_all_suites(args.trials, seed, depth=args.depth or DEFAULT_DEPTH):
         status = "ok" if rep.ok else f"FAILED ({len(rep.failures)})"
@@ -265,8 +274,8 @@ COMMANDS = {c.name: c for c in [
             (_arg("--base", Document.base_object_named),
              _arg("--object", Document.object_named))),
     Command("check-axioms", "run the randomized axiom suites", _check_axioms,
-            (_arg("--trials", type=_positive("trials"), default=20),
-             _arg("--seed", type=int, default=None)), document=False),
+            (_arg("--trials", type=_integer("trials"), default=20),
+             _arg("--seed", type=_seed, default=None)), document=False),
     Command("verify", "replay a certificate file", _verify,
             (_arg("certificate"),), document=False,
             depth_help="ω truncation depth for certificates that record none"),

@@ -12,21 +12,38 @@ anything with ``tolist``) mod 2, ``pack01`` packs lists of 0/1 rows
 without a Python step per entry, and ``unpack`` reads a range of bits of
 int rows back into 0/1 lists; every other routine takes and returns
 ``Mat`` values and never unpacks them.  All routines are deterministic:
-pivots are the lowest columns, free variables are set to zero.
+free variables are set to zero.
 
 A product XORs, for each row of A, the rows of B picked by its set
 bits, so a row operation is one int XOR whatever the width.
-Eliminations insert each row into a basis keyed by its lowest set bit:
-it is XORed with the basis row owning that bit until its lowest bit is
-new or it vanishes.  The keys are then the pivot columns of the reduced
-row echelon form (RREF); back substitution, highest pivot first, clears
-every other pivot column from each basis row and gives the RREF rows.
-The RREF and its pivot columns are unique for a matrix, so the result
-does not depend on the order in which rows are inserted.
-``solve`` inserts the rows of [A | B] and reads X from the bits above
-A's columns of the reduced rows.  ``rank`` counts the pivots of
-``row_echelon``, back substitution included, so that tracing that wraps
-``row_echelon`` (the benchmark's counts by shape) sees every rank.
+
+Two pivot rules, one per kind of caller:
+- Lowest bit (``row_echelon``, ``rank``, ``solve``, ``null_vectors``,
+  ``inverse``, ``quotient_map``), where the caller's column order defines
+  the output: ChainF2 limits, colimits, images, ``corestrict`` and
+  inverses.  Each row is inserted into a basis keyed by its lowest set
+  bit: it is XORed with the basis row owning that bit until its lowest
+  bit is new or it vanishes.  The keys are then the pivot columns of the
+  reduced row echelon form (RREF); back substitution, highest pivot
+  first, clears every other pivot column from each basis row and gives
+  the RREF rows.  ``solve`` inserts the rows of [A | B] and reads X from
+  the bits above A's columns of the reduced rows.  ``rank`` counts the
+  pivots of ``row_echelon``, so that tracing that wraps ``row_echelon``
+  (the benchmark's counts by shape) sees every rank.
+- Highest bit (``solve_high``, ``null_vectors_high``), for the chain-map
+  systems of ``chainf2.chain_map_system``, which are written for it: the
+  right-hand side at bit 0 and the unknowns above it in descending
+  order.  A pivot is found by ``bit_length()`` alone, the first row that
+  reduces to bit 0 alone (0 = 1) ends ``solve_high`` with None, and back
+  substitution is one ``(row & x).bit_count()`` parity per pivot, lowest
+  first: its basis row holds only bits below it.  Nothing is copied into
+  a second layout, and no RREF is built.  Pivoting on the highest bit of
+  a row whose unknowns are mirrored is pivoting on its lowest unknown,
+  so both rules give the same pivots, solution and null vectors, laid
+  out the other way round.
+The pivots, the solution with free unknowns zero and the null vectors
+(1 at their free column, 0 at the others) depend only on the row space,
+so no result depends on the order in which rows are inserted.
 
 The lift systems are large and very sparse: the 162 inputs above 64
 rows or columns in one round of the ``chainf2-factor`` and
@@ -36,11 +53,11 @@ visits every row for every column.  Each XOR can add ones to the row
 (fill-in), so the insertion order sets the cost but not the result
 (Markowitz, Mgmt. Sci. 1957).  Routines here keep the caller's row
 order; ``chainf2.chain_map_system`` picks one.  With its order the
-basis of the 8176 x 5977 system holds 9,794 ones, and the 121 systems
-above 64 rows or columns that one seed-1 ``chainf2-lift`` round solves
-(operations and replays) eliminate in 74 ms (least of three, one 2-vCPU
-Xeon); with the naturality rows first, degrees ascending, 33,723 ones
-and 150 ms.
+basis of the 8176 x 5977 system holds 9,725 ones in its unknowns, and
+``solve_high`` solves the 121 systems above 64 rows or columns that one
+seed-1 ``chainf2-lift`` round builds (operations and replays) in 30 ms
+(least of three, one 2-vCPU Xeon); with the naturality rows first,
+degrees ascending, 33,695 ones and 50 ms.
 
 Dense matrices are the trade-off: on uniform-random square ones
 (median of 7, one 2-vCPU Xeon) int rows beat numpy elimination (whole
@@ -338,6 +355,66 @@ def null_vectors(M):
             vecs[low.bit_length() - 1] |= 1 << c
             r ^= low
     return list(vecs.values())
+
+
+def _high_basis(rows, rhs=False):
+    """{pivot bit: row}: each row inserted by its highest set bit.  With
+    *rhs* bit 0 is a right-hand side: None as soon as a row reduces to
+    that bit alone, an equation 0 = 1."""
+    basis = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            p = basis.get(top)
+            if p is None:
+                if rhs and not top:
+                    return None
+                basis[top] = r
+                break
+            r ^= p
+    return basis
+
+
+def solve_high(M):
+    """One solution x of the system whose rows are the rows of *M*, the
+    right-hand side at bit 0 and the unknowns at bits 1 to ncols - 1, or
+    None if it is inconsistent.  x is an int in the rows' layout with bit
+    0 clear: free unknowns are zero, and the unknown of each pivot p,
+    lowest first, is the parity of its row against x with bit 0 set, since
+    that row holds only bits below p."""
+    basis = _high_basis(M.rows, rhs=True)
+    if basis is None:
+        return None
+    x = 1
+    for p in sorted(basis):
+        if (basis[p] & x).bit_count() & 1:
+            x |= 1 << p
+    return x ^ 1
+
+
+def null_vectors_high(M):
+    """A basis of the solutions of the homogeneous system of *M* (bit 0,
+    the right-hand side, is ignored; the unknowns are bits 1 to ncols - 1):
+    one vector per free bit f, highest first, that is 1 at f, 0 at the
+    other free bits, and holds every other one at a pivot above f, so f is
+    its lowest set bit.  Pivots are solved lowest first, for all vectors at
+    once: coef[q] has bit j set iff vector j is 1 at bit q."""
+    basis = _high_basis(M.rows)
+    free = [f for f in range(M.ncols - 1, 0, -1) if f not in basis]
+    coef = {f: 1 << j for j, f in enumerate(free)}
+    vecs = [1 << f for f in free]
+    for p in sorted(basis):
+        r, acc = basis[p] ^ 1 << p, 0
+        while r > 1:
+            top = r.bit_length() - 1
+            acc ^= coef[top]
+            r ^= 1 << top
+        coef[p] = acc
+        while acc:
+            low = acc & -acc
+            vecs[low.bit_length() - 1] |= 1 << p
+            acc ^= low
+    return vecs
 
 
 def _free_columns(pivots, n):

@@ -199,6 +199,76 @@ def random_chain_map(rng, X, Y):
     return chain_map(X, Y, mats)
 
 
+# ------------------------------------------- chain-map system reference
+
+def reference_chain_map_system(S, T, blocks=()):
+    """The GF(2) system A·x = b in the entries x of a chain map h: S -> T
+    in the standard layout, as (A, b, offs): unknown c at bit c of a row
+    of the ``gf2.Mat`` A, the right side of row r at bit r of the int b.
+
+    x holds each h_n (T.dim(n) x S.dim(n)) flattened row-major, degrees
+    ascending; h_n starts at offs[n].  The rows say L·h_n·R = out for
+    each (n, L, R, out) in *blocks*, in order, then d_T·h_n + h_{n+1}·d_S
+    = 0, from the highest degree down, each degree's rows reversed: the
+    rows of ``chainf2.chain_map_system`` in the same order, with the
+    unknowns in ascending order and no right-hand bit.  ``gf2.solve`` and
+    ``gf2.null_vectors`` of this build are the reference for its solve
+    and null vectors."""
+    degs = sorted(set(S.degrees) | set(T.degrees) | {blk[0] for blk in blocks})
+    offs, total = {}, 0
+    for n in degs:
+        offs[n] = total
+        total += T.dim(n) * S.dim(n)
+
+    def kron(n, L, R):
+        s, o = S.dim(n), offs[n]
+        rcols = gf2.transpose(R).rows
+        out = []
+        for a in L.rows:
+            spread = 0
+            while a:
+                low = a & -a
+                spread |= 1 << (o + (low.bit_length() - 1) * s)
+                a ^= low
+            out += [q * spread for q in rcols]
+        return out
+
+    rows, b = [], 0
+    for n, L, R, out in blocks:
+        for p, r in enumerate(out.rows):
+            b |= r << (len(rows) + p * out.ncols)
+        rows += kron(n, L, R)
+    for n in reversed(degs):
+        if T.dim(n + 1) and S.dim(n):
+            nat = [x ^ y for x, y in zip(kron(n, T.d(n), gf2.eye(S.dim(n))),
+                                         kron(n + 1, gf2.eye(T.dim(n + 1)), S.d(n)))]
+            rows += reversed(nat)
+    return gf2.Mat(tuple(rows), total), b, offs
+
+
+def mirrored(x, total):
+    """The vector *x* of the descending layout (unknown c at bit total - c,
+    bit 0 clear) in the standard one (unknown c at bit c); None stays
+    None."""
+    if x is None:
+        return None
+    out = 0
+    while x:
+        top = x.bit_length() - 1
+        out |= 1 << (total - top)
+        x ^= 1 << top
+    return out
+
+
+def standard_system(M):
+    """(A, b) of the descending-layout ``gf2.Mat`` *M* of
+    ``chainf2.chain_map_system``: its unknown bits mirrored into the
+    standard layout, and bit r of b the right side (bit 0) of row r."""
+    total = M.ncols - 1
+    A = gf2.Mat(tuple(mirrored(r & ~1, total) for r in M.rows), total)
+    return A, sum((r & 1) << i for i, r in enumerate(M.rows))
+
+
 def random_set_obj(rng, max_size=4, min_size=1, prefix="e"):
     k = int(rng.integers(min_size, max_size + 1))
     return set_obj([f"{prefix}{i}" for i in range(k)])

@@ -797,6 +797,30 @@ def test_an_omega_matching_certificate_is_replayed_at_its_depth(tmp_path, capsys
     assert code == 0 and "depth" not in json.loads(cert.read_text())
 
 
+@pytest.mark.parametrize("seed", ["-1", "-3", "abc", "2.5", ""])
+def test_check_axioms_takes_only_a_non_negative_seed(capsys, seed):
+    code = run_command(["check-axioms", "--trials", "1", "--seed", seed])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert "seed must be a non-negative integer" in cap.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3", "abc", "2.5", ""])
+def test_check_axioms_takes_only_a_non_negative_env_seed(capsys, monkeypatch, seed):
+    monkeypatch.setenv("PROMC_SEED", seed)
+    code, out = run(capsys, "check-axioms", "--trials", "1")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error: PROMC_SEED")
+    assert "must be a non-negative integer" in out
+
+
+def test_the_seed_option_overrides_an_unreadable_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("PROMC_SEED", "abc")
+    code, out = run(capsys, "check-axioms", "--trials", "1", "--seed", "0")
+    assert code == 0 and "all passed" in out
+
+
 @pytest.mark.parametrize("trials", ["0", "-3", "x", "2.5"])
 def test_check_axioms_takes_only_a_positive_trial_count(capsys, trials):
     code = run_command(["check-axioms", "--trials", trials, "--seed", "0"])

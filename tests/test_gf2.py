@@ -323,3 +323,21 @@ def test_a_chainf2_matrix_is_refused_with_its_first_bad_entry_or_shape(M, messag
         chain_map(S, T, {0: M})
     sep = " " if message.startswith("has shape") else ": "
     assert str(e.value) == "matrix in degree 0" + sep + message
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_counts_the_pivots_of_either_pivot_rule(seed):
+    """``rank`` against the pivots of ``row_echelon`` and, by rank-nullity,
+    against the highest-bit elimination of ``null_vectors_high``; square,
+    tall, wide and low-rank matrices up to 200 columns."""
+    rng = np.random.default_rng(1000 + seed)
+    for rows, cols in [(0, 0), (3, 0), (0, 5), (16, 16), (40, 70), (70, 40),
+                       (65, 65), (30, 200), (200, 90)]:
+        dense = rng.integers(0, 2, size=(rows, cols))
+        low = rng.integers(0, 2, size=(rows, 3)) @ rng.integers(0, 2, size=(3, cols)) % 2
+        for A in (mat(dense), mat(low), mat((dense * (rng.random(dense.shape) < 0.05)))):
+            r = gf2.rank(A)
+            assert r == len(gf2.row_echelon(A)[1])
+            shifted = gf2.Mat(tuple(row << 1 for row in A.rows), cols + 1)
+            assert r == cols - len(gf2.null_vectors_high(shifted))
+            assert r <= min(rows, cols)

@@ -159,7 +159,8 @@ def test_quotient_map(seed):
 
 
 def dense_system(S, T, blocks):
-    """The system of ``chain_map_system`` built densely with np.kron:
+    """The system of ``chain_map_system`` built densely with np.kron, in
+    the standard layout (unknown c at column c, the right side apart):
     naturality d_T·h_n + h_{n+1}·d_S = 0, then (L ⊗ Rᵀ)·vec(h_n) = vec(out)."""
     degs = sorted(set(S.degrees) | set(T.degrees) | {blk[0] for blk in blocks})
     offs, total = {}, 0
@@ -197,23 +198,24 @@ def test_chain_map_system_has_the_row_space_of_the_dense_build(seed):
         n = int(rng.integers(-1, 5))
         a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         blocks.append((n, rand(rng, a, T.dim(n)), rand(rng, S.dim(n), b), rand(rng, a, b)))
-    A, b, offs = chain_map_system(S, T, [(n, mat(L), mat(R), mat(out))
-                                         for n, L, R, out in blocks])
+    M, offs = chain_map_system(S, T, [(n, mat(L), mat(R), mat(out))
+                                      for n, L, R, out in blocks])
     D, d, dense_offs = dense_system(S, T, blocks)
-    assert offs == dense_offs and A.shape == D.shape
-    P = to_np(A)
-    aug_p = np.concatenate([P, unvec(b, P.shape[0])[:, None]], axis=1)
-    aug_d = np.concatenate([D, d[:, None]], axis=1)
-    for X, Y in ((P, D), (aug_p, aug_d)):
+    assert offs == dense_offs and M.shape == (D.shape[0], D.shape[1] + 1)
+    # column 0 of M is the right side, column k unknown total - k
+    aug_p = to_np(M)
+    aug_d = np.concatenate([d[:, None], D[:, ::-1]], axis=1)
+    for X, Y in ((aug_p[:, 1:], D[:, ::-1]), (aug_p, aug_d)):
         r = np_rank(X)
         assert r == np_rank(Y) == np_rank(np.concatenate([X, Y]))
 
 
 def bitwise_system(S, T, blocks):
-    """``chain_map_system`` with each Kronecker row XORed together one
-    shifted column at a time: the rows of L·h_n·R, row (p, q) the XOR,
-    over the set bits i of row p of L, of column q of R placed at row i
-    of h_n; the reference for its one-multiplication rows."""
+    """``chain_map_system`` with each row XORed together one bit at a
+    time: row (p, q) of L·h_n·R holds, over the set bits i of row p of L
+    and j of column q of R, entry (i, j) of h_n, unknown c = offs[n] +
+    i·S.dim(n) + j at bit total - c, and its right side out[p, q] at bit
+    0; the reference for its one-multiplication rows."""
     degs = sorted(set(S.degrees) | set(T.degrees) | {blk[0] for blk in blocks})
     offs, total = {}, 0
     for n in degs:
@@ -222,32 +224,27 @@ def bitwise_system(S, T, blocks):
 
     def kron(n, L, R):
         s, o = S.dim(n), offs[n]
-        rcols = gf2.transpose(R).rows
         out = []
         for a in L.rows:
-            at = []
-            while a:
-                low = a & -a
-                at.append(o + (low.bit_length() - 1) * s)
-                a ^= low
-            for q in rcols:
+            for q in range(R.ncols):
                 acc = 0
-                for shift in at:
-                    acc ^= q << shift
+                for i in range(L.ncols):
+                    for j in range(s):
+                        if a >> i & 1 and R.rows[j] >> q & 1:
+                            acc ^= 1 << (total - (o + i * s + j))
                 out.append(acc)
         return out
 
-    rows, b = [], 0
+    rows = []
     for n, L, R, out in blocks:
-        for p, r in enumerate(out.rows):
-            b |= r << (len(rows) + p * out.ncols)
-        rows += kron(n, L, R)
+        rhs = [r >> q & 1 for r in out.rows for q in range(out.ncols)]
+        rows += [r ^ b for r, b in zip(kron(n, L, R), rhs)]
     for n in reversed(degs):
         if T.dim(n + 1) and S.dim(n):
             nat = [x ^ y for x, y in zip(kron(n, T.d(n), gf2.eye(S.dim(n))),
                                          kron(n + 1, gf2.eye(T.dim(n + 1)), S.d(n)))]
             rows += reversed(nat)
-    return gf2.Mat(tuple(rows), total), b, offs
+    return gf2.Mat(tuple(rows), total + 1), offs
 
 
 def system_case(seed):

@@ -2,18 +2,20 @@
 
 ``chainf2.chain_map_system`` emits its rows in a fill-reducing order and
 ``gf2`` eliminates them in the order given.  The reduced row echelon
-form is unique, so every routine must return the same bits for any row
-order: ``row_echelon``, ``null_vectors`` and ``solve`` exactly, and the
-reference ``helpers.image_basis`` up to the same permutation of its
-rows.  Checked on the lift systems of seeded strict-factorization
-squares over chain4 and chain5, and on random sparse matrices above 64
-columns.
+form is unique, and so are the solution with free unknowns zero and the
+null vectors of either pivot rule, so every routine must return the same
+bits for any row order: ``row_echelon``, ``null_vectors``, ``solve``,
+``solve_high`` and ``null_vectors_high`` exactly, and the reference
+``helpers.image_basis`` up to the same permutation of its rows.  Checked
+on the lift systems of seeded strict-factorization squares over chain4
+and chain5, read in the standard layout (``helpers.standard_system``),
+and on random sparse matrices above 64 columns.
 """
 
 import random
 
 import pytest
-from helpers import image_basis
+from helpers import image_basis, standard_system
 
 from promc import chainf2, gf2, strict, suites
 from promc.base import CHAIN_F2
@@ -48,9 +50,17 @@ def right_hand_sides(rng, A):
     return vecs, mats
 
 
+def augmented(A, b):
+    """The rows of A above the right side b, as ``gf2.solve_high`` reads
+    them: column c of A at bit c + 1, the right side of row r at bit 0."""
+    return gf2.Mat(tuple(r << 1 | (b >> i & 1) for i, r in enumerate(A.rows)), A.ncols + 1)
+
+
 def results(A, vecs, mats):
     return (gf2.row_echelon(A), gf2.null_vectors(A),
-            [gf2.solve(A, b) for b in vecs], [gf2.solve(A, B) for B in mats])
+            [gf2.solve(A, b) for b in vecs], [gf2.solve(A, B) for B in mats],
+            gf2.null_vectors_high(augmented(A, 0)),
+            [gf2.solve_high(augmented(A, b)) for b in vecs])
 
 
 def assert_order_free(A, vecs, mats, rng):
@@ -70,9 +80,9 @@ def assert_order_free(A, vecs, mats, rng):
 
 
 def lift_systems(shape, seed, mode):
-    """Every (A, b) that ``chain_map_system`` builds while lifting the
+    """Every system that ``chain_map_system`` builds while lifting the
     square (j, p, j, p) of the strict factorization of a seeded level
-    map over *shape*."""
+    map over *shape*, as (A, b) in the standard layout."""
     P = from_covers(*suites.POSET_SHAPES[shape])
     f = suites.gen_level_map(suites.Rng(seed), P, CHAIN_F2, max_deg=2, max_dim=2)
     fs = strict.factor_strict(f, mode)
@@ -81,7 +91,7 @@ def lift_systems(shape, seed, mode):
 
     def capture(S, T, blocks=()):
         out = build(S, T, blocks)
-        caught.append(out[:2])
+        caught.append(standard_system(out[0]))
         return out
 
     chainf2.chain_map_system = capture

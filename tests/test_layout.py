@@ -23,9 +23,14 @@ use, except re-exports marked ``# noqa``.  Only ``chainf2`` reads the
 block internals of its values (``D``, ``F``, ``_offs``, ``_start``): every
 other module, test, benchmark file and demo reads a complex or a chain
 map through ``dim``, ``d``, ``mat`` and the instance's operations.
+Every function that ``bench/tracing.py`` wraps (its ``SPANS``,
+``GROUPS`` and ``COUNTERS``, ``gf2.row_echelon`` and
+``prohom.enumerate_base_maps``) is a callable of promc, so a refactor
+cannot leave the traced benchmark run a name to wrap that is gone.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -293,6 +298,27 @@ def test_only_chainf2_reads_its_block_internals():
     bad = {str(p.relative_to(ROOT)): reads for p in sorted(files)
            if (reads := block_reads(p.stem, p.read_text()))}
     assert not bad
+
+
+def traced_functions():
+    """Every (module, attribute) that ``bench/tracing.py`` wraps: read off
+    the literal tables in its source, plus the two it wraps by name."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("SPANS", "GROUPS", "COUNTERS")}
+    assert set(tables) == {"SPANS", "GROUPS", "COUNTERS"}
+    out = [(mod, attr) for mod, attr, _ in tables["SPANS"] + tables["COUNTERS"]]
+    out += [(mod, attr) for mod, attrs in tables["GROUPS"].values() for attr in attrs]
+    return out + [("promc.gf2", "row_echelon"), ("promc.prohom", "enumerate_base_maps")]
+
+
+def test_every_function_the_tracer_wraps_exists():
+    targets = traced_functions()
+    assert len(targets) > 30 and all(mod.startswith("promc.") for mod, _ in targets)
+    missing = [f"{mod}.{attr}" for mod, attr in targets
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert not missing
 
 
 def test_the_checks_see_what_they_forbid():
