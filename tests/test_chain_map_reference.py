@@ -172,3 +172,26 @@ def test_systems_without_unknowns_match_the_reference():
     M, _ = chain_map_system(Z, Z)
     assert M.shape == (0, 1) and gf2.solve_high(M) == 0
     assert gf2.null_vectors_high(M) == []
+
+
+def test_no_chain_map_system_reaches_the_lowest_bit_solvers(monkeypatch):
+    """Lifts, hom spaces and the square generator solve through the
+    highest-bit path only: ``gf2.solve`` and ``gf2.null_vectors`` are
+    left to limits, colimits, ``corestrict`` and inverses."""
+    rng = suites.Rng(11)
+    X, Y = (chainf2.gen_complex(rng, max_deg=2, max_dim=3) for _ in range(2))
+    f = chainf2.INSTANCE.gen_map(rng, X, Y)
+    fs = chainf2.factor_map(f, chainf2.COF_ACF)
+    v_up = chainf2.INSTANCE.gen_map(rng, X, Y)
+
+    def refuse(*args):
+        raise AssertionError("a lowest-bit solver was called")
+
+    monkeypatch.setattr(gf2, "solve", refuse)
+    monkeypatch.setattr(gf2, "null_vectors", refuse)
+    j, p = fs.left, fs.right
+    h = chainf2.INSTANCE.lift(j, p, j, p)
+    assert chainf2.compose(h, j) == j and chainf2.compose(p, h) == p
+    assert len(chainf2.INSTANCE.hom(X, X)) >= 1
+    a, b = chainf2.INSTANCE.gen_square(rng, v_up, v_up, tries=3)
+    assert chainf2.compose(v_up, a) == chainf2.compose(b, v_up)
