@@ -90,7 +90,7 @@ class Instance(Protocol):
 
     tag: str  # the external name in documents and certificates
     map_class: type  # what ``BaseMap(source, target, ...)`` builds
-    exhaustive_homs: bool  # ``hom`` never refuses, so replay may enumerate
+    exhaustive_homs: bool  # ``hom`` lists any set under a count cap; replay may enumerate
     sizes: dict  # generator sizes of the axiom suites
     small_sizes: dict  # smaller ones, where a suite builds towers
     # values

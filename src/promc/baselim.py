@@ -18,8 +18,9 @@ from .errors import MalformedError, PreconditionError
 class Diagram:
     """A finite diagram: named nodes and a list of edges (src, tgt, map).
 
-    Parallel edges and empty diagrams are allowed; loops are permitted
-    for limits but then apex elements are named by full tuples.  Each
+    Parallel edges, loops, cycles and empty diagrams are allowed, and
+    every limit commutes on every edge; when the edges close a cycle,
+    SetBij names apex elements by their full tuples.  Each
     node's in- and out-edges are listed once, in edge order, when the
     diagram is built.
     """

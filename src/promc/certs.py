@@ -39,8 +39,9 @@ def _iso_payload(cert):
                        if cert.backward is not None else None)
     out["hfamily"] = (hfamily_to_doc(cert.hfamily)
                       if cert.hfamily is not None else None)
-    if cert.depth is not None:
-        out["depth"] = cert.depth
+    depth = cert.forward.source.index.depth
+    if depth is not None:
+        out["depth"] = depth
     return out
 
 

@@ -2,8 +2,8 @@
 The self-describing JSON document format.
 
 A document names one instance by its tag and any number of index
-posets, pro-objects, pro-maps (level or general), base objects/maps,
-diagrams, and witness bundles.  Base values serialize as their instance
+posets, base objects, pro-objects, pro-maps (level or general) and
+witness bundles.  Base values serialize as their instance
 writes them (SetBij sets as arrays of strings, ChainF2 matrices
 row-major as 0/1 arrays), posets as cover-pair lists (or the literal
 "omega"); ω-regime values, steps and LEVEL components are given as
@@ -254,8 +254,8 @@ def hfamily_from_doc(instance, doc, f):
 
 
 class Document:
-    """A parsed document: named posets, pro-objects, pro-maps, base
-    objects/maps, and witness bundles, all validated on load."""
+    """A parsed document: named posets, base objects, pro-objects,
+    pro-maps and witness bundles, all validated on load."""
 
     def __init__(self, raw, depth=None):
         if not isinstance(raw, dict):
@@ -269,11 +269,6 @@ class Document:
         self.base_objects = {
             name: obj_from_doc(self.instance, doc)
             for name, doc in _object(raw, "base_objects", "document").items()}
-        self.base_maps = {
-            name: map_from_doc(self.instance, doc["payload"],
-                               self.base_object_named(doc.get("source")),
-                               self.base_object_named(doc.get("target")))
-            for name, doc in _entries(raw, "base_maps")}
         self.objects = {
             name: proobj_from_doc(self.instance, doc, _named(
                 self.posets, doc.get("index"), f"object {name} references unknown poset"))

@@ -190,7 +190,6 @@ class IsoCertificate:
     forward: ProMap
     backward: ProMap | None = None
     hfamily: HFamily | None = None
-    depth: int | None = None
 
     def failure(self):
         """The first failed check as (where, why); None when the witnesses
@@ -267,7 +266,7 @@ def is_pro_iso(f, candidate_inverse=None):
             backward = general_map(Y, X, lambda n, _d=d - 1:
                                    (_d, compose(X.struct(_d, n), psi)),
                                    check=False)
-            cert = IsoCertificate(forward=f, backward=backward, depth=d)
+            cert = IsoCertificate(forward=f, backward=backward)
             try:
                 cert.replay()
                 return cert
@@ -384,9 +383,9 @@ def _levelize_omega(f):
     fwd = general_map(X, Xt, lambda n: (T[n], identity(X.value(T[n]))),
                       check=False)
     back = general_map(Xt, X, lambda s: (s, X.struct(T[s], s)), check=False)
-    cert_src = IsoCertificate(forward=fwd, backward=back, depth=d)
+    cert_src = IsoCertificate(forward=fwd, backward=back)
     ident = identity_pro(Y)
-    cert_tgt = IsoCertificate(forward=ident, backward=ident, depth=d)
+    cert_tgt = IsoCertificate(forward=ident, backward=ident)
     return Levelization(map=lev, source_cert=cert_src,
                         target_cert=cert_tgt, original=f)
 

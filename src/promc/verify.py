@@ -24,12 +24,13 @@ malformed.
 
 One ``Loader`` per certificate reads every payload: it alone calls the
 ``docio`` readers and knows how a pro-map payload embeds its posets and
-ends.  It parses each distinct (poset, pro-object, depth) once and hands
-out the same ``ProObject`` for every copy; two copies are one only if
-their JSON texts agree, so values and JSON types match at every depth
-and no malformed copy is skipped.  A certificate's ω posets are rebuilt
-at the depth it records (each iso payload at its own recorded depth),
-else at the depth replay is given.
+ends.  It parses each distinct poset and pro-object once and hands out the
+same ``ProObject`` for every copy; two copies are one only if their JSON
+texts agree, so values and JSON types match at every depth and no
+malformed copy is skipped.  A certificate's ω posets are rebuilt at the
+depth it records, else at the depth replay is given; an iso payload
+repeats the certificate's depth, and one that records another is
+refused as malformed.
 
 One comparison, ``_agrees``, checks every recorded JSON value against
 what ``certs`` writes for the fresh one: whole answer certificates,
@@ -68,7 +69,7 @@ _text = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 class Loader:
     """The payload reader of one certificate of *instance*, its ω posets
-    at *depth* unless a payload records its own."""
+    at *depth*."""
 
     def __init__(self, instance, depth):
         self.instance, self.depth = instance, depth
@@ -93,23 +94,21 @@ class Loader:
         copies.append([doc, out, None])
         return out
 
-    def poset(self, doc, depth=None):
-        depth = self.depth if depth is None else depth
-        return self._once(_text(depth), doc, lambda d: poset_from_doc(d, depth))
+    def poset(self, doc):
+        return self._once("poset", doc, lambda d: poset_from_doc(d, self.depth))
 
     def proobj(self, doc, index):
         """The pro-object *doc* over the IndexPoset *index*."""
         return self._once(index, doc,
                           lambda d: proobj_from_doc(self.instance, d, index))
 
-    def promap(self, payload, depth=None):
+    def promap(self, payload):
         """The pro-map of a payload that embeds its ends and their posets."""
         _as_object(payload, "pro-map payload")
         return self.between(
             payload,
-            self.proobj(payload["source_object"], self.poset(payload["poset"], depth)),
-            self.proobj(payload["target_object"],
-                        self.poset(payload["target_poset"], depth)))
+            self.proobj(payload["source_object"], self.poset(payload["poset"])),
+            self.proobj(payload["target_object"], self.poset(payload["target_poset"])))
 
     def factors(self, doc):
         """The input f, middle Z and factors f.source -> Z -> f.target of a
@@ -120,16 +119,18 @@ class Loader:
                 self.between(doc["right"], Z, f.target))
 
     def iso(self, payload):
-        """Replay an iso payload, at its own depth if it records one, as an
-        IsoCertificate; returns its forward map."""
+        """Replay an iso payload as an IsoCertificate; returns its forward
+        map.  A depth it records must be the certificate's."""
         _as_object(payload, "iso payload")
-        fwd = self.promap(payload["forward"], payload.get("depth"))
+        if "depth" in payload and _text(payload["depth"]) != _text(self.depth):
+            raise MalformedError(f"iso payload depth {_text(payload['depth'])} "
+                                 f"differs from the certificate's {self.depth}")
+        fwd = self.promap(payload["forward"])
         back, fam = payload.get("backward"), payload.get("hfamily")
         IsoCertificate(
             forward=fwd,
             backward=None if back is None else self.between(back, fwd.target, fwd.source),
-            hfamily=None if fam is None else self.hfamily(fam, fwd),
-            depth=payload.get("depth")).replay()
+            hfamily=None if fam is None else self.hfamily(fam, fwd)).replay()
         return fwd
 
 

@@ -8,6 +8,8 @@ from promc.base import (ACOF_FIB, COF_ACF, BaseMap, chain_map, chain_obj,
 from promc.errors import MalformedError, PreconditionError
 from promc.indexing import chain_poset
 from promc.prohom import enumerate_base_maps
+from promc.setbij import INSTANCE as SET_BIJ
+from promc.setbij import SetMap
 from promc.strict import factor_strict
 from promc.suites import (Rng, gen_level_map, gen_pro_object, gen_shift_iso,
                           suite_factorization)
@@ -47,6 +49,26 @@ def test_set_map_totality():
         set_map(A, B, {"a": "x"})
     with pytest.raises(MalformedError):
         set_map(A, B, {"a": "x", "b": "zzz"})
+
+
+def test_set_map_between_instances_rejected():
+    A, C = set_obj(["a"]), chain_obj(0, 0, [1])
+    for source, target in ((A, C), (C, A)):
+        with pytest.raises(MalformedError, match="different instances"):
+            SetMap(source, target, {"a": "a"})
+
+
+def test_setbij_gen_square_keeps_a_drawn_top_map_that_extends():
+    """Along injective vertical maps every top map extends to a bottom
+    map, so one try keeps the drawn top map: the constant square is only
+    the fallback."""
+    X, Y = set_obj(["a", "b", "c"]), set_obj(["x", "y", "z"])
+    images = set()
+    for seed in range(10):
+        a, b = SET_BIJ.gen_square(Rng(seed), identity(X), identity(Y), tries=1)
+        assert b == a
+        images.add(len(set(a.mapping.values())))
+    assert images - {1}
 
 
 # -------------------------------------------------------------- classify

@@ -8,7 +8,7 @@ from promc.base import (chain_map, chain_obj, classify_map, compose, identity,
                         set_map, set_obj, zero_complex)
 from promc.baselim import (Cone, Diagram, finite_colimit, finite_limit,
                            pullback, pushout)
-from promc.errors import PreconditionError
+from promc.errors import MalformedError, PreconditionError
 
 from helpers import (disk1, disk_to_sphere, image_basis, random_chain_map,
                      random_complex, random_set_map, random_set_obj, shifted, sphere0)
@@ -85,6 +85,17 @@ def test_chain_limit_factor_refuses_legs_outside_the_kernel():
         lim.factor(Cone(dia, X, {"a": identity(X), "b": zero}))
     assert lim.factor(Cone(dia, X, {"a": identity(X), "b": identity(X)})) == \
         lim.mediate(Cone(dia, X, {"a": identity(X), "b": identity(X)}))
+
+
+def test_diagram_refuses_an_edge_with_one_unknown_or_mismatched_end():
+    A, B = set_obj(["a"]), set_obj(["b", "c"])
+    f = set_map(A, B, {"a": "b"})
+    for edge in (("A", "C", f), ("C", "B", f)):
+        with pytest.raises(MalformedError, match="unknown node"):
+            Diagram({"A": A, "B": B}, [edge])
+    for nodes in ({"A": A, "B": A}, {"A": B, "B": B}):
+        with pytest.raises(MalformedError, match="endpoints disagree"):
+            Diagram(nodes, [("A", "B", f)])
 
 
 def test_setbij_limit_of_a_long_chain_needs_no_recursion():

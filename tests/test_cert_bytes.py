@@ -18,6 +18,8 @@ from promc.docio import (dump_json, hfamily_to_doc, poset_to_doc,
                          promap_to_doc, proobj_to_doc)
 from promc.indexing import from_covers
 
+from test_cli_sweep import SEEDED
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "chainf2.json")
 
 GOLDEN = {
@@ -97,7 +99,8 @@ def test_lift_certificate_bytes(seed, shape, mode):
 
 # SetBij certificates written by the CLI from the fixtures (the digests
 # above are all ChainF2 ones), plus the ChainF2 runs that only cocell,
-# tower-limit and levelize exercise.
+# tower-limit and levelize exercise, and ChainF2 lifts through the CLI
+# over the CLI sweep's seeded lift documents.
 CLI_RUNS = {
     "hom-collapse-X-Y": ("hom", "collapse.json", "X", "Y"),
     "hom-collapse-Y-X": ("hom", "collapse.json", "Y", "X"),
@@ -136,6 +139,9 @@ CLI_RUNS = {
                      "--bottom", "f", "--witnesses", "h"),
     "proper-pullback": ("proper-pullback", "zigzag.json", "--p", "idY",
                         "--f", "idX2", "--g", "f", "--witnesses", "h"),
+    **{f"lift-chainf2-{mode}": ("lift", f"seeded-lift-{mode}-chain-f2-1.json",
+                                "--i", "j", "--p", "p", "--top", "j", "--bottom", "p",
+                                "--mode", mode) for mode in ("L1", "L2")},
 }
 
 CLI_GOLDEN = {
@@ -171,6 +177,10 @@ CLI_GOLDEN = {
         "ec8c929f480028e98cc8d15972c0c1e64d2813001580928d70e53ff0de9b4c4a",
     "levelize-collapse":
         "75c23bc22b0ac31ea6e4c8897a03e6c298850bd97c78b36aa4a5a7904c0b41fd",
+    "lift-chainf2-L1":
+        "e8142e692a57c2fc9e4d743e6db31d00383425729e15c990a84410eb134c93a7",
+    "lift-chainf2-L2":
+        "3f2863a6e06a9e7c66dad179e6b26ba6c5bf52e7df0e6b4e948578281795de1f",
     "lift-special":
         "7146e9256e6beabb856b34a6e2c88471ca0a4e1b0660f8428d167628caab7acf",
     "matching-special-1":
@@ -197,7 +207,10 @@ def test_cli_certificate_bytes(tmp_path, capsys, name):
     command, fixture, *rest = CLI_RUNS[name]
     out_file = tmp_path / "cert.json"
     path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
-    code = run_command([command, path, *rest, "--out", str(out_file)])
+    if fixture in SEEDED:
+        path = tmp_path / fixture
+        path.write_text(json.dumps(SEEDED[fixture]))
+    code = run_command([command, str(path), *rest, "--out", str(out_file)])
     capsys.readouterr()
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()

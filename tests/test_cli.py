@@ -5,9 +5,13 @@ import time
 
 import pytest
 
+from promc.base import set_obj
 from promc.chainf2 import INSTANCE, MAX_DEGREE, MAX_DIM, MAX_UNKNOWNS
 from promc.cli import run_command
+from promc.errors import PreconditionError
 from promc.indexing import MAX_DEPTH
+from promc.setbij import ENUMERATION_CAP as SETBIJ_CAP
+from promc.setbij import INSTANCE as SET_INSTANCE
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -58,6 +62,23 @@ def test_levelize_and_verify(tmp_path, capsys):
     assert code == 0
     code, out = run(capsys, "verify", str(out_file))
     assert code == 0
+
+
+@pytest.mark.parametrize("depth", [5, 16, "6", 6.0, True, None])
+def test_an_iso_payload_depth_other_than_the_certificates_exits_2(tmp_path, capsys,
+                                                                   depth):
+    """An iso payload was replayed at the depth it recorded; it now only
+    repeats its certificate's depth, and any other value is refused."""
+    out = tmp_path / "lv.json"
+    assert run(capsys, "levelize", fx("omega_maps.json"), "g", "--out", str(out))[0] == 0
+    cert = json.loads(out.read_text())
+    assert cert["depth"] == cert["source_cert"]["depth"] == cert["target_cert"]["depth"] == 6
+    assert run(capsys, "verify", str(out))[0] == 0
+    cert["target_cert"]["depth"] = depth
+    out.write_text(json.dumps(cert))
+    code, text = run(capsys, "verify", str(out))
+    assert code == 2 and text.count("\n") == 1
+    assert "iso payload depth" in text and "the certificate's 6" in text
 
 
 def test_matching_cert_roundtrip(tmp_path, capsys):
@@ -372,6 +393,73 @@ def test_a_chain_map_system_beyond_max_unknowns_exits_2_within_a_second(tmp_path
     assert code == 2
     assert out.count("\n") == 1
     assert f"unknowns = {2 * n * n} exceeds MAX_UNKNOWNS = {MAX_UNKNOWNS}" in out
+
+
+def _big_set_values(prefix, n=12):
+    """A value of n elements at level 1 over the single 0 of collapse.json."""
+    return {"values": {"1": [f"{prefix}{k}" for k in range(n)], "0": [f"{prefix}0"]},
+            "structure": {"1>0": {f"{prefix}{k}": f"{prefix}0" for k in range(n)}}}
+
+
+def _big_sets():
+    """collapse.json with X and Y of 12 elements at level 1 and a
+    12-element base object: each SetBij hom between them has 12**12 maps."""
+    doc = json.loads(open(fx("collapse.json")).read())
+    for name, prefix in (("X", "a"), ("Y", "u")):
+        doc["objects"][name] = dict(_big_set_values(prefix), index="I")
+    doc["base_objects"]["big"] = [f"b{k}" for k in range(12)]
+    del doc["maps"], doc["witnesses"]
+    return doc
+
+
+def _big_hom_certificate(tmp_path, capsys):
+    """The certificate of ``hom collapse.json X Y`` with X and Y
+    replaced by the 12-element values of ``_big_sets``."""
+    out = tmp_path / "hom.json"
+    assert run(capsys, "hom", fx("collapse.json"), "X", "Y", "--out", str(out))[0] == 0
+    cert = json.loads(out.read_text())
+    cert["X"], cert["Y"] = _big_set_values("a"), _big_set_values("u")
+    out.write_text(json.dumps(cert))
+    return ["verify", str(out)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "X", "Y"], ["adjunction", "--base", "big", "--object", "Y"], "verify"],
+    ids=["hom", "adjunction", "verify-hom"])
+def test_a_setbij_hom_beyond_the_enumeration_cap_exits_2_within_a_second(
+        tmp_path, capsys, argv):
+    """12**12 maps: ``SetBij.hom`` enumerated them all and ran until it was
+    killed; it is refused before any map is built."""
+    if argv == "verify":
+        argv = _big_hom_certificate(tmp_path, capsys)
+    else:
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(_big_sets()))
+        argv = [argv[0], str(f), *argv[1:]]
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.count("\n") == 1
+    assert f"|Y|^|X| = 12^12 maps > {SETBIJ_CAP}" in out
+
+
+def test_a_setbij_hom_at_the_enumeration_cap_is_enumerated():
+    X, Y = set_obj([f"a{k}" for k in range(6)]), set_obj(["u", "v", "w", "z"])
+    assert 4 ** 6 == SETBIJ_CAP
+    assert len(SET_INSTANCE.hom(X, Y)) == SETBIJ_CAP
+    with pytest.raises(PreconditionError, match="enumeration refused"):
+        SET_INSTANCE.hom(set_obj([*X.elements, "a6"]), Y)
+
+
+def test_a_setbij_hom_out_of_a_large_set_is_refused_by_its_power_alone():
+    """10**5000 has more digits than an int may print: the refusal
+    names the power, not its digits."""
+    big = set_obj([f"b{k}" for k in range(5000)])
+    assert len(SET_INSTANCE.hom(big, set_obj(["u"]))) == 1
+    assert SET_INSTANCE.hom(big, set_obj([])) == []
+    with pytest.raises(PreconditionError, match=r"\|Y\|\^\|X\| = 10\^5000 maps"):
+        SET_INSTANCE.hom(big, set_obj([str(k) for k in range(10)]))
 
 
 def test_a_chainf2_object_may_reach_max_degree():

@@ -26,7 +26,7 @@ import pathlib
 
 import pytest
 
-from promc import cli, suites
+from promc import cli, strict, suites
 from promc.docio import (DOC_SCHEMA, hfamily_to_doc, poset_to_doc,
                          promap_to_doc, proobj_to_doc)
 from promc.indexing import DEFAULT_DEPTH
@@ -51,12 +51,17 @@ UNKNOWN = "nope"
 def _seeded(kind, instance, seed):
     """A document around one generated level map f: X -> Y (with its
     witness bundle h for a shift pro-isomorphism), drawn as the
-    generator golden digests of test_cert_bytes draw it."""
+    generator golden digests of test_cert_bytes draw it, or for kind
+    "lift-L1" and "lift-L2" with its strict factorization f = p ∘ j
+    through Z in that mode, as the benchmark's documents hold it."""
     rng = suites.Rng(seed)
     small = ({"max_size": 3} if instance == "set-bij"
              else {"max_deg": 1, "max_dim": 2})
-    wit = None
-    if kind == "level":
+    wit = fs = None
+    if kind.startswith("lift-"):
+        f = suites.gen_level_map(rng, suites.gen_poset(rng, 4), instance, **small)
+        fs = strict.factor_strict(f, kind[len("lift-"):])
+    elif kind == "level":
         f = suites.gen_level_map(rng, suites.gen_poset(rng, 4), instance)
     elif kind == "shift":
         f, wit = suites.gen_shift_iso(rng, instance, length=2, **small)
@@ -70,12 +75,20 @@ def _seeded(kind, instance, seed):
            "maps": {"f": promap_to_doc(f, "X", "Y")}}
     if wit is not None:
         doc["witnesses"] = {"h": {"map": "f", "pairs": hfamily_to_doc(wit)}}
+    if fs is not None:
+        doc["objects"]["Z"] = dict(proobj_to_doc(fs.middle), index="P")
+        doc["maps"].update(j=promap_to_doc(fs.left, "X", "Z"),
+                           p=promap_to_doc(fs.right, "Z", "Y"))
     return doc
 
 
 SEEDED = {f"seeded-{kind}-{instance}-1.json": _seeded(kind, instance, 1)
           for kind in ("level", "shift", "we")
           for instance in ("chain-f2", "set-bij")}
+# ChainF2 lifting squares (j, p, j, p), one per mode: no other document
+# offers a ChainF2 square
+SEEDED.update({f"seeded-{kind}-chain-f2-1.json": _seeded(kind, "chain-f2", 1)
+               for kind in ("lift-L1", "lift-L2")})
 DOCUMENTS = {**FIXTURES, **SEEDED}
 
 
